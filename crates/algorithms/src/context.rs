@@ -125,34 +125,40 @@ impl PairCache {
 }
 
 /// One direction of the eligibility adjacency as a *span-arena* CSR
-/// (DESIGN.md §12): `spans[k] = (start, len)` points into the shared
-/// `ids` arena, and each row's ids are kept sorted ascending (the
-/// canonical order — geometry-independent, so incrementally patched
-/// rows match from-scratch builds element for element).
+/// (DESIGN.md §12): `spans[k] = (start, len, cap)` gives row `k` its
+/// own run of `cap` cells in the shared `ids` arena. The first `len`
+/// hold the row's ids sorted ascending (the canonical order —
+/// geometry-independent, so incrementally patched rows match
+/// from-scratch builds element for element); the rest are the row's
+/// slack.
 ///
-/// Unlike classic offset-array CSR, rows are independently replaceable:
-/// an element removal shifts in place within the span, an insertion or
-/// wholesale replacement appends a fresh copy of the row at the arena
-/// tail and repoints the span. Stale arena bytes are garbage-collected
-/// by compaction once they exceed the live size (amortized O(1) per
-/// update). Spans are `u32`: 4 G live pairs ≈ 32 GiB of ids — beyond
-/// any in-memory instance — and compaction keeps the arena within 2×
-/// live + slack.
+/// Unlike classic offset-array CSR, rows are independently resizable.
+/// An insertion shifts within the run while slack lasts; a full row
+/// first moves to the arena tail with its capacity doubled, so a row
+/// that grows to n ids is copied O(log n) times (amortized O(1) per
+/// insert). A removal shifts in place and leaves the freed cell as
+/// slack. Runs left behind by moves are garbage: compaction repacks
+/// every row dense (cap = len) once [`within_bound`](Self::within_bound)
+/// fails, which keeps the arena within 4 × live + 192 ids. Spans are
+/// `u32`: 4 G ids ≈ 32 GiB — beyond any in-memory instance.
 #[derive(Debug)]
 struct CsrDir<T> {
-    /// `(start, len)` into `ids`, one per row.
-    spans: Vec<(u32, u32)>,
+    /// `(start, len, cap)` into `ids`, one per row.
+    spans: Vec<(u32, u32, u32)>,
     ids: Vec<T>,
-    /// Total live elements (Σ span lens); the compaction trigger.
+    /// Total live elements (Σ span lens).
     live: usize,
+    /// Total reserved cells (Σ span caps): live ids plus slack.
+    reserved: usize,
     /// The pair-base memo (DESIGN.md §10), on the c2v direction of a
     /// memoized context only: `slots[p]` holds the `f64` bits of pair
     /// `(row, ids[p])`, or [`MEMO_EMPTY`]. Every operation below moves a
     /// slot together with its id, so a value follows its pair through
-    /// row rewrites, swap-removes and compaction, and a pair added to a
-    /// row starts empty. Relaxed atomics: every thread that fills a slot
-    /// computes the same deterministic value, so racing writers are
-    /// benign, and a slot publishes no other data.
+    /// row moves, swap-removes and compaction. A pair added to a row
+    /// starts empty, including one that lands in slack, which can still
+    /// hold a removed pair's bits. Relaxed atomics: every thread that
+    /// fills a slot computes the same deterministic value, so racing
+    /// writers are benign, and a slot publishes no other data.
     slots: Option<Vec<AtomicU64>>,
 }
 
@@ -162,6 +168,7 @@ impl<T> Default for CsrDir<T> {
             spans: Vec::new(),
             ids: Vec::new(),
             live: 0,
+            reserved: 0,
             slots: None,
         }
     }
@@ -182,8 +189,8 @@ fn extend_slots_from_within(slots: &mut Vec<AtomicU64>, range: std::ops::Range<u
     }
 }
 
-impl<T: Copy + Ord> CsrDir<T> {
-    /// Build from per-row lists, densely packed.
+impl<T: Copy + Ord + Default> CsrDir<T> {
+    /// Build from per-row lists, densely packed (cap = len).
     fn from_lists(lists: Vec<Vec<T>>) -> Self {
         let total: usize = lists.iter().map(Vec::len).sum();
         assert!(
@@ -193,126 +200,191 @@ impl<T: Copy + Ord> CsrDir<T> {
         let mut spans = Vec::with_capacity(lists.len());
         let mut ids = Vec::with_capacity(total);
         for list in &lists {
-            spans.push((ids.len() as u32, list.len() as u32));
+            spans.push((ids.len() as u32, list.len() as u32, list.len() as u32));
             ids.extend_from_slice(list);
         }
         CsrDir {
             spans,
             ids,
             live: total,
+            reserved: total,
             slots: None,
         }
     }
 
     #[inline]
     fn row(&self, k: usize) -> &[T] {
-        let (start, len) = self.spans[k];
+        let (start, len, _) = self.spans[k];
         &self.ids[start as usize..(start + len) as usize]
     }
 
-    /// Replace row `k` with `new` (sorted), appending at the arena tail
-    /// with empty memo slots.
-    fn set_row(&mut self, k: usize, new: &[T]) {
-        self.live -= self.spans[k].1 as usize;
-        self.spans[k] = (self.ids.len() as u32, new.len() as u32);
-        self.append(new);
-    }
-
-    /// Append a new row holding `new` (sorted), with empty memo slots.
-    fn push_row(&mut self, new: &[T]) {
-        self.spans.push((self.ids.len() as u32, new.len() as u32));
-        self.append(new);
-    }
-
-    /// Append `new` and as many empty slots at the arena tail, for a
-    /// span the caller has just pointed there.
-    fn append(&mut self, new: &[T]) {
-        self.ids.extend_from_slice(new);
-        if let Some(slots) = &mut self.slots {
-            slots.extend(empty_slots(new.len()));
+    /// Give row `k` a run of at least `need` cells. A run that is too
+    /// small moves to the arena tail with its capacity at least
+    /// doubled, taking its ids and their memo slots along; the old run
+    /// becomes garbage. The caller compacts once it is done with `k`.
+    fn make_room(&mut self, k: usize, need: usize) {
+        let (start, len, cap) = self.spans[k];
+        if need <= cap as usize {
+            return;
         }
-        self.live += new.len();
+        let new_cap = need.max(2 * cap as usize);
+        let (lo, hi) = (start as usize, (start + len) as usize);
+        let tail = self.ids.len();
+        assert!(
+            tail + new_cap <= u32::MAX as usize,
+            "eligibility index exceeds u32 offset range"
+        );
+        self.ids.extend_from_within(lo..hi);
+        self.ids.resize(tail + new_cap, T::default());
+        if let Some(slots) = &mut self.slots {
+            extend_slots_from_within(slots, lo..hi);
+            slots.extend(empty_slots(new_cap - len as usize));
+        }
+        self.spans[k] = (tail as u32, len, new_cap as u32);
+        self.reserved += new_cap - cap as usize;
+    }
+
+    /// Replace row `k` with `new` (sorted), every pair with an empty
+    /// memo slot: in place when it fits the row's run.
+    fn set_row(&mut self, k: usize, new: &[T]) {
+        self.make_room(k, new.len());
+        let (start, len, _) = self.spans[k];
+        let run = start as usize..start as usize + new.len();
+        self.ids[run.clone()].copy_from_slice(new);
+        if let Some(slots) = &self.slots {
+            for slot in &slots[run] {
+                slot.store(MEMO_EMPTY, Ordering::Relaxed);
+            }
+        }
+        self.spans[k].1 = new.len() as u32;
+        self.live = self.live - len as usize + new.len();
         self.maybe_compact();
+    }
+
+    /// Append a new row holding `new` (sorted), densely, with empty memo
+    /// slots.
+    fn push_row(&mut self, new: &[T]) {
+        self.spans.push((self.ids.len() as u32, 0, 0));
+        self.set_row(self.spans.len() - 1, new);
     }
 
     /// Swap-remove row `k`: the last row takes index `k`, keeping its
     /// span and therefore its memo slots.
     fn swap_remove_row(&mut self, k: usize) {
-        self.live -= self.spans[k].1 as usize;
-        self.spans.swap_remove(k);
+        let (_, len, cap) = self.spans.swap_remove(k);
+        self.live -= len as usize;
+        self.reserved -= cap as usize;
         self.maybe_compact();
     }
 
     /// Insert `id` into sorted row `k` (no-op if already present). The
     /// row's other pairs keep their memo slots; the new one starts empty.
     fn insert_sorted(&mut self, k: usize, id: T) {
-        let row = self.row(k);
-        let pos = match row.binary_search(&id) {
-            Ok(_) => return,
-            Err(pos) => pos,
+        let Err(pos) = self.row(k).binary_search(&id) else {
+            return;
         };
-        // Rows are immovable in place (no spare capacity), so rebuild at
-        // the arena tail with the element spliced in.
-        let (start, len) = self.spans[k];
-        let (lo, hi) = (start as usize, (start + len) as usize);
-        let new_start = self.ids.len();
-        self.ids.extend_from_within(lo..lo + pos);
-        self.ids.push(id);
-        self.ids.extend_from_within(lo + pos..hi);
+        let len = self.spans[k].1 as usize;
+        self.make_room(k, len + 1);
+        let lo = self.spans[k].0 as usize;
+        self.ids.copy_within(lo + pos..lo + len, lo + pos + 1);
+        self.ids[lo + pos] = id;
         if let Some(slots) = &mut self.slots {
-            extend_slots_from_within(slots, lo..lo + pos);
-            slots.extend(empty_slots(1));
-            extend_slots_from_within(slots, lo + pos..hi);
+            // The first slack cell rotates to `pos`; it may still hold a
+            // removed pair's bits, so it starts empty.
+            slots[lo + pos..=lo + len].rotate_right(1);
+            slots[lo + pos].store(MEMO_EMPTY, Ordering::Relaxed);
         }
-        self.spans[k] = (new_start as u32, len + 1);
+        self.spans[k].1 += 1;
         self.live += 1;
         self.maybe_compact();
     }
 
-    /// Remove `id` from sorted row `k` (no-op if absent). In-place:
-    /// shifts the span's tail left, no arena growth.
+    /// Remove `id` from sorted row `k` (no-op if absent). In place: the
+    /// row's tail shifts left and the freed cell becomes slack.
     fn remove_sorted(&mut self, k: usize, id: T) {
-        let (start, len) = self.spans[k];
-        let row = &self.ids[start as usize..(start + len) as usize];
-        let Ok(pos) = row.binary_search(&id) else {
+        let (start, len, _) = self.spans[k];
+        let (lo, hi) = (start as usize, (start + len) as usize);
+        let Ok(pos) = self.ids[lo..hi].binary_search(&id) else {
             return;
         };
-        let (lo, hi) = (start as usize, (start + len) as usize);
         self.ids.copy_within(lo + pos + 1..hi, lo + pos);
         if let Some(slots) = &mut self.slots {
-            // The removed pair's slot rotates into the span's dead tail.
+            // The removed pair's slot rotates into the slack.
             slots[lo + pos..hi].rotate_left(1);
         }
-        self.spans[k] = (start, len - 1);
+        self.spans[k].1 -= 1;
         self.live -= 1;
+        self.maybe_compact();
+    }
+
+    /// The arena bound that compaction restores after every update:
+    /// garbage (cells outside every run) at most the reserved size, and
+    /// slack (reserved cells past each row's length) at most the live
+    /// size, each give or take 64 cells. Together: at most 4 × live +
+    /// 192 ids. Insertions alone never break it, since a moved row's
+    /// capacity stays under twice its length and its old runs sum to
+    /// less than its capacity.
+    fn within_bound(&self) -> bool {
+        self.ids.len() <= 2 * self.reserved + 64 && self.reserved <= 2 * self.live + 64
     }
 
     /// Structural self-check, free unless `debug_assertions` are on:
-    /// every span stays inside the arena, `live` equals the span-length
-    /// sum, and every row is strictly ascending (the canonical order
-    /// the rebuild-equivalence invariant depends on).
+    /// every run stays inside the arena and holds its row, no two runs
+    /// overlap, `live` and `reserved` equal the span-length and capacity
+    /// sums, the arena is within its bound, and every row is strictly
+    /// ascending (the canonical order the rebuild-equivalence invariant
+    /// depends on).
     fn debug_validate(&self, what: &str) {
         if !cfg!(debug_assertions) {
             return;
         }
-        let mut total = 0usize;
-        for (k, &(start, len)) in self.spans.iter().enumerate() {
-            let end = start as usize + len as usize;
+        let (mut total, mut reserved) = (0usize, 0usize);
+        for (k, &(start, len, cap)) in self.spans.iter().enumerate() {
+            let end = start as usize + cap as usize;
+            assert!(len <= cap, "{what}: row {k} holds {len} ids in {cap} cells");
             assert!(
                 end <= self.ids.len(),
-                "{what}: row {k} span [{start}, {end}) escapes the arena (len {})",
+                "{what}: row {k} run [{start}, {end}) escapes the arena (len {})",
                 self.ids.len()
             );
             total += len as usize;
-            let row = &self.ids[start as usize..end];
+            reserved += cap as usize;
             assert!(
-                row.windows(2).all(|w| w[0] < w[1]),
+                self.row(k).windows(2).all(|w| w[0] < w[1]),
                 "{what}: row {k} is not strictly ascending"
+            );
+        }
+        let mut runs: Vec<(u32, u32)> = self
+            .spans
+            .iter()
+            .filter(|&&(_, _, cap)| cap > 0)
+            .map(|&(start, _, cap)| (start, start + cap))
+            .collect();
+        runs.sort_unstable();
+        for w in runs.windows(2) {
+            assert!(
+                w[0].1 <= w[1].0,
+                "{what}: runs [{}, {}) and [{}, {}) overlap",
+                w[0].0,
+                w[0].1,
+                w[1].0,
+                w[1].1
             );
         }
         assert_eq!(
             self.live, total,
             "{what}: live counter drifted from the span-length sum"
+        );
+        assert_eq!(
+            self.reserved, reserved,
+            "{what}: reserved counter drifted from the capacity sum"
+        );
+        assert!(
+            self.within_bound(),
+            "{what}: arena of {} ids past its bound (reserved {}, live {})",
+            self.ids.len(),
+            self.reserved,
+            self.live
         );
         if let Some(slots) = &self.slots {
             assert_eq!(
@@ -323,17 +395,17 @@ impl<T: Copy + Ord> CsrDir<T> {
         }
     }
 
-    /// Repack rows densely once garbage exceeds the live size.
+    /// Repack rows densely (cap = len) once the arena leaves its bound.
     fn maybe_compact(&mut self) {
-        if self.ids.len() <= 2 * self.live + 64 {
+        if self.within_bound() {
             return;
         }
         let mut ids = Vec::with_capacity(self.live);
         let mut slots = self.slots.as_ref().map(|_| Vec::with_capacity(self.live));
         for span in &mut self.spans {
-            let (start, len) = *span;
+            let (start, len, _) = *span;
             let range = start as usize..(start + len) as usize;
-            *span = (ids.len() as u32, len);
+            *span = (ids.len() as u32, len, len);
             ids.extend_from_slice(&self.ids[range.clone()]);
             if let (Some(new), Some(old)) = (&mut slots, &self.slots) {
                 new.extend(
@@ -345,6 +417,7 @@ impl<T: Copy + Ord> CsrDir<T> {
         }
         self.ids = ids;
         self.slots = slots;
+        self.reserved = self.live;
     }
 
     /// The memo slot of pair `(k, id)`, found by binary search in row
@@ -353,12 +426,8 @@ impl<T: Copy + Ord> CsrDir<T> {
     #[inline]
     fn slot(&self, k: usize, id: T) -> Option<&AtomicU64> {
         let slots = self.slots.as_ref()?;
-        let (start, len) = self.spans[k];
-        let start = start as usize;
-        let pos = self.ids[start..start + len as usize]
-            .binary_search(&id)
-            .ok()?;
-        Some(&slots[start + pos])
+        let pos = self.row(k).binary_search(&id).ok()?;
+        Some(&slots[self.spans[k].0 as usize + pos])
     }
 
     /// Allocate the memo cold, or drop it, so that it exists iff the
@@ -453,29 +522,7 @@ impl<'a> SolverContext<'a> {
     /// concurrently, then the eligibility CSR is filled from the grids
     /// and the memo sized to its pairs.
     pub fn indexed(instance: &'a ProblemInstance, model: &'a dyn UtilityModel) -> Self {
-        let pearson = model.as_pearson();
-        let (indexes, cache) = par::join(
-            || {
-                let customer_points = instance.customers().iter().map(|c| c.location).collect();
-                let mean_radius = instance.stats().mean_radius.max(1e-6);
-                let customer_grid = GridIndex::new(customer_points, mean_radius);
-                let vendor_index = VendorIndex::new(instance.vendors());
-                (customer_grid, vendor_index)
-            },
-            || pearson.map(|p| PairCache::build(instance, p)),
-        );
-        let mut ctx = SolverContext {
-            instance: Cow::Borrowed(instance),
-            model,
-            customer_grid: Some(indexes.0),
-            vendor_index: Some(indexes.1),
-            pearson,
-            cache,
-            eligibility: EligibilityIndex::default(),
-        };
-        ctx.eligibility = ctx.build_eligibility();
-        ctx.fit_memo();
-        ctx
+        Self::indexed_cow(Cow::Borrowed(instance), model)
     }
 
     /// [`indexed`](Self::indexed), but taking ownership of the instance
@@ -483,11 +530,17 @@ impl<'a> SolverContext<'a> {
     /// sharded engine uses this for its per-tile sub-instances, which
     /// have no owner other than the shard itself.
     pub fn indexed_owned(instance: ProblemInstance, model: &'a dyn UtilityModel) -> Self {
+        Self::indexed_cow(Cow::Owned(instance), model)
+    }
+
+    fn indexed_cow(instance: Cow<'a, ProblemInstance>, model: &'a dyn UtilityModel) -> Self {
         let pearson = model.as_pearson();
         let (indexes, cache) = par::join(
             || {
                 let customer_points = instance.customers().iter().map(|c| c.location).collect();
-                let mean_radius = instance.stats().mean_radius.max(1e-6);
+                // No vendors means a mean radius of 0, for which the grid
+                // picks its own default cell.
+                let mean_radius = instance.stats().mean_radius;
                 let customer_grid = GridIndex::new(customer_points, mean_radius);
                 let vendor_index = VendorIndex::new(instance.vendors());
                 (customer_grid, vendor_index)
@@ -495,7 +548,7 @@ impl<'a> SolverContext<'a> {
             || pearson.map(|p| PairCache::build(&instance, p)),
         );
         let mut ctx = SolverContext {
-            instance: Cow::Owned(instance),
+            instance,
             model,
             customer_grid: Some(indexes.0),
             vendor_index: Some(indexes.1),
@@ -564,10 +617,10 @@ impl<'a> SolverContext<'a> {
 
     /// Re-size the pair-base memo cap to `bytes` (default
     /// [`DEFAULT_PAIR_CACHE_CAP`] = 64 MiB). The memo keeps one 8-byte
-    /// atomic slot per entry of the customer → vendor eligibility CSR
+    /// atomic slot per cell of the customer → vendor eligibility arena
     /// (DESIGN.md §10), and is allocated iff the live eligible pairs
-    /// × 8 bytes fit under `bytes`; until the CSR arena compacts, its
-    /// dead entries (at most live + 64) keep their slots too. Ineligible
+    /// × 8 bytes fit under `bytes`; the arena's row slack and garbage
+    /// keep slots too, at most 4 × live + 192 cells in all. Ineligible
     /// pairs are never memoized. `0` disables memoization entirely —
     /// pairs still go through the fused-moment fast path, so values are
     /// unchanged, just recomputed per call. Any already-memoized values
@@ -725,7 +778,11 @@ impl<'a> SolverContext<'a> {
         );
         assert_eq!(cache.sw.len(), n_c, "sw must have one entry per customer");
         assert_eq!(cache.swx.len(), n_c, "swx must have one entry per customer");
-        assert_eq!(cache.swxx.len(), n_c, "swxx must have one entry per customer");
+        assert_eq!(
+            cache.swxx.len(),
+            n_c,
+            "swxx must have one entry per customer"
+        );
         if let Some(pearson) = self.pearson {
             for (i, c) in self.instance.customers().iter().enumerate() {
                 let m = pearson.customer_moments(c);
@@ -737,7 +794,11 @@ impl<'a> SolverContext<'a> {
                     "customer {i}: stored weight row drifted from a fresh recompute"
                 );
                 assert_eq!(cache.sw[i].to_bits(), m.sw().to_bits(), "customer {i} sw");
-                assert_eq!(cache.swx[i].to_bits(), m.swx().to_bits(), "customer {i} swx");
+                assert_eq!(
+                    cache.swx[i].to_bits(),
+                    m.swx().to_bits(),
+                    "customer {i} swx"
+                );
                 assert_eq!(
                     cache.swxx[i].to_bits(),
                     m.swxx().to_bits(),
@@ -1311,16 +1372,14 @@ mod tests {
                 location: Point::new(frac(i, 0.618_033_988), frac(i, 0.754_877_666)),
                 capacity: 1 + (i % 3) as u32,
                 view_probability: 0.1 + 0.8 * frac(i, 0.3),
-                interests: TagVector::new((0..tags).map(|t| frac(i + t, 0.41)).collect())
-                    .unwrap(),
+                interests: TagVector::new((0..tags).map(|t| frac(i + t, 0.41)).collect()).unwrap(),
                 arrival: Timestamp::from_hours(frac(i, 0.07) * 24.0),
             }))
             .vendors((0..vendors).map(|j| Vendor {
                 location: Point::new(frac(j, 0.234_567), frac(j, 0.876_543)),
                 radius: 0.02 + 0.2 * frac(j, 0.13),
                 budget: Money::from_dollars(2.0 + 5.0 * frac(j, 0.29)),
-                tags: TagVector::new((0..tags).map(|t| frac(j + 2 * t, 0.57)).collect())
-                    .unwrap(),
+                tags: TagVector::new((0..tags).map(|t| frac(j + 2 * t, 0.57)).collect()).unwrap(),
             }))
             .build()
             .unwrap()
@@ -1693,6 +1752,52 @@ mod tests {
         assert_rebuild_equivalent(&ctx, &fresh);
     }
 
+    /// Arrivals extend a covering vendor's v2c row through its slack:
+    /// 4 096 arrivals inside one vendor's disc move that row O(log n)
+    /// times (a row rebuilt per insert would move 4 096 times), the
+    /// arena stays within its bound throughout, and the patched context
+    /// stays rebuild-equivalent.
+    #[test]
+    fn arrivals_grow_rows_by_doubling() {
+        const ARRIVALS: usize = 4096;
+        let inst = make_instance();
+        let model = PearsonUtility::uniform(2);
+        let mut ctx = SolverContext::indexed(&inst, &model);
+        // Vendor 1 at (0.5, 0.4) with radius 0.5 covers the box
+        // [0.5, 0.8] × [0.5, 0.7], inside the customers' bounding box.
+        let vid = VendorId::new(1);
+        let frac = |k: usize, m: f64| (k as f64 * m) % 1.0;
+        let mut moves = 0;
+        for k in 0..ARRIVALS {
+            let start = ctx.eligibility.v2c.spans[vid.index()].0;
+            let arrival = Customer {
+                location: Point::new(
+                    0.5 + 0.3 * frac(k, 0.618_033_988),
+                    0.5 + 0.2 * frac(k, 0.754_877_666),
+                ),
+                capacity: 1,
+                view_probability: 0.5,
+                interests: TagVector::new(vec![frac(k, 0.41), 0.5]).unwrap(),
+                arrival: Timestamp::MIDNIGHT,
+            };
+            ctx.apply(&Delta::AddCustomer(arrival)).unwrap();
+            moves += usize::from(ctx.eligibility.v2c.spans[vid.index()].0 != start);
+            let csr = &ctx.eligibility;
+            assert!(
+                csr.v2c.within_bound() && csr.c2v.within_bound(),
+                "arrival {k}"
+            );
+        }
+        assert_eq!(ctx.eligible_customers(vid).len(), ARRIVALS + 1);
+        let bound = ARRIVALS.next_power_of_two().ilog2() as usize + 2;
+        assert!(
+            moves <= bound,
+            "vendor row moved {moves} times, over {bound}"
+        );
+        let fresh = SolverContext::indexed(ctx.instance(), &model);
+        assert_rebuild_equivalent(&ctx, &fresh);
+    }
+
     /// The persisted cap governs the memo as deltas grow and shrink the
     /// *eligible* pairs: an arrival no vendor covers leaves it alone, one
     /// that pushes the pairs past the cap drops it, and a removal back
@@ -1735,7 +1840,7 @@ mod tests {
         let c2v = &ctx.eligibility.c2v;
         let slots = c2v.slots.as_ref().expect("memoized context");
         let mut out = Vec::new();
-        for (i, &(start, _)) in c2v.spans.iter().enumerate() {
+        for (i, &(start, ..)) in c2v.spans.iter().enumerate() {
             for (pos, vid) in c2v.row(i).iter().enumerate() {
                 if slots[start as usize + pos].load(Ordering::Relaxed) != MEMO_EMPTY {
                     out.push((i, vid.index()));
@@ -1775,41 +1880,53 @@ mod tests {
         let near_v7 = Point::new(0.64, 0.14);
         let last = CustomerId::new(399);
         inst.apply(&Delta::MoveCustomer(last, near_v7)).unwrap();
-        // (delta, whether it must empty some slot)
-        let cases = [
-            (Delta::MoveCustomer(CustomerId::new(3), near_v7), true),
+        // Shrink vendor 6, grow vendor 7.
+        let radii = [
+            Delta::VendorRadius(VendorId::new(6), 0.05),
+            Delta::VendorRadius(VendorId::new(7), 0.35),
+        ];
+        // (deltas, whether they must empty some slot)
+        let cases: [(&[Delta], bool); 9] = [
+            (&[Delta::MoveCustomer(CustomerId::new(3), near_v7)], true),
             (
-                Delta::AddCustomer(Customer {
+                &[Delta::AddCustomer(Customer {
                     location: near_v7,
                     ..delta_customer(500)
-                }),
+                })],
                 true,
             ),
-            (Delta::RemoveCustomer(CustomerId::new(0)), false),
+            (&[Delta::RemoveCustomer(CustomerId::new(0))], false),
             // Growing vendor 7 splices it behind vendor 6 in shared rows;
             // shrinking vendor 6 cuts it out in front of vendor 7.
-            (Delta::VendorRadius(VendorId::new(7), 0.35), true),
-            (Delta::VendorRadius(VendorId::new(6), 0.05), false),
+            (&radii[1..], true),
+            (&radii[..1], false),
+            // Both: a customer that loses vendor 6 and gains vendor 7
+            // takes the new pair into its row's slack cell, which still
+            // holds the (c, v6) bits.
+            (&radii, true),
             (
-                Delta::VendorTags(
+                &[Delta::VendorTags(
                     VendorId::new(7),
                     TagVector::new(vec![0.9, 0.1, 0.0, 1.0]).unwrap(),
-                ),
+                )],
                 true,
             ),
             (
-                Delta::VendorBudget(VendorId::new(2), Money::from_dollars(11.0)),
+                &[Delta::VendorBudget(
+                    VendorId::new(2),
+                    Money::from_dollars(11.0),
+                )],
                 false,
             ),
             (
-                Delta::AdType(
+                &[Delta::AdType(
                     AdTypeId::new(0),
                     AdType::new("TL", Money::from_dollars(0.5), 0.3),
-                ),
+                )],
                 false,
             ),
         ];
-        for (delta, resetting) in &cases {
+        for &(deltas, resetting) in &cases {
             let mut ctx = SolverContext::indexed(&inst, &model);
             let mut block = Vec::new();
             for (vid, _) in inst.vendors_enumerated() {
@@ -1819,16 +1936,19 @@ mod tests {
             assert_eq!(
                 filled_slots(&ctx),
                 before,
-                "{delta:?}: warm-up fills every slot"
+                "{deltas:?}: warm-up fills every slot"
             );
-            if let Delta::RemoveCustomer(_) = delta {
+            if let [Delta::RemoveCustomer(_)] = deltas {
                 assert!(
                     !ctx.eligible_vendors(last).is_empty(),
                     "renamed customer has slots"
                 );
             }
-            ctx.apply(delta).unwrap();
-            let emptied = |&(i, j): &(usize, usize)| match delta {
+            let runs: Vec<u32> = ctx.eligibility.c2v.spans.iter().map(|s| s.0).collect();
+            for delta in deltas {
+                ctx.apply(delta).unwrap();
+            }
+            let emptied = |&(i, j): &(usize, usize)| match &deltas[deltas.len() - 1] {
                 Delta::MoveCustomer(cid, _) => i == cid.index(),
                 Delta::AddCustomer(_) => i == inst.num_customers(),
                 Delta::VendorRadius(..) => !before.contains(&(i, j)),
@@ -1836,10 +1956,24 @@ mod tests {
                 _ => false,
             };
             let after = eligible_pairs(&ctx);
+            if deltas.len() == 2 {
+                // Some customer swapped vendor 6 for vendor 7 in place.
+                let swapped = |i: usize| {
+                    before.contains(&(i, 6))
+                        && after.contains(&(i, 7))
+                        && !after.contains(&(i, 6))
+                        && !before.contains(&(i, 7))
+                        && ctx.eligibility.c2v.spans[i].0 == runs[i]
+                };
+                assert!(
+                    (0..runs.len()).any(swapped),
+                    "no pair entered through slack"
+                );
+            }
             let resets = after.iter().filter(|p| emptied(p)).count();
             let expect: Vec<_> = after.into_iter().filter(|p| !emptied(p)).collect();
-            assert_eq!(filled_slots(&ctx), expect, "{delta:?}");
-            assert_eq!(resets > 0, *resetting, "{delta:?} exercises a reset");
+            assert_eq!(filled_slots(&ctx), expect, "{deltas:?}");
+            assert_eq!(resets > 0, resetting, "{deltas:?} exercises a reset");
             ctx.debug_validate();
         }
     }
@@ -1879,10 +2013,8 @@ mod tests {
             }
         }
         let vid = VendorId::new(3);
-        let batch = DeltaBatch::new().vendor_tags(
-            vid,
-            TagVector::new(vec![1.0, 0.0, 0.75, 0.25]).unwrap(),
-        );
+        let batch =
+            DeltaBatch::new().vendor_tags(vid, TagVector::new(vec![1.0, 0.0, 0.75, 0.25]).unwrap());
         for ctx in [&mut memoized, &mut fused_only, &mut brute] {
             ctx.apply_delta(&batch).unwrap();
             assert_eq!(ctx.vendor(vid).tags.as_slice(), &[1.0, 0.0, 0.75, 0.25]);

@@ -133,7 +133,7 @@ pub(crate) fn batched_assign<O: PairOracle>(
     let mut rng = DetRng::seed_from_u64(seed);
     use std::cell::RefCell;
     thread_local! {
-        static BASES: RefCell<Vec<f64>> = RefCell::new(Vec::new());
+        static BASES: RefCell<Vec<f64>> = const { RefCell::new(Vec::new()) };
     }
 
     let windows = windows.min(m);

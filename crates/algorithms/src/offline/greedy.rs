@@ -41,7 +41,7 @@ fn collect_candidates<O: PairOracle>(inst: &ProblemInstance, oracle: &O) -> Vec<
     thread_local! {
         // Scratch reused across vendors. lint: allow(hot_alloc): one-time
         // thread-local init, not per-vendor work.
-        static BASES: RefCell<Vec<f64>> = RefCell::new(Vec::new());
+        static BASES: RefCell<Vec<f64>> = const { RefCell::new(Vec::new()) };
     }
     let per_vendor = muaa_core::par::par_map(inst.vendors(), 1, |j, _| {
         let vid = VendorId::from(j);
@@ -310,7 +310,7 @@ mod tests {
             _vid: muaa_core::VendorId,
             _v: &muaa_core::Vendor,
         ) -> f64 {
-            if cid.index() % 2 == 0 {
+            if cid.index() & 1 == 0 {
                 f64::NAN
             } else {
                 0.5

@@ -239,7 +239,7 @@ pub(crate) fn recon_assign<O: PairOracle>(
 ) -> AssignmentSet {
     use std::cell::RefCell;
     thread_local! {
-        static BASES: RefCell<Vec<f64>> = RefCell::new(Vec::new());
+        static BASES: RefCell<Vec<f64>> = const { RefCell::new(Vec::new()) };
     }
     let n_vendors = inst.num_vendors();
     let mut per_vendor: Vec<Vec<(CustomerId, AdTypeId, f64)>> = Vec::with_capacity(n_vendors);
@@ -267,7 +267,9 @@ pub(crate) fn recon_assign<O: PairOracle>(
                 problem.add_class(
                     inst.ad_types()
                         .iter()
-                        .map(|t| MckpItem::new(t.cost.as_cents(), (base * t.effectiveness).max(0.0)))
+                        .map(|t| {
+                            MckpItem::new(t.cost.as_cents(), (base * t.effectiveness).max(0.0))
+                        })
                         .collect(),
                 );
             }

@@ -228,7 +228,7 @@ pub fn select_tags<E: SelectionEngine>(engine: &mut E, cfg: &TagSelectConfig) ->
     let mut chosen: Vec<Vec<usize>> = vec![Vec::new(); num_vendors];
     let mut resolves = 0usize;
 
-    for j in 0..num_vendors {
+    for (j, chosen_j) in chosen.iter_mut().enumerate() {
         if k == 0 || universe == 0 {
             continue;
         }
@@ -292,7 +292,7 @@ pub fn select_tags<E: SelectionEngine>(engine: &mut E, cfg: &TagSelectConfig) ->
             .set_tags(vid, k_hot(universe, &current))
             .expect("k-hot vector matches the tag universe");
         current.sort_unstable();
-        chosen[j] = current;
+        *chosen_j = current;
     }
 
     let assignments = engine.solve();
@@ -320,7 +320,7 @@ pub fn select_tags_exhaustive<E: SelectionEngine>(
     let mut chosen: Vec<Vec<usize>> = vec![Vec::new(); num_vendors];
     let mut resolves = 0usize;
 
-    for j in 0..num_vendors {
+    for (j, chosen_j) in chosen.iter_mut().enumerate() {
         if k == 0 || universe == 0 {
             continue;
         }
@@ -334,12 +334,14 @@ pub fn select_tags_exhaustive<E: SelectionEngine>(
                 best = Some((trial.to_vec(), u));
             }
         });
-        let Some((mut winner, _)) = best else { continue };
+        let Some((mut winner, _)) = best else {
+            continue;
+        };
         engine
             .set_tags(vid, k_hot(universe, &winner))
             .expect("k-hot vector matches the tag universe");
         winner.sort_unstable();
-        chosen[j] = winner;
+        *chosen_j = winner;
     }
 
     let assignments = engine.solve();
@@ -438,7 +440,10 @@ mod tests {
         // order with the same tie rule, so agreement is structural.
         assert_eq!(greedy.chosen, exact.chosen);
         assert_eq!(greedy.utility.to_bits(), exact.utility.to_bits());
-        assert_eq!(greedy.assignments.assignments(), exact.assignments.assignments());
+        assert_eq!(
+            greedy.assignments.assignments(),
+            exact.assignments.assignments()
+        );
     }
 
     #[test]

@@ -54,8 +54,8 @@ use crate::offline::greedy::greedy_assign;
 use crate::offline::recon::{recon_assign, Recon};
 use crate::oracle::PairOracle;
 use muaa_core::{
-    par, AdTypeId, AssignmentSet, CoreError, CustomerId, Delta, DeltaBatch, Money,
-    ProblemInstance, UtilityModel, VendorId,
+    par, AdTypeId, AssignmentSet, CoreError, CustomerId, Delta, DeltaBatch, Money, ProblemInstance,
+    UtilityModel, VendorId,
 };
 use muaa_spatial::TileGrid;
 use std::borrow::Cow;
@@ -116,7 +116,7 @@ impl<'a> Shard<'a> {
     fn compute_bases(&self) -> (Vec<usize>, Vec<f64>) {
         use std::cell::RefCell;
         thread_local! {
-            static SCRATCH: RefCell<Vec<f64>> = RefCell::new(Vec::new());
+            static SCRATCH: RefCell<Vec<f64>> = const { RefCell::new(Vec::new()) };
         }
         let sub = self.ctx.instance();
         let mut offsets = Vec::with_capacity(sub.num_vendors());
@@ -364,14 +364,13 @@ impl<'a> ShardedContext<'a> {
         if self.merged.epoch == Some(self.instance.epoch()) {
             return;
         }
-        let fresh: Vec<Option<(Vec<usize>, Vec<f64>)>> =
-            par::par_map(&self.shards, 1, |_, sh| {
-                if sh.bases_epoch == Some(sh.ctx.epoch()) {
-                    None
-                } else {
-                    Some(sh.compute_bases())
-                }
-            });
+        let fresh: Vec<Option<(Vec<usize>, Vec<f64>)>> = par::par_map(&self.shards, 1, |_, sh| {
+            if sh.bases_epoch == Some(sh.ctx.epoch()) {
+                None
+            } else {
+                Some(sh.compute_bases())
+            }
+        });
         for (sh, f) in self.shards.iter_mut().zip(fresh) {
             if let Some((offsets, flat)) = f {
                 sh.base_offsets = offsets;
@@ -393,7 +392,7 @@ impl<'a> ShardedContext<'a> {
         use std::cell::RefCell;
         thread_local! {
             // One-time thread-local init. lint: allow(hot_alloc)
-            static PAIRS: RefCell<Vec<(CustomerId, f64)>> = RefCell::new(Vec::new());
+            static PAIRS: RefCell<Vec<(CustomerId, f64)>> = const { RefCell::new(Vec::new()) };
         }
         let _hot = muaa_core::sanitize::AllocGuard::counting("shard.merge_rows");
         let n = self.instance.num_vendors();
@@ -696,7 +695,8 @@ impl<'a> ShardedContext<'a> {
             for (l, &vid) in sh.vendors.iter().enumerate() {
                 let gv = self.instance.vendor(vid);
                 assert!(
-                    self.tiles.disc_covers_tile(gv.location, gv.radius, t as u32),
+                    self.tiles
+                        .disc_covers_tile(gv.location, gv.radius, t as u32),
                     "vendor {vid} replicated into uncovered tile {t}"
                 );
                 let lv = sh.ctx.instance().vendor(VendorId::from(l));
@@ -741,20 +741,22 @@ mod tests {
                 AdType::new("TL", Money::from_dollars(1.0), 0.1),
                 AdType::new("PL", Money::from_dollars(2.0), 0.4),
             ])
-            .customers((0..m).map(|i| Customer {
-                location: Point::new(
-                    (i as f64 * 0.618_033_988_75) % 1.0,
-                    (i as f64 * 0.754_877_666_25) % 1.0,
-                ),
-                capacity: 1 + (i % 2) as u32,
-                view_probability: 0.1 + 0.8 * ((i * 7) % 11) as f64 / 11.0,
-                interests: TagVector::new(vec![
-                    0.2 + 0.6 * ((i % 5) as f64 / 5.0),
-                    0.5,
-                    0.9 - 0.5 * ((i % 4) as f64 / 4.0),
-                ])
-                .unwrap(),
-                arrival: Timestamp::from_hours(24.0 * i as f64 / m.max(1) as f64),
+            .customers((0..m).map(|i| {
+                Customer {
+                    location: Point::new(
+                        (i as f64 * 0.618_033_988_75) % 1.0,
+                        (i as f64 * 0.754_877_666_25) % 1.0,
+                    ),
+                    capacity: 1 + (i % 2) as u32,
+                    view_probability: 0.1 + 0.8 * ((i * 7) % 11) as f64 / 11.0,
+                    interests: TagVector::new(vec![
+                        0.2 + 0.6 * ((i % 5) as f64 / 5.0),
+                        0.5,
+                        0.9 - 0.5 * ((i % 4) as f64 / 4.0),
+                    ])
+                    .unwrap(),
+                    arrival: Timestamp::from_hours(24.0 * i as f64 / m.max(1) as f64),
+                }
             }))
             .vendors((0..n).map(|j| Vendor {
                 location: Point::new(
@@ -771,7 +773,11 @@ mod tests {
 
     fn assert_identical(a: &AssignmentSet, b: &AssignmentSet, inst: &ProblemInstance, what: &str) {
         let model = PearsonUtility::uniform(inst.tag_universe());
-        assert_eq!(a.assignments(), b.assignments(), "{what}: assignments differ");
+        assert_eq!(
+            a.assignments(),
+            b.assignments(),
+            "{what}: assignments differ"
+        );
         assert_eq!(
             a.total_utility(inst, &model).to_bits(),
             b.total_utility(inst, &model).to_bits(),
@@ -846,8 +852,7 @@ mod tests {
         let inst = instance(100, 6, 4.0);
         let model = PearsonUtility::uniform(3);
         let parallel = ShardedContext::new(&inst, &model, 9).greedy();
-        let sequential =
-            par::with_sequential(|| ShardedContext::new(&inst, &model, 9).greedy());
+        let sequential = par::with_sequential(|| ShardedContext::new(&inst, &model, 9).greedy());
         assert_identical(&parallel, &sequential, &inst, "threading");
     }
 
@@ -891,7 +896,12 @@ mod tests {
         let mut fresh = ShardedContext::new(&mirror, &model, 16);
         fresh.debug_validate();
         let unsharded = Greedy.assign(&SolverContext::indexed(&mirror, &model));
-        assert_identical(&sharded.greedy(), &unsharded, &mirror, "routed vs unsharded");
+        assert_identical(
+            &sharded.greedy(),
+            &unsharded,
+            &mirror,
+            "routed vs unsharded",
+        );
         assert_identical(&fresh.greedy(), &unsharded, &mirror, "fresh vs unsharded");
         let recon = Recon::new();
         assert_identical(
@@ -934,9 +944,7 @@ mod tests {
             interests: TagVector::new(vec![0.5, 0.5]).unwrap(),
             arrival: Timestamp::MIDNIGHT,
         };
-        sharded
-            .apply(&Delta::AddCustomer(arrival.clone()))
-            .unwrap();
+        sharded.apply(&Delta::AddCustomer(arrival.clone())).unwrap();
         sharded.debug_validate();
         let mut mirror = inst.clone();
         mirror.apply(&Delta::AddCustomer(arrival)).unwrap();

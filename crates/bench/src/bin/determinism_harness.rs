@@ -118,10 +118,13 @@ fn main() {
     const TILES: usize = 25;
     let inst = &fixture.instance;
     let model = &fixture.model;
-    let sharded_runs: [(&str, fn(&mut ShardedContext<'_>) -> muaa_core::AssignmentSet); 3] = [
+    type ShardedRun = fn(&mut ShardedContext<'_>) -> muaa_core::AssignmentSet;
+    let sharded_runs: [(&str, ShardedRun); 3] = [
         ("SHARDED-GREEDY", |e| e.greedy()),
         ("SHARDED-RECON", |e| e.recon(&Recon::new())),
-        ("SHARDED-BATCHED(8)", |e| e.batched_recon(&BatchedRecon::new(8))),
+        ("SHARDED-BATCHED(8)", |e| {
+            e.batched_recon(&BatchedRecon::new(8))
+        }),
     ];
     let baselines: [&dyn OfflineSolver; 3] = [&Greedy, &Recon::new(), &BatchedRecon::new(8)];
     for ((name, run), solver) in sharded_runs.into_iter().zip(baselines) {

@@ -260,7 +260,7 @@ where
         for p in 0..pairs {
             next.push(bounds[2 * p + 2]);
         }
-        if bounds.len() % 2 == 0 {
+        if 2 * pairs + 1 < bounds.len() {
             // Non-empty: seeded with the run boundaries above. lint: allow(unwrap)
             next.push(*bounds.last().unwrap());
         }
@@ -392,7 +392,7 @@ mod tests {
             .map(|i| ((i as u32).wrapping_mul(2654435761) % 97, i))
             .collect();
         let mut expect = items.clone();
-        expect.sort_by(|a, b| a.0.cmp(&b.0));
+        expect.sort_by_key(|a| a.0);
         par_sort_by(&mut items, |a, b| a.0.cmp(&b.0));
         assert_eq!(items, expect);
     }
@@ -467,7 +467,11 @@ mod tests {
         let seq = sum_f64(&xs);
         for threads in [1usize, 2, 4, 8] {
             let par = with_threads(threads, || par_sum_f64(&xs));
-            assert_eq!(par.to_bits(), seq.to_bits(), "par_sum_f64 drifted at {threads} threads");
+            assert_eq!(
+                par.to_bits(),
+                seq.to_bits(),
+                "par_sum_f64 drifted at {threads} threads"
+            );
         }
         // Sanity: the value itself is a plausible sum.
         let naive: f64 = xs.iter().sum();

@@ -189,7 +189,8 @@ impl PearsonUtility {
         let tags = customer.interests.len();
         debug_assert_eq!(tags, self.activity.tags());
         let mut weights = vec![0.0; tags];
-        self.activity.levels_at_slice(customer.arrival, &mut weights);
+        self.activity
+            .levels_at_slice(customer.arrival, &mut weights);
         let xs = customer.interests.as_slice();
         // Canonical lane schedule (DESIGN.md §16).
         let (sw, swx, swxx) = crate::simd::weight_moments(&weights, xs);
@@ -351,18 +352,20 @@ impl UtilityModel for PearsonUtility {
         // every moment's per-lane add chain matches the split
         // customer_moments / similarity_from_parts kernels exactly, so
         // cached and uncached paths stay bit-identical.
+        use std::cell::RefCell;
         thread_local! {
             // Scratch reused across calls. lint: allow(hot_alloc):
             // one-time thread-local init plus cold-path growth on a
             // tag-universe change, not per-pair work.
-            static WEIGHTS: std::cell::RefCell<Vec<f64>> = std::cell::RefCell::new(Vec::new());
+            static WEIGHTS: RefCell<Vec<f64>> = const { RefCell::new(Vec::new()) };
         }
         WEIGHTS.with(|cell| {
             let mut buf = cell.borrow_mut();
             if buf.len() != tags {
                 buf.resize(tags, 0.0);
             }
-            self.activity.levels_at_slice(customer.arrival, buf.as_mut_slice());
+            self.activity
+                .levels_at_slice(customer.arrival, buf.as_mut_slice());
             // The strict region starts after the scratch is sized: the
             // fused evaluation itself must never allocate.
             let _hot = crate::sanitize::AllocGuard::strict("utility.similarity_fused");
@@ -576,8 +579,7 @@ mod tests {
             let v = vendor_with(ys.clone(), Point::new(1.0, 1.0));
             let mut weights = Vec::new();
             model.activity().levels_at(c.arrival, &mut weights);
-            let expect =
-                PearsonUtility::weighted_pearson(&xs, &ys, &weights).clamp(0.0, 1.0);
+            let expect = PearsonUtility::weighted_pearson(&xs, &ys, &weights).clamp(0.0, 1.0);
             let got = model.similarity(CustomerId::new(0), &c, VendorId::new(0), &v);
             assert!(
                 (got - expect).abs() < 1e-12,

@@ -107,17 +107,47 @@ const CALL_KEYWORDS: &[&str] = &[
 /// signature all count, so genuine delegation chains keep their
 /// edges).
 const STD_SHADOWED_METHODS: &[&str] = &[
-    "push", "pop", "insert", "remove", "swap_remove", "get", "get_mut", "len", "is_empty",
-    "clear", "extend", "reserve", "truncate", "iter", "iter_mut", "contains", "contains_key",
-    "sort", "retain", "drain", "last", "first", "split_off", "entry", "keys", "values",
-    "append", "resize", "fill", "take", "replace", "next", "clone", "new",
+    "push",
+    "pop",
+    "insert",
+    "remove",
+    "swap_remove",
+    "get",
+    "get_mut",
+    "len",
+    "is_empty",
+    "clear",
+    "extend",
+    "reserve",
+    "truncate",
+    "iter",
+    "iter_mut",
+    "contains",
+    "contains_key",
+    "sort",
+    "retain",
+    "drain",
+    "last",
+    "first",
+    "split_off",
+    "entry",
+    "keys",
+    "values",
+    "append",
+    "resize",
+    "fill",
+    "take",
+    "replace",
+    "next",
+    "clone",
+    "new",
 ];
 
 /// Tokens that, when directly in front of an ident, mean the ident is
 /// a *definition or path head*, not a use of a function value.
 const DEF_KEYWORDS: &[&str] = &[
-    "fn", "struct", "enum", "trait", "mod", "impl", "use", "let", "type", "const", "static",
-    "for", "crate", "pub", "mut",
+    "fn", "struct", "enum", "trait", "mod", "impl", "use", "let", "type", "const", "static", "for",
+    "crate", "pub", "mut",
 ];
 
 /// One function in the workspace graph.
@@ -229,7 +259,10 @@ impl CallGraph {
         let mut calls: Vec<CallSite> = Vec::new();
         let mut callees: Vec<BTreeSet<usize>> = vec![BTreeSet::new(); nodes.len()];
         let mut callers: Vec<BTreeSet<usize>> = vec![BTreeSet::new(); nodes.len()];
-        let add_edge = |from: Option<usize>, to: &[usize], callees: &mut Vec<BTreeSet<usize>>, callers: &mut Vec<BTreeSet<usize>>| {
+        let add_edge = |from: Option<usize>,
+                        to: &[usize],
+                        callees: &mut Vec<BTreeSet<usize>>,
+                        callers: &mut Vec<BTreeSet<usize>>| {
             if let Some(c) = from {
                 for &t in to {
                     callees[c].insert(t);
@@ -302,17 +335,34 @@ impl CallGraph {
                     let targets = if prev_dot {
                         let recv_self = ci >= 2 && fa.tok(ci - 2).is_ident("self");
                         resolve_method(
-                            &nodes, &assoc_by_name, &mentions, &t.text, recv_self, caller,
+                            &nodes,
+                            &assoc_by_name,
+                            &mentions,
+                            &t.text,
+                            recv_self,
+                            caller,
                         )
                     } else if prev_colons {
                         resolve_qualified(
-                            fa, ci, &nodes, &free_by_name, &assoc_by_name, &assoc_by_type, caller,
+                            fa,
+                            ci,
+                            &nodes,
+                            &free_by_name,
+                            &assoc_by_name,
+                            &assoc_by_type,
+                            caller,
                         )
                     } else {
                         resolve_free(&nodes, &free_by_name, &t.text, fi)
                     };
                     add_edge(caller, &targets, &mut callees, &mut callers);
-                    calls.push(CallSite { file: fi, ci, line: t.line, caller, targets });
+                    calls.push(CallSite {
+                        file: fi,
+                        ci,
+                        line: t.line,
+                        caller,
+                        targets,
+                    });
                 } else if !prev_dot && !prev_colons {
                     // Fn-as-value weak edge: a bare mention of a
                     // same-file fn name (kernel passed to `par_map`,
@@ -344,8 +394,18 @@ impl CallGraph {
             }
         }
 
-        let effects = nodes.iter().map(|node| scan_effects(&files[node.file].0, node)).collect();
-        CallGraph { nodes, calls, callees, callers, file_nodes, effects }
+        let effects = nodes
+            .iter()
+            .map(|node| scan_effects(&files[node.file].0, node))
+            .collect();
+        CallGraph {
+            nodes,
+            calls,
+            callees,
+            callers,
+            file_nodes,
+            effects,
+        }
     }
 
     /// Human label for a node: `Type::name` or `name`.
@@ -361,7 +421,11 @@ impl CallGraph {
     /// to absorb. Returns visit order and parent links for witness
     /// paths. `start` itself is visited even when blocked is false for
     /// it; a blocked start returns empty.
-    fn reach(&self, start: usize, blocked: &dyn Fn(usize) -> bool) -> (Vec<usize>, BTreeMap<usize, usize>) {
+    fn reach(
+        &self,
+        start: usize,
+        blocked: &dyn Fn(usize) -> bool,
+    ) -> (Vec<usize>, BTreeMap<usize, usize>) {
         let mut order = Vec::new();
         let mut parent = BTreeMap::new();
         if blocked(start) {
@@ -397,7 +461,11 @@ impl CallGraph {
             }
         }
         chain.reverse();
-        chain.iter().map(|&id| self.label(id)).collect::<Vec<_>>().join(" -> ")
+        chain
+            .iter()
+            .map(|&id| self.label(id))
+            .collect::<Vec<_>>()
+            .join(" -> ")
     }
 
     /// D12: no nondeterminism source reachable from a solver entry
@@ -483,7 +551,11 @@ impl CallGraph {
         }
         for (fi, (fa, _)) in files.iter().enumerate() {
             for (lo, hi, line) in alloc_guard_regions(fa) {
-                for call in self.calls.iter().filter(|c| c.file == fi && lo < c.ci && c.ci < hi) {
+                for call in self
+                    .calls
+                    .iter()
+                    .filter(|c| c.file == fi && lo < c.ci && c.ci < hi)
+                {
                     for &t in &call.targets {
                         roots.push((t, format!("AllocGuard region at {}:{line}", fa.rel_path)));
                     }
@@ -549,7 +621,11 @@ impl CallGraph {
                 for &(line, col, what) in &self.effects[v].reduce {
                     // Sites *inside* a `cfg(parallel)` item are D7's
                     // jurisdiction; D14 owns what the region reaches.
-                    if vtree.parallel_regions.iter().any(|&(lo, hi)| lo <= line && line <= hi) {
+                    if vtree
+                        .parallel_regions
+                        .iter()
+                        .any(|&(lo, hi)| lo <= line && line <= hi)
+                    {
                         continue;
                     }
                     if vf.in_test(line) || !reported.insert((self.nodes[v].file, line, col)) {
@@ -587,16 +663,17 @@ impl CallGraph {
             return true;
         }
         let tree = &files[node.file].1;
-        tree.parallel_regions.iter().any(|&(lo, hi)| lo <= node.line && node.line <= hi)
+        tree.parallel_regions
+            .iter()
+            .any(|&(lo, hi)| lo <= node.line && node.line <= hi)
     }
 
     /// Render the production subgraph as GraphViz DOT, clustered per
     /// crate. Hot fns are filled, public fns double-bordered, unsafe
     /// fns red — the same vocabulary the audit uses.
     pub fn render_dot(&self, files: &[(FileAnalysis, ItemTree)]) -> String {
-        let mut s = String::from(
-            "digraph muaa_calls {\n  rankdir=LR;\n  node [shape=box, fontsize=10];\n",
-        );
+        let mut s =
+            String::from("digraph muaa_calls {\n  rankdir=LR;\n  node [shape=box, fontsize=10];\n");
         let keep: Vec<bool> = self.nodes.iter().map(|n| !n.in_test).collect();
         let mut by_crate: BTreeMap<&str, Vec<usize>> = BTreeMap::new();
         for (id, node) in self.nodes.iter().enumerate() {
@@ -605,7 +682,9 @@ impl CallGraph {
             }
         }
         for (ki, (crate_name, ids)) in by_crate.iter().enumerate() {
-            s.push_str(&format!("  subgraph cluster_{ki} {{\n    label=\"{crate_name}\";\n"));
+            s.push_str(&format!(
+                "  subgraph cluster_{ki} {{\n    label=\"{crate_name}\";\n"
+            ));
             for &id in ids {
                 let node = &self.nodes[id];
                 let mut attrs = format!(
@@ -657,11 +736,17 @@ impl CallGraph {
         let mut by_crate: BTreeMap<String, Vec<String>> = BTreeMap::new();
         let mut total = 0usize;
         for site in unsafe_sites {
-            let Some(&fi) = file_idx.get(site.file.as_str()) else { continue };
+            let Some(&fi) = file_idx.get(site.file.as_str()) else {
+                continue;
+            };
             total += 1;
             let crate_name = crate_of(&site.file);
             let node = self.node_at(fi, site.line);
-            let safety = if site.has_safety { "SAFETY ok" } else { "SAFETY MISSING" };
+            let safety = if site.has_safety {
+                "SAFETY ok"
+            } else {
+                "SAFETY MISSING"
+            };
             let entry = match node {
                 None => format!(
                     "  {}:{} at module scope [{safety}]\n    (not inside any fn)",
@@ -681,7 +766,11 @@ impl CallGraph {
                             listed.join(", ")
                         )
                     } else {
-                        format!("{} public entry points: {}", entries.len(), listed.join(", "))
+                        format!(
+                            "{} public entry points: {}",
+                            entries.len(),
+                            listed.join(", ")
+                        )
                     };
                     format!(
                         "  {}:{} in `{}` [{safety}]\n    {reach_line}",
@@ -829,7 +918,9 @@ fn resolve_method(
     recv_self: bool,
     caller: Option<usize>,
 ) -> Vec<usize> {
-    let Some(cands) = assoc_by_name.get(name) else { return Vec::new() };
+    let Some(cands) = assoc_by_name.get(name) else {
+        return Vec::new();
+    };
     if recv_self {
         if let Some(ty) = caller.and_then(|c| nodes[c].self_type.as_deref()) {
             let exact: Vec<usize> = cands
@@ -893,7 +984,10 @@ fn resolve_qualified(
         q.text.as_str()
     };
     if qual.chars().next().is_some_and(char::is_uppercase) {
-        assoc_by_type.get(&(qual, name)).cloned().unwrap_or_default()
+        assoc_by_type
+            .get(&(qual, name))
+            .cloned()
+            .unwrap_or_default()
     } else {
         free_by_name.get(name).cloned().unwrap_or_default()
     }
@@ -907,9 +1001,19 @@ fn resolve_free(
     name: &str,
     file: usize,
 ) -> Vec<usize> {
-    let Some(cands) = free_by_name.get(name) else { return Vec::new() };
-    let local: Vec<usize> = cands.iter().copied().filter(|&id| nodes[id].file == file).collect();
-    if local.is_empty() { cands.clone() } else { local }
+    let Some(cands) = free_by_name.get(name) else {
+        return Vec::new();
+    };
+    let local: Vec<usize> = cands
+        .iter()
+        .copied()
+        .filter(|&id| nodes[id].file == file)
+        .collect();
+    if local.is_empty() {
+        cands.clone()
+    } else {
+        local
+    }
 }
 
 /// Map each module-scope `static`/`const` item of one file to the
@@ -984,7 +1088,7 @@ fn alloc_guard_regions(fa: &FileAnalysis) -> Vec<(usize, usize, u32)> {
     let mut partner = vec![usize::MAX; n];
     let mut stack: Vec<usize> = Vec::new();
     let mut opens_at: Vec<Vec<usize>> = vec![Vec::new(); n];
-    for ci in 0..n {
+    for (ci, opens) in opens_at.iter_mut().enumerate() {
         if fa.tok(ci).is_punct('{') {
             stack.push(ci);
         } else if fa.tok(ci).is_punct('}') {
@@ -992,10 +1096,10 @@ fn alloc_guard_regions(fa: &FileAnalysis) -> Vec<(usize, usize, u32)> {
                 partner[open] = ci;
             }
         }
-        opens_at[ci] = stack.clone();
+        *opens = stack.clone();
     }
     let mut out = Vec::new();
-    for ci in 0..n {
+    for (ci, opens) in opens_at.iter().enumerate() {
         let t = fa.tok(ci);
         if !t.is_ident("AllocGuard")
             || ci + 3 >= n
@@ -1008,8 +1112,12 @@ fn alloc_guard_regions(fa: &FileAnalysis) -> Vec<(usize, usize, u32)> {
         if !m.is_ident("strict") && !m.is_ident("counting") {
             continue;
         }
-        if let Some(&open) = opens_at[ci].last() {
-            let close = if partner[open] != usize::MAX { partner[open] } else { n };
+        if let Some(&open) = opens.last() {
+            let close = if partner[open] != usize::MAX {
+                partner[open]
+            } else {
+                n
+            };
             out.push((open, close, t.line));
         }
     }
@@ -1023,7 +1131,9 @@ fn alloc_guard_regions(fa: &FileAnalysis) -> Vec<(usize, usize, u32)> {
 fn scan_effects(fa: &FileAnalysis, node: &Node) -> Effects {
     use crate::lexer::TokenKind;
     let mut eff = Effects::default();
-    let Some((open, close)) = node.body else { return eff };
+    let Some((open, close)) = node.body else {
+        return eff;
+    };
     let n = fa.code_len();
     let hi = close.min(n);
     for ci in open + 1..hi {
@@ -1031,9 +1141,8 @@ fn scan_effects(fa: &FileAnalysis, node: &Node) -> Effects {
         if t.kind != TokenKind::Ident {
             continue;
         }
-        let colons = |k: usize| {
-            k + 2 < hi && fa.tok(k + 1).is_punct(':') && fa.tok(k + 2).is_punct(':')
-        };
+        let colons =
+            |k: usize| k + 2 < hi && fa.tok(k + 1).is_punct(':') && fa.tok(k + 2).is_punct(':');
         let path_seg = |k: usize, name: &str| colons(k) && fa.tok(k + 3).is_ident(name);
         let prev_dot = ci > open + 1 && fa.tok(ci - 1).is_punct('.');
 
@@ -1054,9 +1163,8 @@ fn scan_effects(fa: &FileAnalysis, node: &Node) -> Effects {
         } else if t.is_ident("rand") && colons(ci) {
             Some("rand::")
         } else if (t.is_ident("as_ptr") || t.is_ident("as_mut_ptr"))
-            && (ci + 1..hi.min(ci + 7)).any(|k| {
-                fa.tok(k).is_ident("as") && k + 1 < hi && fa.tok(k + 1).is_ident("usize")
-            })
+            && (ci + 1..hi.min(ci + 7))
+                .any(|k| fa.tok(k).is_ident("as") && k + 1 < hi && fa.tok(k + 1).is_ident("usize"))
         {
             Some("pointer-as-usize cast")
         } else {
@@ -1070,33 +1178,32 @@ fn scan_effects(fa: &FileAnalysis, node: &Node) -> Effects {
         // family, since arbitrary non-hot code reaches here) ---
         let bang = |k: usize| k + 1 < hi && fa.tok(k + 1).is_punct('!');
         let callp = |k: usize| k + 1 < hi && fa.tok(k + 1).is_punct('(');
-        let alloc: Option<&'static str> = if path_seg(ci, "new")
-            && matches!(t.text.as_str(), "Vec" | "Box" | "String")
-        {
-            match t.text.as_str() {
-                "Vec" => Some("Vec::new()"),
-                "Box" => Some("Box::new(…)"),
-                _ => Some("String::new()"),
-            }
-        } else if t.is_ident("String") && path_seg(ci, "from") {
-            Some("String::from(…)")
-        } else if t.is_ident("vec") && bang(ci) {
-            Some("vec![…]")
-        } else if t.is_ident("format") && bang(ci) {
-            Some("format!(…)")
-        } else if prev_dot && t.is_ident("push") && callp(ci) {
-            Some(".push(…)")
-        } else if prev_dot && t.is_ident("to_vec") && callp(ci) {
-            Some(".to_vec()")
-        } else if prev_dot && t.is_ident("to_string") && callp(ci) {
-            Some(".to_string()")
-        } else if prev_dot && t.is_ident("to_owned") && callp(ci) {
-            Some(".to_owned()")
-        } else if prev_dot && t.is_ident("collect") {
-            Some(".collect()")
-        } else {
-            None
-        };
+        let alloc: Option<&'static str> =
+            if path_seg(ci, "new") && matches!(t.text.as_str(), "Vec" | "Box" | "String") {
+                match t.text.as_str() {
+                    "Vec" => Some("Vec::new()"),
+                    "Box" => Some("Box::new(…)"),
+                    _ => Some("String::new()"),
+                }
+            } else if t.is_ident("String") && path_seg(ci, "from") {
+                Some("String::from(…)")
+            } else if t.is_ident("vec") && bang(ci) {
+                Some("vec![…]")
+            } else if t.is_ident("format") && bang(ci) {
+                Some("format!(…)")
+            } else if prev_dot && t.is_ident("push") && callp(ci) {
+                Some(".push(…)")
+            } else if prev_dot && t.is_ident("to_vec") && callp(ci) {
+                Some(".to_vec()")
+            } else if prev_dot && t.is_ident("to_string") && callp(ci) {
+                Some(".to_string()")
+            } else if prev_dot && t.is_ident("to_owned") && callp(ci) {
+                Some(".to_owned()")
+            } else if prev_dot && t.is_ident("collect") {
+                Some(".collect()")
+            } else {
+                None
+            };
         if let Some(what) = alloc {
             eff.alloc.push((t.line, t.col, what));
         }
@@ -1128,8 +1235,7 @@ fn scan_effects(fa: &FileAnalysis, node: &Node) -> Effects {
         }
 
         // --- parallel-region seeding (D14) ---
-        if t.is_ident("par") && colons(ci) && PAR_DRIVERS.contains(&fa.tok(ci + 3).text.as_str())
-        {
+        if t.is_ident("par") && colons(ci) && PAR_DRIVERS.contains(&fa.tok(ci + 3).text.as_str()) {
             eff.par_driver = true;
         }
     }
@@ -1270,7 +1376,11 @@ mod tests {
         assert_eq!(v.len(), 1, "{v:?}");
         assert_eq!((v[0].rule, v[0].line), ("D12", 1));
         assert!(v[0].message.contains("Instant::now"), "{}", v[0].message);
-        assert!(v[0].message.contains("solve -> step -> tick"), "{}", v[0].message);
+        assert!(
+            v[0].message.contains("solve -> step -> tick"),
+            "{}",
+            v[0].message
+        );
     }
 
     #[test]
@@ -1380,7 +1490,11 @@ mod tests {
         let v = g.d13_transitive_hot_alloc(&files);
         assert_eq!(v.len(), 1, "{v:?}");
         assert!(v[0].message.contains("`post`"), "{}", v[0].message);
-        assert!(v[0].message.contains("AllocGuard region"), "{}", v[0].message);
+        assert!(
+            v[0].message.contains("AllocGuard region"),
+            "{}",
+            v[0].message
+        );
     }
 
     #[test]
@@ -1477,7 +1591,10 @@ mod tests {
             has_safety: false,
         }];
         let audit = g.render_audit(&files, &sites);
-        assert!(audit.contains("not reachable from any public entry point"), "{audit}");
+        assert!(
+            audit.contains("not reachable from any public entry point"),
+            "{audit}"
+        );
         assert!(audit.contains("SAFETY MISSING"), "{audit}");
     }
 }

@@ -348,18 +348,15 @@ fn lex_prefixed(cur: &mut Cursor<'_>, src: &str, line: u32, col: u32) -> Option<
 fn lex_number(cur: &mut Cursor<'_>) {
     let mut prev = 0u8;
     while let Some(c) = cur.peek() {
-        if c.is_ascii_alphanumeric() || c == b'_' {
-            prev = c;
-            cur.bump();
-        } else if c == b'.' && cur.peek_at(1).is_some_and(|d| d.is_ascii_digit()) && prev != b'.' {
-            prev = c;
-            cur.bump();
-        } else if (c == b'+' || c == b'-') && (prev == b'e' || prev == b'E') {
-            prev = c;
-            cur.bump();
-        } else {
+        let in_number = c.is_ascii_alphanumeric()
+            || c == b'_'
+            || (c == b'.' && cur.peek_at(1).is_some_and(|d| d.is_ascii_digit()) && prev != b'.')
+            || ((c == b'+' || c == b'-') && (prev == b'e' || prev == b'E'));
+        if !in_number {
             break;
         }
+        prev = c;
+        cur.bump();
     }
 }
 
@@ -395,7 +392,10 @@ mod tests {
     #[test]
     fn line_comments_carry_their_text() {
         let toks = lex("let a = 1; // lint: allow(unwrap)\nlet b = 2;");
-        let c = toks.iter().find(|t| t.kind == TokenKind::LineComment).unwrap();
+        let c = toks
+            .iter()
+            .find(|t| t.kind == TokenKind::LineComment)
+            .unwrap();
         assert_eq!(c.text, " lint: allow(unwrap)");
         assert_eq!(c.line, 1);
     }
@@ -407,7 +407,10 @@ mod tests {
             kinds("a /* x /* y */ z */ b"),
             vec![TokenKind::Ident, TokenKind::BlockComment, TokenKind::Ident]
         );
-        let c = toks.iter().find(|t| t.kind == TokenKind::BlockComment).unwrap();
+        let c = toks
+            .iter()
+            .find(|t| t.kind == TokenKind::BlockComment)
+            .unwrap();
         assert_eq!(c.text, " x /* y */ z ");
     }
 
@@ -415,17 +418,26 @@ mod tests {
     fn code_in_strings_is_not_code() {
         // The canonical trap: rule keywords inside string literals.
         let src = r##"let s = "a.partial_cmp(&b)"; let r = r#"unsafe { sort_by }"#;"##;
-        assert!(idents(src).iter().all(|i| i != "partial_cmp" && i != "unsafe" && i != "sort_by"));
+        assert!(idents(src)
+            .iter()
+            .all(|i| i != "partial_cmp" && i != "unsafe" && i != "sort_by"));
         // Both literals survive as Str tokens.
-        let strs: Vec<_> = lex(src).into_iter().filter(|t| t.kind == TokenKind::Str).collect();
+        let strs: Vec<_> = lex(src)
+            .into_iter()
+            .filter(|t| t.kind == TokenKind::Str)
+            .collect();
         assert_eq!(strs.len(), 2);
         assert!(strs[1].text.starts_with("r#\""));
     }
 
     #[test]
     fn raw_strings_with_hashes_and_byte_strings() {
-        let src = r####"let a = r##"quote " and "# inside"##; let b = b"bytes"; let c = br#"x"#;"####;
-        let strs: Vec<_> = lex(src).into_iter().filter(|t| t.kind == TokenKind::Str).collect();
+        let src =
+            r####"let a = r##"quote " and "# inside"##; let b = b"bytes"; let c = br#"x"#;"####;
+        let strs: Vec<_> = lex(src)
+            .into_iter()
+            .filter(|t| t.kind == TokenKind::Str)
+            .collect();
         assert_eq!(strs.len(), 3);
         assert!(strs[0].text.contains("inside"));
     }
@@ -436,7 +448,10 @@ mod tests {
         // regression: `cr` used to lex as an ident followed by a plain
         // string, so a `"` inside the raw body desynced the lexer.
         let src = r##"let p = cr"unsafe { }"; let q = cr#"a "quoted" path"#; crate::f();"##;
-        let strs: Vec<_> = lex(src).into_iter().filter(|t| t.kind == TokenKind::Str).collect();
+        let strs: Vec<_> = lex(src)
+            .into_iter()
+            .filter(|t| t.kind == TokenKind::Str)
+            .collect();
         assert_eq!(strs.len(), 2);
         assert!(strs[0].text.starts_with("cr\""));
         assert!(strs[1].text.contains("quoted"));
@@ -447,7 +462,10 @@ mod tests {
     #[test]
     fn lifetimes_vs_char_literals() {
         let toks = lex("fn f<'a>(x: &'a str) { let c = 'x'; let n = '\\n'; }");
-        let lifetimes: Vec<_> = toks.iter().filter(|t| t.kind == TokenKind::Lifetime).collect();
+        let lifetimes: Vec<_> = toks
+            .iter()
+            .filter(|t| t.kind == TokenKind::Lifetime)
+            .collect();
         assert_eq!(lifetimes.len(), 2);
         assert_eq!(lifetimes[0].text, "'a");
         let chars: Vec<_> = toks.iter().filter(|t| t.kind == TokenKind::Str).collect();
@@ -463,7 +481,10 @@ mod tests {
 
     #[test]
     fn numbers_do_not_eat_method_calls_or_ranges() {
-        assert_eq!(idents("for i in 0..10 { v[i] }"), vec!["for", "i", "in", "v", "i"]);
+        assert_eq!(
+            idents("for i in 0..10 { v[i] }"),
+            vec!["for", "i", "in", "v", "i"]
+        );
         // 1.5e-3 is one number; the `.sqrt` after a parenthesis is an ident.
         assert_eq!(idents("(1.5e-3).sqrt()"), vec!["sqrt"]);
     }

@@ -221,6 +221,9 @@ impl ParseCache {
     }
 }
 
+/// One file's per-file phase input: `(rel_path, source, cached parse)`.
+type FileInput<'a> = (&'a str, &'a str, Option<(FileAnalysis, tree::ItemTree)>);
+
 /// One file's per-file phase output: the (possibly cache-reused)
 /// parse plus the D1–D7/D15–D17 findings.
 struct FileUnit {
@@ -246,7 +249,12 @@ fn process_one(rel: &str, src: &str, cached: Option<(FileAnalysis, tree::ItemTre
         }
     };
     let (violations, sites) = rules::run_all(&fa, &items);
-    FileUnit { fa, items, violations, sites }
+    FileUnit {
+        fa,
+        items,
+        violations,
+        sites,
+    }
 }
 
 /// Per-file phase over every input, in input order. Parallel build:
@@ -256,18 +264,18 @@ fn process_one(rel: &str, src: &str, cached: Option<(FileAnalysis, tree::ItemTre
 /// `Cell` state, so each file's rules run on the thread that owns
 /// it — nothing is shared).
 #[cfg(feature = "parallel")]
-fn process_files(
-    inputs: Vec<(&str, &str, Option<(FileAnalysis, tree::ItemTree)>)>,
-    threads: Option<usize>,
-) -> Vec<FileUnit> {
+fn process_files(inputs: Vec<FileInput<'_>>, threads: Option<usize>) -> Vec<FileUnit> {
     let threads = threads
         .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
         .clamp(1, inputs.len().max(1));
     if threads <= 1 {
-        return inputs.into_iter().map(|(rel, src, c)| process_one(rel, src, c)).collect();
+        return inputs
+            .into_iter()
+            .map(|(rel, src, c)| process_one(rel, src, c))
+            .collect();
     }
     let chunk = inputs.len().div_ceil(threads);
-    let mut work: Vec<Vec<(&str, &str, Option<(FileAnalysis, tree::ItemTree)>)>> = Vec::new();
+    let mut work: Vec<Vec<FileInput<'_>>> = Vec::new();
     let mut inputs = inputs;
     while !inputs.is_empty() {
         let rest = inputs.split_off(chunk.min(inputs.len()));
@@ -299,11 +307,11 @@ fn process_files(
 /// Sequential twin of the parallel fan-out: same signature, same
 /// input-order output.
 #[cfg(not(feature = "parallel"))]
-fn process_files(
-    inputs: Vec<(&str, &str, Option<(FileAnalysis, tree::ItemTree)>)>,
-    _threads: Option<usize>,
-) -> Vec<FileUnit> {
-    inputs.into_iter().map(|(rel, src, c)| process_one(rel, src, c)).collect()
+fn process_files(inputs: Vec<FileInput<'_>>, _threads: Option<usize>) -> Vec<FileUnit> {
+    inputs
+        .into_iter()
+        .map(|(rel, src, c)| process_one(rel, src, c))
+        .collect()
 }
 
 /// The full pass over a set of in-memory `(rel_path, source)` files:
@@ -331,7 +339,7 @@ pub fn run_sources_tuned(
     cache: &mut ParseCache,
     threads: Option<usize>,
 ) -> Report {
-    let inputs: Vec<(&str, &str, Option<(FileAnalysis, tree::ItemTree)>)> = files
+    let inputs: Vec<FileInput<'_>> = files
         .iter()
         .map(|(rel, src)| {
             let cached = match cache.entries.remove(rel) {
@@ -352,12 +360,20 @@ pub fn run_sources_tuned(
         report.unsafe_sites.extend(unit.sites);
         analyzed.push((unit.fa, unit.items));
     }
-    report.violations.extend(rules::d9_dead_validators(&analyzed));
+    report
+        .violations
+        .extend(rules::d9_dead_validators(&analyzed));
     report.violations.extend(rules::d11_delta_parity(&analyzed));
     let graph = callgraph::CallGraph::build(&analyzed);
-    report.violations.extend(graph.d12_determinism_taint(&analyzed));
-    report.violations.extend(graph.d13_transitive_hot_alloc(&analyzed));
-    report.violations.extend(graph.d14_reduction_taint(&analyzed));
+    report
+        .violations
+        .extend(graph.d12_determinism_taint(&analyzed));
+    report
+        .violations
+        .extend(graph.d13_transitive_hot_alloc(&analyzed));
+    report
+        .violations
+        .extend(graph.d14_reduction_taint(&analyzed));
     report.dot = graph.render_dot(&analyzed);
     report.audit = graph.render_audit(&analyzed, &report.unsafe_sites);
     for (fa, _) in &analyzed {
@@ -383,7 +399,9 @@ pub fn run_sources_tuned(
 /// Directories never linted: build output, VCS, editor state, the
 /// quality-filtered reference snapshots which are not workspace code,
 /// and the lint crate's own deliberately-violating test fixtures.
-const SKIP_DIRS: &[&str] = &["target", ".git", ".claude", "related", "results", "fixtures"];
+const SKIP_DIRS: &[&str] = &[
+    "target", ".git", ".claude", "related", "results", "fixtures",
+];
 
 /// Read every lintable `.rs` file under `root`, deterministically
 /// (directory entries are visited in sorted order; paths come back
@@ -608,7 +626,10 @@ mod tests {
             "crates/core/tests/t.rs",
             "src/main.rs",
         ] {
-            assert!(violations(path, src).is_empty(), "false positive for {path}");
+            assert!(
+                violations(path, src).is_empty(),
+                "false positive for {path}"
+            );
         }
         // #[test] fns inside library files are skipped.
         let test_fn = "fn lib() {}\n#[test]\nfn t() { Some(1).unwrap(); }";
@@ -718,7 +739,8 @@ mod tests {
         assert_eq!(v[0].rule, "D8");
         assert!(v[0].message.contains("justification"));
         // Justified but suppressing nothing → stale.
-        let stale = "// NaNs were filtered upstream of this sort. lint: allow(partial_cmp)\nfn f() {}\n";
+        let stale =
+            "// NaNs were filtered upstream of this sort. lint: allow(partial_cmp)\nfn f() {}\n";
         let v = violations("crates/x/src/a.rs", stale);
         assert_eq!(v.len(), 1, "{v:?}");
         assert!(v[0].message.contains("stale"));
@@ -783,7 +805,11 @@ mod tests {
         let v = violations("crates/x/src/a.rs", src);
         assert_eq!(v.len(), 1, "{v:?}");
         assert_eq!(v[0].rule, "D9");
-        assert!(v[0].message.contains("Memo::debug_validate_columns"), "{}", v[0].message);
+        assert!(
+            v[0].message.contains("Memo::debug_validate_columns"),
+            "{}",
+            v[0].message
+        );
         // …and a test calling it by its full name revives it, while a
         // call to a *different* prefixed name does not.
         let tested = format!("{src}\n#[test]\nfn t() {{ Memo.debug_validate_columns(); }}");
@@ -855,7 +881,10 @@ mod tests {
         let report = run_sources(&[("crates/x/src/a.rs".to_string(), src.to_string())]);
         let json = report.render_json();
         let first = json.lines().next().unwrap();
-        assert!(first.starts_with("{\"file\":\"crates/x/src/a.rs\",\"line\":1,"), "{first}");
+        assert!(
+            first.starts_with("{\"file\":\"crates/x/src/a.rs\",\"line\":1,"),
+            "{first}"
+        );
         assert!(first.contains("\"rule\":\"D5\""), "{first}");
         assert!(first.contains("\"allow_key\":\"par_only\""), "{first}");
         // The snippet's quotes around "parallel" must be escaped.
@@ -880,7 +909,10 @@ mod tests {
             ("crates/lint/src/main.rs", include_str!("main.rs")),
         ] {
             let (v, sites) = check_source(path, src);
-            assert!(v.is_empty(), "muaa-lint fails its own pass in {path}: {v:?}");
+            assert!(
+                v.is_empty(),
+                "muaa-lint fails its own pass in {path}: {v:?}"
+            );
             assert!(sites.is_empty(), "unexpected unsafe in {path}");
         }
     }
@@ -910,7 +942,11 @@ mod tests {
         let v = violations("crates/core/src/e.rs", src);
         assert_eq!(v.len(), 1, "{v:?}");
         assert_eq!(v[0].rule, "D16");
-        assert!(v[0].message.contains("without an epoch bump"), "{}", v[0].message);
+        assert!(
+            v[0].message.contains("without an epoch bump"),
+            "{}",
+            v[0].message
+        );
     }
 
     #[test]
@@ -987,7 +1023,11 @@ mod tests {
         assert!(sarif.contains("\"version\":\"2.1.0\""));
         assert!(sarif.contains("\"name\":\"muaa-lint\""));
         for r in rules::RULES {
-            assert!(sarif.contains(&format!("{{\"id\":\"{}\"", r.id)), "rule {} missing", r.id);
+            assert!(
+                sarif.contains(&format!("{{\"id\":\"{}\"", r.id)),
+                "rule {} missing",
+                r.id
+            );
         }
         assert!(sarif.contains("\"ruleId\":\"D1\""));
         assert!(sarif.contains("\"uri\":\"crates/x/src/dirty.rs\""));

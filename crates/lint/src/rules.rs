@@ -365,7 +365,13 @@ impl FileAnalysis {
                 continue;
             }
             if t.line > block_end + 1 {
-                seal_block(&block_text, &block_sites, &mut allow_sites, &mut allow, block_end);
+                seal_block(
+                    &block_text,
+                    &block_sites,
+                    &mut allow_sites,
+                    &mut allow,
+                    block_end,
+                );
                 block_text.clear();
                 block_sites.clear();
             }
@@ -390,7 +396,13 @@ impl FileAnalysis {
                 }
             }
         }
-        seal_block(&block_text, &block_sites, &mut allow_sites, &mut allow, block_end);
+        seal_block(
+            &block_text,
+            &block_sites,
+            &mut allow_sites,
+            &mut allow,
+            block_end,
+        );
         let path_is_test = rel_path.contains("/tests/")
             || rel_path.starts_with("tests/")
             || rel_path.contains("/benches/");
@@ -450,7 +462,11 @@ impl FileAnalysis {
 
     /// Is `line` inside test collateral?
     pub(crate) fn in_test(&self, line: u32) -> bool {
-        self.path_is_test || self.test_ranges.iter().any(|&(lo, hi)| lo <= line && line <= hi)
+        self.path_is_test
+            || self
+                .test_ranges
+                .iter()
+                .any(|&(lo, hi)| lo <= line && line <= hi)
     }
 
     pub(crate) fn violation(
@@ -596,7 +612,6 @@ impl FileAnalysis {
         self.code.len().saturating_sub(1)
     }
 
-
     /// Is there a `// SAFETY:` comment on `line` or immediately above it
     /// (walking up through a contiguous comment block)?
     fn safety_before(&self, line: u32) -> bool {
@@ -695,8 +710,7 @@ fn is_test_attr(attr: &[Token]) -> bool {
 
 /// Does `spec` govern this file?
 fn applies(spec: &RuleSpec, rel_path: &str) -> bool {
-    let included =
-        spec.include.is_empty() || spec.include.iter().any(|p| rel_path.starts_with(p));
+    let included = spec.include.is_empty() || spec.include.iter().any(|p| rel_path.starts_with(p));
     included && !spec.exclude.iter().any(|p| rel_path.contains(p))
 }
 
@@ -1026,17 +1040,16 @@ fn d5_cfg_pairs(fa: &FileAnalysis) -> Vec<Violation> {
         };
         let site = fa.tok(ci);
         match classify_parallel_cfg(&attr) {
-            Some(false) => {
-                // Allowed or test-region positives drop out of the
-                // pairing count entirely.
-                if !(rule.skip_test_code && fa.in_test(site.line))
-                    && !fa.allowed(rule.allow_key, site.line)
-                {
-                    positives.push((site.line, site.col));
-                }
+            // Allowed or test-region positives drop out of the pairing
+            // count entirely.
+            Some(false)
+                if !((rule.skip_test_code && fa.in_test(site.line))
+                    || fa.allowed(rule.allow_key, site.line)) =>
+            {
+                positives.push((site.line, site.col));
             }
             Some(true) => negatives += 1,
-            None => {}
+            _ => {}
         }
         ci = end + 1;
     }
@@ -1099,7 +1112,9 @@ fn d6_hot_alloc(fa: &FileAnalysis, tree: &ItemTree) -> Vec<Violation> {
     let mut out = Vec::new();
     let n = fa.code_len();
     for f in tree.fns.iter().filter(|f| f.is_hot) {
-        let Some((open, close)) = f.body else { continue };
+        let Some((open, close)) = f.body else {
+            continue;
+        };
         for ci in open + 1..close.min(n) {
             let t = fa.tok(ci);
             if t.kind != TokenKind::Ident {
@@ -1112,7 +1127,8 @@ fn d6_hot_alloc(fa: &FileAnalysis, tree: &ItemTree) -> Vec<Violation> {
                     && fa.tok(ci + 2).is_punct(':')
                     && fa.tok(ci + 3).is_ident("new")
             };
-            let bang = |ident: &str| t.is_ident(ident) && ci + 1 < n && fa.tok(ci + 1).is_punct('!');
+            let bang =
+                |ident: &str| t.is_ident(ident) && ci + 1 < n && fa.tok(ci + 1).is_punct('!');
             let method = |ident: &str, needs_call: bool| {
                 t.is_ident(ident)
                     && ci > 0
@@ -1168,8 +1184,11 @@ fn d7_float_reduce(fa: &FileAnalysis, tree: &ItemTree) -> Vec<Violation> {
     if tree.parallel_regions.is_empty() {
         return Vec::new();
     }
-    let in_region =
-        |line: u32| tree.parallel_regions.iter().any(|&(lo, hi)| lo <= line && line <= hi);
+    let in_region = |line: u32| {
+        tree.parallel_regions
+            .iter()
+            .any(|&(lo, hi)| lo <= line && line <= hi)
+    };
     let mut out = Vec::new();
     let n = fa.code_len();
     for ci in 1..n {
@@ -1188,9 +1207,7 @@ fn d7_float_reduce(fa: &FileAnalysis, tree: &ItemTree) -> Vec<Violation> {
                     && fa.tok(ci + 5).is_punct('>')
             }
             "fold" => {
-                ci + 1 < n
-                    && fa.tok(ci + 1).is_punct('(')
-                    && fold_arg_has_binary_add(fa, ci + 1, n)
+                ci + 1 < n && fa.tok(ci + 1).is_punct('(') && fold_arg_has_binary_add(fa, ci + 1, n)
             }
             _ => false,
         };
@@ -1316,7 +1333,9 @@ pub fn d9_dead_validators(analyzed: &[(FileAnalysis, ItemTree)]) -> Vec<Violatio
             if !f.name.starts_with("debug_validate") || fa.in_test(f.line) {
                 continue;
             }
-            let Some(ty) = f.self_type.clone() else { continue };
+            let Some(ty) = f.self_type.clone() else {
+                continue;
+            };
             defs.push(Def {
                 fa,
                 file: fi,
@@ -1471,7 +1490,9 @@ pub fn d11_delta_parity(analyzed: &[(FileAnalysis, ItemTree)]) -> Vec<Violation>
             if f.name != "apply" && f.name != "apply_delta" {
                 continue;
             }
-            let Some((open, close)) = f.body else { continue };
+            let Some((open, close)) = f.body else {
+                continue;
+            };
             if rule.skip_test_code && fa.in_test(f.line) {
                 continue;
             }
@@ -1579,22 +1600,25 @@ fn d15_guard_lifetime(fa: &FileAnalysis, tree: &ItemTree) -> Vec<Violation> {
     // Innermost enclosing `}` per code-token index (lexical scope end).
     let mut scope_close = vec![n; n];
     let mut stack: Vec<usize> = Vec::new();
-    for ci in 0..n {
+    for (ci, scope_end) in scope_close.iter_mut().enumerate() {
         if fa.tok(ci).is_punct('}') {
             stack.pop();
         }
-        scope_close[ci] = stack.last().map_or(n, |&o| partner[o].min(n));
+        *scope_end = stack.last().map_or(n, |&o| partner[o].min(n));
         if fa.tok(ci).is_punct('{') {
             stack.push(ci);
         }
     }
     for f in &tree.fns {
-        let Some((open, close)) = f.body else { continue };
+        let Some((open, close)) = f.body else {
+            continue;
+        };
         if rule.skip_test_code && fa.in_test(f.line) {
             continue;
         }
         let mut cfg = None;
-        for ci in open + 1..close.min(n.saturating_sub(4)) {
+        let last = close.min(n.saturating_sub(4));
+        for (ci, &scope) in scope_close.iter().enumerate().take(last).skip(open + 1) {
             let ty = fa.tok(ci);
             if ty.kind != TokenKind::Ident {
                 continue;
@@ -1641,7 +1665,7 @@ fn d15_guard_lifetime(fa: &FileAnalysis, tree: &ItemTree) -> Vec<Violation> {
             }
             // Named binding: audit `drop`/`mem::forget` sites in its
             // lexical scope against the CFG.
-            let scope_end = scope_close[ci].min(close);
+            let scope_end = scope.min(close);
             let g = cfg.get_or_insert_with(|| crate::cfg::build_fn(fa, (open, close)));
             let mut k = ci + 5;
             while k + 3 < n && k < scope_end {
@@ -1701,9 +1725,11 @@ fn d15_guard_lifetime(fa: &FileAnalysis, tree: &ItemTree) -> Vec<Violation> {
                     let mut early = g.blocks[db][ds + 1..].iter().any(live);
                     if !early {
                         let reach = g.reachable_from(db);
-                        early = g.blocks.iter().enumerate().any(|(b, stmts)| {
-                            b != db && reach[b] && stmts.iter().any(live)
-                        });
+                        early = g
+                            .blocks
+                            .iter()
+                            .enumerate()
+                            .any(|(b, stmts)| b != db && reach[b] && stmts.iter().any(live));
                     }
                     if early && !fa.allowed(rule.allow_key, t.line) {
                         out.push(fa.violation(
@@ -1800,10 +1826,17 @@ fn d16_epoch_protocol(fa: &FileAnalysis, tree: &ItemTree) -> Vec<Violation> {
             }
             let first_ret = fa.tok(s.lo).is_ident("return") || fa.tok(s.lo).is_ident("Err");
             let names_err = (s.lo..=s.hi).any(|ci| fa.tok(ci).is_ident("Err"));
-            EpochClass { bump, mutation, err: s.has_try || (first_ret && names_err) }
+            EpochClass {
+                bump,
+                mutation,
+                err: s.has_try || (first_ret && names_err),
+            }
         };
-        let classes: Vec<Vec<EpochClass>> =
-            g.blocks.iter().map(|b| b.iter().map(classify).collect()).collect();
+        let classes: Vec<Vec<EpochClass>> = g
+            .blocks
+            .iter()
+            .map(|b| b.iter().map(classify).collect())
+            .collect();
         if !classes.iter().flatten().any(|c| c.mutation.is_some()) {
             // Pure delegation (`apply_delta` looping over `apply`) has
             // no epoch obligations of its own.
@@ -1816,7 +1849,11 @@ fn d16_epoch_protocol(fa: &FileAnalysis, tree: &ItemTree) -> Vec<Violation> {
             &0b001u8,
             &0u8,
             |a, b| a | b,
-            |s, b| classes[b].iter().fold(*s, |m, c| if c.bump { d16_bump_shift(m) } else { m }),
+            |s, b| {
+                classes[b]
+                    .iter()
+                    .fold(*s, |m, c| if c.bump { d16_bump_shift(m) } else { m })
+            },
         );
         // Dataflow 2: has any mutation happened yet on this path?
         let mut_states = crate::cfg::forward(
@@ -1903,9 +1940,13 @@ fn d17_manual_accumulation(fa: &FileAnalysis, tree: &ItemTree) -> Vec<Violation>
     let n = fa.code_len();
     let partner = crate::cfg::bracket_partners(fa);
     for f in &tree.fns {
-        let Some((open, close)) = f.body else { continue };
+        let Some((open, close)) = f.body else {
+            continue;
+        };
         let in_parallel = f.body_lines.is_some_and(|(lo, hi)| {
-            tree.parallel_regions.iter().any(|&(a, b)| a <= hi && lo <= b)
+            tree.parallel_regions
+                .iter()
+                .any(|&(a, b)| a <= hi && lo <= b)
         });
         if !(f.is_hot || in_parallel) || D17_SANCTIONED_FNS.contains(&f.name.as_str()) {
             continue;
@@ -2006,7 +2047,11 @@ fn d17_manual_accumulation(fa: &FileAnalysis, tree: &ItemTree) -> Vec<Violation>
                              muaa_core::par::sum_f64 / par_sum_f64 or a sanctioned kernel, \
                              or justify with `// lint: allow(manual_accum): <why>`",
                             t.text,
-                            if f.is_hot { "#[muaa::hot] fn" } else { "parallel region" }
+                            if f.is_hot {
+                                "#[muaa::hot] fn"
+                            } else {
+                                "parallel region"
+                            }
                         ),
                     ));
                 }

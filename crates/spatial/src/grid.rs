@@ -597,13 +597,20 @@ impl GridIndex {
         assert_eq!(self.ys.len(), slots, "ys must align with slot_ids");
         assert_eq!(self.dead.len(), slots, "dead must align with slot_ids");
         assert_eq!(self.slot_of.len(), n, "slot_of must cover every id");
-        assert_eq!(self.cell_off.len(), cells + 1, "one offset per cell plus the end cap");
+        assert_eq!(
+            self.cell_off.len(),
+            cells + 1,
+            "one offset per cell plus the end cap"
+        );
         assert_eq!(self.cell_off[0], 0, "CSR offsets start at zero");
         assert!(
             self.cell_off.windows(2).all(|w| w[0] <= w[1]),
             "cell_off must be monotone non-decreasing"
         );
-        assert_eq!(self.cell_off[cells] as usize, slots, "final offset caps the slot array");
+        assert_eq!(
+            self.cell_off[cells] as usize, slots,
+            "final offset caps the slot array"
+        );
         assert_eq!(
             self.dead_count,
             self.dead.iter().filter(|&&d| d).count(),
@@ -612,7 +619,10 @@ impl GridIndex {
         // Counter/ordering validation over the overflow lists — order
         // of the map walk cannot affect the result. lint: allow(hash_iter)
         let overflow: usize = self.extra.values().map(Vec::len).sum();
-        assert_eq!(self.extra_count, overflow, "extra_count drifted from the overflow tally");
+        assert_eq!(
+            self.extra_count, overflow,
+            "extra_count drifted from the overflow tally"
+        );
         // Per-entry assertions only; no value depends on the walk
         // order of the map. lint: allow(hash_iter)
         for (&cell, list) in &self.extra {
@@ -643,7 +653,10 @@ impl GridIndex {
             live_slots += 1;
             let id = self.slot_ids[s] as usize;
             assert!(id < n, "live slot {s} names out-of-range id {id}");
-            assert_eq!(self.slot_of[id], s as u32, "live slot {s} not mirrored by slot_of");
+            assert_eq!(
+                self.slot_of[id], s as u32,
+                "live slot {s} not mirrored by slot_of"
+            );
             assert_eq!(
                 self.xs[s].to_bits(),
                 self.points[id].x.to_bits(),
@@ -699,7 +712,10 @@ impl GridIndex {
 /// Effective cell size and cell counts a build over `bounds` with the
 /// requested `cell_param` uses. Shared by the constructor, compaction
 /// and the staleness check so all three agree bit-for-bit.
-fn geometry((min_x, min_y, max_x, max_y): (f64, f64, f64, f64), cell_param: f64) -> (f64, usize, usize) {
+fn geometry(
+    (min_x, min_y, max_x, max_y): (f64, f64, f64, f64),
+    cell_param: f64,
+) -> (f64, usize, usize) {
     let width = (max_x - min_x).max(f64::MIN_POSITIVE);
     let height = (max_y - min_y).max(f64::MIN_POSITIVE);
     let mut cell = cell_param;
@@ -1016,10 +1032,8 @@ mod tests {
             let csr = GridIndex::with_cell_size(points.clone(), cell);
             let reference = NestedVecGrid::new(points.clone(), cell);
             for q in 0..40 {
-                let center = Point::new(
-                    (q as f64 * 0.37) % 1.2 - 0.1,
-                    (q as f64 * 0.73) % 1.2 - 0.1,
-                );
+                let center =
+                    Point::new((q as f64 * 0.37) % 1.2 - 0.1, (q as f64 * 0.73) % 1.2 - 0.1);
                 let radius = (q as f64 * 0.017) % 0.4;
                 assert_eq!(
                     csr.range_query(center, radius),
@@ -1043,7 +1057,7 @@ mod tests {
                 (i as f64 * 0.754_877_666_246_693) % 1.0,
             )
         };
-        let mut live: Vec<Point> = (0..120).map(|i| p_at(i)).collect();
+        let mut live: Vec<Point> = (0..120).map(&p_at).collect();
         let mut idx = GridIndex::with_cell_size(live.clone(), 0.07);
         let mut next = 1000u64;
         // A scripted interleaving that exercises every operation,
@@ -1194,8 +1208,7 @@ mod tests {
             }
         }
         idx.compact();
-        let fresh =
-            GridIndex::with_cell_size((0..idx.len()).map(|i| idx.point(i)).collect(), 0.09);
+        let fresh = GridIndex::with_cell_size((0..idx.len()).map(|i| idx.point(i)).collect(), 0.09);
         assert_eq!(idx.xs, fresh.xs);
         assert_eq!(idx.ys, fresh.ys);
         assert_eq!(idx.slot_ids, fresh.slot_ids);
