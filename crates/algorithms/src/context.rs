@@ -69,29 +69,23 @@ struct PairCache {
 }
 
 impl PairCache {
+    /// Compute every customer's moments straight into its row of the
+    /// flat arrays, sequentially: [`SolverContext::indexed`] already
+    /// runs this beside the spatial index builds.
     fn build(instance: &ProblemInstance, pearson: &PearsonUtility) -> Self {
-        let per_customer =
-            par::par_map(instance.customers(), 64, |_, c| pearson.customer_moments(c));
-        let tags = pearson.activity().tags();
-        let n = per_customer.len();
-        let mut weights = Vec::with_capacity(n * tags);
-        let mut sw = Vec::with_capacity(n);
-        let mut swx = Vec::with_capacity(n);
-        let mut swxx = Vec::with_capacity(n);
-        for m in &per_customer {
-            weights.extend_from_slice(m.weights());
-            sw.push(m.sw());
-            swx.push(m.swx());
-            swxx.push(m.swxx());
-        }
-        PairCache {
+        let (n, tags) = (instance.num_customers(), pearson.activity().tags());
+        let mut cache = PairCache {
             tags,
-            weights,
-            sw,
-            swx,
-            swxx,
+            weights: Vec::with_capacity(n * tags),
+            sw: Vec::with_capacity(n),
+            swx: Vec::with_capacity(n),
+            swxx: Vec::with_capacity(n),
             cap_pairs: MEMO_MAX_PAIRS,
+        };
+        for c in instance.customers() {
+            cache.push_customer(pearson, c);
         }
+        cache
     }
 
     /// Number of customer rows in the moment tables.
@@ -99,13 +93,15 @@ impl PairCache {
         self.sw.len()
     }
 
-    /// Append one customer's moments.
+    /// Append one customer's moments, written in place into a new row
+    /// of `weights`.
     fn push_customer(&mut self, pearson: &PearsonUtility, c: &Customer) {
-        let m = pearson.customer_moments(c);
-        self.weights.extend_from_slice(m.weights());
-        self.sw.push(m.sw());
-        self.swx.push(m.swx());
-        self.swxx.push(m.swxx());
+        let start = self.weights.len();
+        self.weights.resize(start + self.tags, 0.0);
+        let (sw, swx, swxx) = pearson.customer_moments_into(c, &mut self.weights[start..]);
+        self.sw.push(sw);
+        self.swx.push(swx);
+        self.swxx.push(swxx);
     }
 
     /// Swap-remove customer row `i`, mirroring
@@ -453,6 +449,43 @@ struct EligibilityIndex {
 }
 
 impl EligibilityIndex {
+    /// Pair a freshly packed v2c with its transpose over `customers`
+    /// rows, by counting sort: count each customer's vendors, lay the
+    /// rows out densely by prefix sum, then scatter vendor ids. Vendors
+    /// are visited in ascending order, so every c2v row comes out
+    /// canonical without a sort.
+    fn from_v2c(v2c: CsrDir<CustomerId>, customers: usize) -> Self {
+        // Count into each span's cap, then lay the runs out back to
+        // back; the scatter below grows each len up to its cap.
+        let mut spans = vec![(0u32, 0u32, 0u32); customers];
+        for v in 0..v2c.spans.len() {
+            for &cid in v2c.row(v) {
+                spans[cid.index()].2 += 1;
+            }
+        }
+        let mut start = 0u32;
+        for span in &mut spans {
+            span.0 = start;
+            start += span.2;
+        }
+        let mut ids = vec![VendorId::default(); v2c.live];
+        for v in 0..v2c.spans.len() {
+            for &cid in v2c.row(v) {
+                let span = &mut spans[cid.index()];
+                ids[(span.0 + span.1) as usize] = VendorId::from(v);
+                span.1 += 1;
+            }
+        }
+        let c2v = CsrDir {
+            spans,
+            ids,
+            live: v2c.live,
+            reserved: v2c.live,
+            slots: None,
+        };
+        EligibilityIndex { v2c, c2v }
+    }
+
     /// Reset vendor `vid`'s memo slots to empty: one binary search per
     /// eligible customer, O(|U_j| log) rather than a sweep over every
     /// customer. A tag change alters the vendor's pair base with each
@@ -581,28 +614,19 @@ impl<'a> SolverContext<'a> {
         ctx
     }
 
-    /// Run the per-entity validity scans once, in parallel, and pack
-    /// into the span-arena [`EligibilityIndex`]. Every row comes out of
-    /// the scans in canonical ascending-id order, so incrementally
-    /// patched contexts and from-scratch builds expose identical
-    /// candidate sequences regardless of grid geometry.
+    /// Run the per-vendor validity scans once, in parallel, and pack
+    /// them into the span-arena [`EligibilityIndex`], c2v as their
+    /// transpose. Every row comes out in canonical ascending-id order,
+    /// so incrementally patched contexts and from-scratch builds expose
+    /// identical candidate sequences regardless of grid geometry.
     fn build_eligibility(&self) -> EligibilityIndex {
-        let (per_vendor, per_customer) = par::join(
-            || {
-                par::par_map(self.instance.vendors(), 4, |j, _| {
-                    self.valid_customers_scan(VendorId::from(j))
-                })
-            },
-            || {
-                par::par_map(self.instance.customers(), 64, |i, _| {
-                    self.valid_vendors_scan(CustomerId::from(i))
-                })
-            },
-        );
-        EligibilityIndex {
-            v2c: CsrDir::from_lists(per_vendor),
-            c2v: CsrDir::from_lists(per_customer),
-        }
+        let per_vendor = par::par_map(self.instance.vendors(), 4, |j, _| {
+            self.valid_customers_scan(VendorId::from(j))
+        });
+        EligibilityIndex::from_v2c(
+            CsrDir::from_lists(per_vendor),
+            self.instance.num_customers(),
+        )
     }
 
     /// Drop the pair cache (moments and memo), forcing every pair-base
@@ -839,8 +863,9 @@ impl<'a> SolverContext<'a> {
 
     /// Compute a vendor's valid-customer list from scratch (spatial
     /// pre-filter + exact check), in canonical ascending-id order. Used
-    /// per vendor to build the eligibility CSR and to recompute rows
-    /// touched by deltas; solvers read [`eligible_customers`] instead.
+    /// per vendor to build the eligibility CSR (both directions) and to
+    /// recompute rows touched by vendor deltas; solvers read
+    /// [`eligible_customers`] instead.
     fn valid_customers_scan(&self, vid: VendorId) -> Vec<CustomerId> {
         let v = self.instance.vendor(vid);
         match &self.customer_grid {
@@ -867,9 +892,9 @@ impl<'a> SolverContext<'a> {
     }
 
     /// Compute a customer's valid-vendor list from scratch, in
-    /// canonical ascending-id order. Used per customer to build the
-    /// eligibility CSR and to recompute rows touched by deltas; solvers
-    /// read [`eligible_vendors`] instead.
+    /// canonical ascending-id order: the one c2v row an `AddCustomer`
+    /// or `MoveCustomer` delta needs. Builds derive c2v as the
+    /// transpose of v2c instead; solvers read [`eligible_vendors`].
     fn valid_vendors_scan(&self, cid: CustomerId) -> Vec<VendorId> {
         let c = self.instance.customer(cid);
         match &self.vendor_index {
@@ -1174,13 +1199,13 @@ impl<'a> SolverContext<'a> {
         match delta {
             Delta::AddCustomer(_) => {
                 let cid = CustomerId::from(self.instance.num_customers() - 1);
-                let c = self.instance.customer(cid).clone();
+                let c = self.instance.customer(cid);
                 if let Some(grid) = &mut self.customer_grid {
                     let local = grid.insert(c.location);
                     debug_assert_eq!(local as usize, cid.index());
                 }
                 if let (Some(cache), Some(pearson)) = (&mut self.cache, self.pearson) {
-                    cache.push_customer(pearson, &c);
+                    cache.push_customer(pearson, c);
                 }
                 let row = self.valid_vendors_scan(cid);
                 for &vid in &row {
@@ -1440,24 +1465,80 @@ mod tests {
             SolverContext::brute_force(&inst, &model),
         ] {
             for (vid, _) in inst.vendors_enumerated() {
-                let mut got: Vec<CustomerId> = ctx.eligible_customers(vid).to_vec();
-                got.sort_unstable();
                 let expect: Vec<CustomerId> = inst
                     .customers_enumerated()
                     .map(|(cid, _)| cid)
                     .filter(|&cid| ctx.pair_valid(cid, vid))
                     .collect();
-                assert_eq!(got, expect, "vendor {vid}");
+                assert_eq!(ctx.eligible_customers(vid), expect, "vendor {vid}");
             }
             for (cid, _) in inst.customers_enumerated() {
-                let mut got: Vec<VendorId> = ctx.eligible_vendors(cid).to_vec();
-                got.sort_unstable();
                 let expect: Vec<VendorId> = inst
                     .vendors_enumerated()
                     .map(|(vid, _)| vid)
                     .filter(|&vid| ctx.pair_valid(cid, vid))
                     .collect();
-                assert_eq!(got, expect, "customer {cid}");
+                assert_eq!(ctx.eligible_vendors(cid), expect, "customer {cid}");
+            }
+        }
+    }
+
+    /// The c2v transpose at its edge shapes, in both construction
+    /// modes: no customers, no vendors, neither, customers no vendor
+    /// covers and vendors that cover nobody, at either end of their id
+    /// range. c2v keeps exactly one row per customer, each equal to the
+    /// customer's own covering scan.
+    #[test]
+    fn c2v_transpose_handles_empty_sides_and_rows() {
+        let base = make_instance();
+        let model = PearsonUtility::uniform(2);
+        let covered: Vec<Customer> = base.customers().to_vec();
+        let vendors: Vec<Vendor> = base.vendors().to_vec();
+        let lonely = |x: f64| Customer {
+            location: Point::new(x, 0.05),
+            ..covered[0].clone()
+        };
+        let idle = |x: f64| Vendor {
+            location: Point::new(x, 0.95),
+            radius: 0.01,
+            ..vendors[0].clone()
+        };
+        let mut customers = vec![lonely(0.05)];
+        customers.extend(covered.iter().cloned());
+        customers.push(lonely(0.95));
+        let mut padded = vec![idle(0.05)];
+        padded.extend(vendors.iter().cloned());
+        padded.push(idle(0.95));
+        let shapes = [
+            (Vec::new(), Vec::new()),
+            (Vec::new(), vendors.clone()),
+            (covered.clone(), Vec::new()),
+            // The last vendor covers customer 0: a transpose that drops
+            // the last v2c row shows here.
+            (covered, vendors),
+            (customers, padded),
+        ];
+        for (customers, vendors) in shapes {
+            let inst = InstanceBuilder::new()
+                .ad_types(base.ad_types().to_vec())
+                .customers(customers)
+                .vendors(vendors)
+                .build()
+                .unwrap();
+            for ctx in [
+                SolverContext::indexed(&inst, &model),
+                SolverContext::brute_force(&inst, &model),
+            ] {
+                assert_eq!(ctx.eligibility.c2v.spans.len(), inst.num_customers());
+                assert_eq!(ctx.eligibility.v2c.spans.len(), inst.num_vendors());
+                for (cid, _) in inst.customers_enumerated() {
+                    assert_eq!(
+                        ctx.eligible_vendors(cid),
+                        ctx.valid_vendors_scan(cid),
+                        "customer {cid}"
+                    );
+                }
+                ctx.debug_validate();
             }
         }
     }

@@ -57,7 +57,6 @@ mod stats;
 
 pub use bounds::{upper_bounds, UpperBounds};
 pub use context::{SolverContext, DEFAULT_PAIR_CACHE_CAP};
-pub use shard::ShardedContext;
 pub use offline::batched::BatchedRecon;
 pub use offline::exact::ExactBnB;
 pub use offline::greedy::{Greedy, NaiveGreedy};
@@ -72,4 +71,5 @@ pub use online::estimate::{estimate_gamma_bounds, GammaBounds};
 pub use online::oafa::OAfa;
 pub use online::threshold::ThresholdFn;
 pub use online::{run_online, OnlineSolver};
+pub use shard::ShardedContext;
 pub use stats::SolveOutcome;

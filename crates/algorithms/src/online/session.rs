@@ -23,11 +23,11 @@ use crate::online::estimate::estimate_gamma_bounds;
 use crate::online::oafa::OAfa;
 use crate::online::threshold::ThresholdFn;
 use crate::online::OnlineSolver;
+use muaa_core::clock::Stopwatch;
 use muaa_core::{
     Assignment, AssignmentSet, CoreError, Customer, CustomerId, Delta, DeltaBatch, Money,
     ProblemInstance, UtilityModel,
 };
-use muaa_core::clock::Stopwatch;
 use std::time::Duration;
 
 /// Latency statistics over the arrivals served so far.
@@ -462,9 +462,8 @@ mod tests {
         let ads = session.serve(CustomerId::new(0));
         assert!(!ads.is_empty());
         // Served customers with committed ads cannot be removed...
-        let err = session.apply_delta(
-            &muaa_core::DeltaBatch::new().remove_customer(CustomerId::new(0)),
-        );
+        let err =
+            session.apply_delta(&muaa_core::DeltaBatch::new().remove_customer(CustomerId::new(0)));
         assert!(err.is_err());
         // ...but unserved ones can, and vendor updates stream through.
         session
@@ -479,9 +478,7 @@ mod tests {
         assert_eq!(session.epoch(), 3);
         // Serving still works and respects the shrunk budget.
         session.serve_remaining();
-        assert!(
-            session.remaining_budget(VendorId::new(0)) <= Money::from_dollars(1.0)
-        );
+        assert!(session.remaining_budget(VendorId::new(0)) <= Money::from_dollars(1.0));
         let report = session
             .assignments()
             .check_feasibility(session.context().instance(), &model);
@@ -507,10 +504,7 @@ mod tests {
         // back to the unfiltered policy.
         let mut batch = muaa_core::DeltaBatch::new();
         for j in 0..3usize {
-            batch = batch.vendor_tags(
-                VendorId::from(j),
-                TagVector::new(vec![0.1, 0.95]).unwrap(),
-            );
+            batch = batch.vendor_tags(VendorId::from(j), TagVector::new(vec![0.1, 0.95]).unwrap());
         }
         auto.apply_delta(&batch).unwrap();
         assert_ne!(auto.threshold(), before, "tag churn must move the estimate");

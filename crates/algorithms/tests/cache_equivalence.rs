@@ -116,9 +116,9 @@ fn brute_force_contexts_agree_with_indexed() {
 }
 
 /// The precomputed CSR eligibility index (DESIGN.md §11) holds
-/// exactly the pairs `pair_valid` accepts — as sets, in both
-/// construction modes — and the two directions of the index agree
-/// with each other.
+/// exactly the pairs `pair_valid` accepts, in both construction modes,
+/// and every row is stored in canonical ascending-id order (checked
+/// as stored, not after a sort, so release builds pin it too).
 #[test]
 fn eligibility_csr_agrees_with_pair_valid() {
     for_all(
@@ -132,24 +132,30 @@ fn eligibility_csr_agrees_with_pair_valid() {
                 SolverContext::brute_force(instance, &model),
             ] {
                 for (vid, _) in instance.vendors_enumerated() {
-                    let mut got = ctx.eligible_customers(vid).to_vec();
-                    got.sort_unstable();
                     let expect: Vec<_> = instance
                         .customers_enumerated()
                         .map(|(cid, _)| cid)
                         .filter(|&cid| ctx.pair_valid(cid, vid))
                         .collect();
-                    assert_eq!(got, expect, "vendor {} customers", vid);
+                    assert_eq!(
+                        ctx.eligible_customers(vid),
+                        expect,
+                        "vendor {} customers",
+                        vid
+                    );
                 }
                 for (cid, _) in instance.customers_enumerated() {
-                    let mut got = ctx.eligible_vendors(cid).to_vec();
-                    got.sort_unstable();
                     let expect: Vec<_> = instance
                         .vendors_enumerated()
                         .map(|(vid, _)| vid)
                         .filter(|&vid| ctx.pair_valid(cid, vid))
                         .collect();
-                    assert_eq!(got, expect, "customer {} vendors", cid);
+                    assert_eq!(
+                        ctx.eligible_vendors(cid),
+                        expect,
+                        "customer {} vendors",
+                        cid
+                    );
                 }
             }
         },

@@ -331,9 +331,10 @@ fn main() {
     // Optional CI floors: fail loudly when a speedup regresses below the
     // configured minimum.
     let floor = |var: &str| -> Option<f64> {
-        std::env::var(var)
-            .ok()
-            .map(|v| v.parse().unwrap_or_else(|_| panic!("{var} must be a float")))
+        std::env::var(var).ok().map(|v| {
+            v.parse()
+                .unwrap_or_else(|_| panic!("{var} must be a float"))
+        })
     };
     let mut failed = false;
     if let Some(min) = floor("MUAA_BENCH_MIN_HIT_SPEEDUP") {

@@ -21,8 +21,8 @@
 //!
 //! Usage: `shard_report [customers] [vendors]` (default 100000 × 1000).
 
-use muaa_algorithms::{ShardedContext, SolverContext};
 use muaa_algorithms::{Greedy, OfflineSolver};
+use muaa_algorithms::{ShardedContext, SolverContext};
 use muaa_core::par;
 use std::time::Instant;
 
@@ -119,7 +119,10 @@ fn main() {
                     set
                 })
             });
-            println!("sharded    tiles={tiles}  threads={threads}  {:.1} ms", secs * 1e3);
+            println!(
+                "sharded    tiles={tiles}  threads={threads}  {:.1} ms",
+                secs * 1e3
+            );
             sharded.push((tiles, threads, secs));
         }
     }
@@ -185,13 +188,10 @@ fn main() {
          thread scaling measurable: {measurable}"
     );
 
-    if let Some(min) = std::env::var("MUAA_BENCH_MIN_SHARD_SPEEDUP")
-        .ok()
-        .map(|v| {
-            v.parse::<f64>()
-                .unwrap_or_else(|_| panic!("MUAA_BENCH_MIN_SHARD_SPEEDUP must be a float"))
-        })
-    {
+    if let Some(min) = std::env::var("MUAA_BENCH_MIN_SHARD_SPEEDUP").ok().map(|v| {
+        v.parse::<f64>()
+            .unwrap_or_else(|_| panic!("MUAA_BENCH_MIN_SHARD_SPEEDUP must be a float"))
+    }) {
         if speedup < min {
             eprintln!("FAIL: sharded speedup {speedup:.2}x < floor {min:.2}x");
             std::process::exit(1);

@@ -218,7 +218,11 @@ mod tests {
     #[test]
     fn levels_at_slice_matches_per_tag_level_exactly() {
         let curves: Vec<Vec<f64>> = (0..5)
-            .map(|t| (0..24).map(|h| ((h * (t + 1)) % 24) as f64 / 23.0).collect())
+            .map(|t| {
+                (0..24)
+                    .map(|h| ((h * (t + 1)) % 24) as f64 / 23.0)
+                    .collect()
+            })
             .collect();
         let p = ActivityProfile::from_hourly(&curves).unwrap();
         let mut buf = [0.0; 5];

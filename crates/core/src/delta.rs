@@ -34,10 +34,10 @@
 use crate::entities::{AdType, Customer};
 use crate::geo::Point;
 use crate::ids::{AdTypeId, CustomerId, VendorId};
-use crate::money::Money;
-use crate::tags::TagVector;
 #[cfg(test)]
 use crate::instance::ProblemInstance;
+use crate::money::Money;
+use crate::tags::TagVector;
 
 /// One incremental mutation of a [`ProblemInstance`].
 #[derive(Clone, Debug)]
@@ -171,9 +171,9 @@ impl From<Vec<Delta>> for DeltaBatch {
 mod tests {
     use super::*;
     use crate::activity::Timestamp;
+    use crate::entities::Vendor;
     use crate::instance::InstanceBuilder;
     use crate::tags::TagVector;
-    use crate::entities::Vendor;
 
     fn ad() -> AdType {
         AdType::new("TL", Money::from_dollars(1.0), 0.1)
@@ -226,12 +226,19 @@ mod tests {
         assert_eq!(inst.num_customers(), 4);
         assert_eq!(inst.epoch(), epoch0 + 1);
 
-        inst.apply(&Delta::MoveCustomer(CustomerId::new(1), Point::new(0.7, 0.7)))
-            .unwrap();
-        assert_eq!(inst.customer(CustomerId::new(1)).location, Point::new(0.7, 0.7));
+        inst.apply(&Delta::MoveCustomer(
+            CustomerId::new(1),
+            Point::new(0.7, 0.7),
+        ))
+        .unwrap();
+        assert_eq!(
+            inst.customer(CustomerId::new(1)).location,
+            Point::new(0.7, 0.7)
+        );
 
         // Swap remove: the last customer (x = 0.9) takes id 0.
-        inst.apply(&Delta::RemoveCustomer(CustomerId::new(0))).unwrap();
+        inst.apply(&Delta::RemoveCustomer(CustomerId::new(0)))
+            .unwrap();
         assert_eq!(inst.num_customers(), 3);
         assert_eq!(inst.customer(CustomerId::new(0)).location.x, 0.9);
         assert_eq!(inst.epoch(), epoch0 + 3);
@@ -240,10 +247,17 @@ mod tests {
     #[test]
     fn apply_vendor_and_ad_type_updates() {
         let mut inst = instance();
-        inst.apply(&Delta::VendorBudget(VendorId::new(0), Money::from_dollars(9.0)))
+        inst.apply(&Delta::VendorBudget(
+            VendorId::new(0),
+            Money::from_dollars(9.0),
+        ))
+        .unwrap();
+        assert_eq!(
+            inst.vendor(VendorId::new(0)).budget,
+            Money::from_dollars(9.0)
+        );
+        inst.apply(&Delta::VendorRadius(VendorId::new(0), 0.5))
             .unwrap();
-        assert_eq!(inst.vendor(VendorId::new(0)).budget, Money::from_dollars(9.0));
-        inst.apply(&Delta::VendorRadius(VendorId::new(0), 0.5)).unwrap();
         assert_eq!(inst.vendor(VendorId::new(0)).radius, 0.5);
         inst.apply(&Delta::VendorTags(
             VendorId::new(0),
@@ -264,9 +278,14 @@ mod tests {
         let mut inst = instance();
         let epoch0 = inst.epoch();
         // Out-of-range ids.
-        assert!(inst.apply(&Delta::RemoveCustomer(CustomerId::new(7))).is_err());
         assert!(inst
-            .apply(&Delta::MoveCustomer(CustomerId::new(7), Point::new(0.0, 0.0)))
+            .apply(&Delta::RemoveCustomer(CustomerId::new(7)))
+            .is_err());
+        assert!(inst
+            .apply(&Delta::MoveCustomer(
+                CustomerId::new(7),
+                Point::new(0.0, 0.0)
+            ))
             .is_err());
         assert!(inst
             .apply(&Delta::VendorRadius(VendorId::new(3), 0.1))
@@ -276,7 +295,10 @@ mod tests {
             .apply(&Delta::VendorRadius(VendorId::new(0), -1.0))
             .is_err());
         assert!(inst
-            .apply(&Delta::MoveCustomer(CustomerId::new(0), Point::new(f64::NAN, 0.0)))
+            .apply(&Delta::MoveCustomer(
+                CustomerId::new(0),
+                Point::new(f64::NAN, 0.0)
+            ))
             .is_err());
         let mut wrong_tags = cust(0.5);
         wrong_tags.interests = TagVector::zeros(5);
@@ -288,9 +310,16 @@ mod tests {
             .apply(&Delta::VendorTags(VendorId::new(3), TagVector::zeros(2)))
             .is_err());
         assert!(inst
-            .apply(&Delta::AdType(AdTypeId::new(0), AdType::new("F", Money::ZERO, 0.1)))
+            .apply(&Delta::AdType(
+                AdTypeId::new(0),
+                AdType::new("F", Money::ZERO, 0.1)
+            ))
             .is_err());
-        assert_eq!(inst.epoch(), epoch0, "failed deltas must not bump the epoch");
+        assert_eq!(
+            inst.epoch(),
+            epoch0,
+            "failed deltas must not bump the epoch"
+        );
     }
 
     #[test]
@@ -305,7 +334,10 @@ mod tests {
         assert_eq!(inst.num_customers(), 3);
         assert_eq!(inst.epoch(), epoch0 + 3);
         // Id 1 now holds the moved add (former last).
-        assert_eq!(inst.customer(CustomerId::new(1)).location, Point::new(0.6, 0.6));
+        assert_eq!(
+            inst.customer(CustomerId::new(1)).location,
+            Point::new(0.6, 0.6)
+        );
     }
 
     #[test]

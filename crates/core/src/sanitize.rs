@@ -357,7 +357,10 @@ mod tests {
     fn counter_observes_allocations() {
         let before = thread_alloc_count();
         let v: Vec<u64> = Vec::with_capacity(32);
-        assert!(thread_alloc_count() > before, "Vec::with_capacity must count");
+        assert!(
+            thread_alloc_count() > before,
+            "Vec::with_capacity must count"
+        );
         drop(v);
     }
 
@@ -380,7 +383,10 @@ mod tests {
             let v: Vec<u64> = Vec::with_capacity(8);
             drop(v);
         });
-        assert!(result.is_err(), "strict guard must panic when the region allocates");
+        assert!(
+            result.is_err(),
+            "strict guard must panic when the region allocates"
+        );
     }
 
     #[test]
@@ -423,7 +429,10 @@ mod tests {
         // registry update for the inner guard is suspended so it does
         // not inflate the outer count.
         assert!(get("test.nest.inner").allocations >= 1);
-        assert_eq!(get("test.nest.inner").allocations, get("test.nest.outer").allocations);
+        assert_eq!(
+            get("test.nest.inner").allocations,
+            get("test.nest.outer").allocations
+        );
     }
 
     #[test]
@@ -449,7 +458,11 @@ mod tests {
             for i in 0..200_000u64 {
                 acc = acc.wrapping_add(i ^ (i << 7));
             }
-            assert_eq!(guard.allocations(), 0, "foreign-thread allocations leaked in");
+            assert_eq!(
+                guard.allocations(),
+                0,
+                "foreign-thread allocations leaked in"
+            );
             std::hint::black_box(acc);
         }
         done_tx.send(()).expect("worker alive");

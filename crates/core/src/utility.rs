@@ -186,20 +186,32 @@ impl PearsonUtility {
     /// no allocation — and bit-identically to
     /// [`UtilityModel::similarity`] on this model.
     pub fn customer_moments(&self, customer: &Customer) -> CustomerMoments {
-        let tags = customer.interests.len();
-        debug_assert_eq!(tags, self.activity.tags());
-        let mut weights = vec![0.0; tags];
-        self.activity
-            .levels_at_slice(customer.arrival, &mut weights);
-        let xs = customer.interests.as_slice();
-        // Canonical lane schedule (DESIGN.md §16).
-        let (sw, swx, swxx) = crate::simd::weight_moments(&weights, xs);
+        let mut weights = vec![0.0; customer.interests.len()];
+        let (sw, swx, swxx) = self.customer_moments_into(customer, &mut weights);
         CustomerMoments {
             weights,
             sw,
             swx,
             swxx,
         }
+    }
+
+    /// [`customer_moments`](Self::customer_moments) written in place:
+    /// fills `weights` (one slot per tag) with the activity weights at
+    /// the customer's arrival time and returns `(Σ w, Σ w·ψ, Σ w·ψ²)`.
+    /// The solver layer points it at a customer's row of its flat
+    /// weights matrix (DESIGN.md §11), so no per-customer buffer is
+    /// allocated; `customer_moments` wraps this one body, so the two
+    /// cannot drift apart.
+    pub fn customer_moments_into(
+        &self,
+        customer: &Customer,
+        weights: &mut [f64],
+    ) -> (f64, f64, f64) {
+        debug_assert_eq!(customer.interests.len(), self.activity.tags());
+        self.activity.levels_at_slice(customer.arrival, weights);
+        // Canonical lane schedule (DESIGN.md §16).
+        crate::simd::weight_moments(weights, customer.interests.as_slice())
     }
 
     /// Eq. (5) similarity of `(customer, vendor)` from precomputed

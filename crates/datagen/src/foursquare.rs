@@ -25,11 +25,11 @@
 
 use crate::dist::{paper_range_sample, sample_hour, Zipf};
 use crate::synthetic::Range;
+use muaa_core::DetRng;
 use muaa_core::{
     ActivityProfile, Customer, InstanceBuilder, Money, PearsonUtility, Point, ProblemInstance,
     TagVector, Timestamp, Vendor,
 };
-use muaa_core::DetRng;
 use muaa_taxonomy::{foursquare_like, InterestModel, TagId, Taxonomy};
 
 /// Configuration of the check-in simulator.

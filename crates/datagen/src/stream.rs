@@ -145,11 +145,8 @@ impl StreamConfig {
         let mut rng = SplitMix64::new(record_seed(self.seed, CUSTOMER_TAG, i as u64));
         // Pseudo-Gaussian around the centre, clamped to the unit
         // square — the paper's §V-A customer geography.
-        let location = Point::new(
-            0.5 + rng.pseudo_normal(),
-            0.5 + rng.pseudo_normal(),
-        )
-        .clamp_to_box(0.0, 1.0);
+        let location =
+            Point::new(0.5 + rng.pseudo_normal(), 0.5 + rng.pseudo_normal()).clamp_to_box(0.0, 1.0);
         let (c_lo, c_hi) = self.capacity;
         let (p_lo, p_hi) = self.view_probability;
         Customer {
@@ -309,9 +306,8 @@ mod tests {
         let a = StreamConfig::downsized(50, 5);
         let mut b = StreamConfig::downsized(50, 5);
         b.seed ^= 1;
-        let drifted = (0..50).any(|i| {
-            fold_customer(&a.customer(i)) != fold_customer(&b.customer(i))
-        });
+        let drifted =
+            (0..50).any(|i| fold_customer(&a.customer(i)) != fold_customer(&b.customer(i)));
         assert!(drifted, "seed change must move the stream");
     }
 

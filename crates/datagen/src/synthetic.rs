@@ -10,10 +10,10 @@
 
 use crate::adtypes;
 use crate::dist::paper_range_sample;
+use muaa_core::DetRng;
 use muaa_core::{
     AdType, Customer, InstanceBuilder, Money, Point, ProblemInstance, TagVector, Timestamp, Vendor,
 };
-use muaa_core::DetRng;
 
 /// An inclusive parameter range `[lo, hi]`.
 #[derive(Clone, Copy, Debug, PartialEq)]

@@ -64,7 +64,9 @@ fn starved_workload(
     vendors: usize,
     seed: u64,
 ) -> (ProblemInstance, PearsonUtility) {
-    use muaa_core::{Customer, DetRng, InstanceBuilder, Money, Point, TagVector, Timestamp, Vendor};
+    use muaa_core::{
+        Customer, DetRng, InstanceBuilder, Money, Point, TagVector, Timestamp, Vendor,
+    };
     let mut rng = DetRng::seed_from_u64(seed);
     let tags = 6;
     // Customers: view probability (and hence efficiency) ramps up over
@@ -88,9 +90,7 @@ fn starved_workload(
             location: Point::new(rng.gen_f64(), rng.gen_f64()),
             radius: 0.4,
             budget: Money::from_dollars(rng.gen_range_f64(4.0, 8.0)),
-            tags: TagVector::new_unchecked(
-                (0..tags).map(|_| 0.2 + 0.8 * rng.gen_f64()).collect(),
-            ),
+            tags: TagVector::new_unchecked((0..tags).map(|_| 0.2 + 0.8 * rng.gen_f64()).collect()),
         }))
         .build()
         .expect("valid workload");

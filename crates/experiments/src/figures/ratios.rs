@@ -50,14 +50,24 @@ fn small_instance(rng: &mut DetRng) -> ProblemInstance {
             location: muaa_core::Point::new(rng.gen_f64(), rng.gen_f64()),
             capacity: rng.gen_range(1, 3) as u32,
             view_probability: paper_range_sample(rng, 0.1, 0.9),
-            interests: TagVector::new_unchecked(vec![rng.gen_f64(), rng.gen_f64(), rng.gen_f64(), rng.gen_f64()]),
+            interests: TagVector::new_unchecked(vec![
+                rng.gen_f64(),
+                rng.gen_f64(),
+                rng.gen_f64(),
+                rng.gen_f64(),
+            ]),
             arrival: Timestamp::from_hours(i as f64),
         }))
         .vendors((0..n).map(|_| muaa_core::Vendor {
             location: muaa_core::Point::new(rng.gen_f64(), rng.gen_f64()),
             radius: rng.gen_range_f64(0.4, 1.2),
             budget: Money::from_dollars(paper_range_sample(rng, 2.0, 5.0)),
-            tags: TagVector::new_unchecked(vec![rng.gen_f64(), rng.gen_f64(), rng.gen_f64(), rng.gen_f64()]),
+            tags: TagVector::new_unchecked(vec![
+                rng.gen_f64(),
+                rng.gen_f64(),
+                rng.gen_f64(),
+                rng.gen_f64(),
+            ]),
         }))
         .build()
         .expect("valid random instance")

@@ -76,7 +76,10 @@ pub fn run(checkins: usize, venues: usize, seed: u64) -> Table {
             .with_seed_scores(seed_scores.clone())
             .with_swap_pass();
         let out = select_tags(&mut ctx, &cfg);
-        t.push_row(format!("k={k}"), vec![baseline, out.utility, out.resolves as f64]);
+        t.push_row(
+            format!("k={k}"),
+            vec![baseline, out.utility, out.resolves as f64],
+        );
     }
     t
 }
@@ -99,11 +102,7 @@ mod tests {
         let rows: Vec<&str> = csv.lines().skip(1).collect();
         assert_eq!(rows.len(), 3);
         for row in rows {
-            let cols: Vec<f64> = row
-                .split(',')
-                .skip(1)
-                .map(|c| c.parse().unwrap())
-                .collect();
+            let cols: Vec<f64> = row.split(',').skip(1).map(|c| c.parse().unwrap()).collect();
             assert!(cols[1] > 0.0, "selected utility must be positive: {row}");
             assert!(cols[2] > 0.0, "re-solve count must be positive: {row}");
         }

@@ -51,8 +51,7 @@ fn assert_matches_committed(table: &Table) {
         .unwrap_or_else(|e| panic!("missing committed results/{name}: {e}"));
     let _ = std::fs::remove_file(&written);
     assert_eq!(
-        regenerated,
-        committed,
+        regenerated, committed,
         "results/{name} drifted from a fresh seed-2019 regeneration; if the \
          change is intentional, re-export with `cargo run --release -p \
          muaa-experiments -- all --out results/` and review the full diff"

@@ -49,7 +49,10 @@ fn main() -> ExitCode {
             match muaa_lint::find_workspace_root(&cwd) {
                 Some(r) => r,
                 None => {
-                    eprintln!("lint_report: no [workspace] Cargo.toml above {}", cwd.display());
+                    eprintln!(
+                        "lint_report: no [workspace] Cargo.toml above {}",
+                        cwd.display()
+                    );
                     return ExitCode::from(2);
                 }
             }
@@ -90,9 +93,11 @@ fn main() -> ExitCode {
 
     // --- Identity gate: all four configs must render byte-identically.
     let want = streams(&reference);
-    for (name, report) in
-        [("cold-parallel", &cold_par), ("warm-sequential", &warm_seq), ("warm-parallel", &warm_par)]
-    {
+    for (name, report) in [
+        ("cold-parallel", &cold_par),
+        ("warm-sequential", &warm_seq),
+        ("warm-parallel", &warm_par),
+    ] {
         if streams(report) != want {
             eprintln!("lint_report: {name} diagnostics diverged from the cold sequential pass");
             return ExitCode::FAILURE;
@@ -124,7 +129,9 @@ fn main() -> ExitCode {
     std::fs::write("BENCH_lint.json", &json).expect("write BENCH_lint.json");
 
     if let Ok(floor) = std::env::var("MUAA_BENCH_MIN_LINT_SPEEDUP") {
-        let floor: f64 = floor.parse().expect("MUAA_BENCH_MIN_LINT_SPEEDUP must be a number");
+        let floor: f64 = floor
+            .parse()
+            .expect("MUAA_BENCH_MIN_LINT_SPEEDUP must be a number");
         if cached_speedup < floor {
             eprintln!(
                 "lint_report: warm-cache speedup {cached_speedup:.2}x under the \

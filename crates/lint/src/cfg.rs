@@ -150,7 +150,11 @@ where
     for _ in 0..4 * n + 8 {
         let mut changed = false;
         for b in 0..n {
-            let mut state = if b == cfg.entry { entry_state.clone() } else { bottom.clone() };
+            let mut state = if b == cfg.entry {
+                entry_state.clone()
+            } else {
+                bottom.clone()
+            };
             for &p in &preds[b] {
                 state = meet(&state, &output[p]);
             }
@@ -183,7 +187,13 @@ pub fn build_fn(fa: &FileAnalysis, body: (usize, usize)) -> Cfg {
     let close = close.min(fa.code_len());
     let last = b.lower(open + 1, close, 0);
     b.edges.push((last, 1, EdgeKind::Seq));
-    Cfg { blocks: b.blocks, edges: b.edges, entry: 0, exit: 1, loop_bodies: b.loop_bodies }
+    Cfg {
+        blocks: b.blocks,
+        edges: b.edges,
+        entry: 0,
+        exit: 1,
+        loop_bodies: b.loop_bodies,
+    }
 }
 
 /// Partner indices for `(`/`[`/`{` over the whole code stream;
@@ -250,7 +260,13 @@ impl Builder<'_> {
         let hi = hi.min(self.fa.code_len() - 1);
         let has_try = (lo..=hi).any(|ci| self.fa.tok(ci).is_punct('?'));
         let t = self.fa.tok(lo);
-        self.blocks[b].push(Stmt { lo, hi, line: t.line, col: t.col, has_try });
+        self.blocks[b].push(Stmt {
+            lo,
+            hi,
+            line: t.line,
+            col: t.col,
+            has_try,
+        });
         if has_try {
             self.edge(b, 1, EdgeKind::Err);
         }
@@ -259,7 +275,11 @@ impl Builder<'_> {
     /// Matching close bracket for `open`, clamped into `(open, hi]`.
     fn close_of(&self, open: usize, hi: usize) -> usize {
         let p = self.partner.get(open).copied().unwrap_or(usize::MAX);
-        if p == usize::MAX || p <= open || p > hi { hi } else { p }
+        if p == usize::MAX || p <= open || p > hi {
+            hi
+        } else {
+            p
+        }
     }
 
     /// First `{` at paren/bracket depth 0 in `[from, hi)` — the body
@@ -332,7 +352,11 @@ impl Builder<'_> {
                     // Labeled block: `break 'label` exits it.
                     let close = self.close_of(j, hi);
                     let after = self.new_block();
-                    self.loops.push(LoopCtx { label, head: after, after });
+                    self.loops.push(LoopCtx {
+                        label,
+                        head: after,
+                        after,
+                    });
                     let inner = self.lower(j + 1, close, cur);
                     self.loops.pop();
                     self.edge(inner, after, EdgeKind::Seq);
@@ -379,7 +403,15 @@ impl Builder<'_> {
                     // No enclosing loop in this body (malformed or a
                     // label we lost): divert to the exit.
                     .unwrap_or(1);
-                self.edge(cur, target, if is_break { EdgeKind::Break } else { EdgeKind::Continue });
+                self.edge(
+                    cur,
+                    target,
+                    if is_break {
+                        EdgeKind::Break
+                    } else {
+                        EdgeKind::Continue
+                    },
+                );
                 cur = self.new_block();
                 i = next;
                 continue;
@@ -569,7 +601,11 @@ mod tests {
     fn analyzed(src: &str) -> (FileAnalysis, Cfg) {
         let fa = FileAnalysis::new("crates/core/src/cfg_fixture.rs", src);
         let tree = crate::tree::build(&fa);
-        let body = tree.fns.first().and_then(|f| f.body).expect("fn with a body");
+        let body = tree
+            .fns
+            .first()
+            .and_then(|f| f.body)
+            .expect("fn with a body");
         let cfg = build_fn(&fa, body);
         (fa, cfg)
     }
@@ -599,7 +635,10 @@ mod tests {
         assert_eq!(kind_count(&cfg, EdgeKind::Branch), 2);
         assert_eq!(kind_count(&cfg, EdgeKind::Seq), 3);
         let reach = cfg.reachable();
-        assert!(reach.iter().all(|&r| r), "diamond has no dead blocks: {cfg:?}");
+        assert!(
+            reach.iter().all(|&r| r),
+            "diamond has no dead blocks: {cfg:?}"
+        );
     }
 
     #[test]
@@ -626,8 +665,11 @@ mod tests {
             .iter()
             .find(|&&(_, _, k)| k == EdgeKind::Back)
             .expect("back edge");
-        let head_branches =
-            cfg.edges.iter().filter(|&&(f, _, k)| f == back_to && k == EdgeKind::Branch).count();
+        let head_branches = cfg
+            .edges
+            .iter()
+            .filter(|&&(f, _, k)| f == back_to && k == EdgeKind::Branch)
+            .count();
         assert_eq!(head_branches, 2, "{cfg:?}");
     }
 
@@ -650,7 +692,10 @@ mod tests {
             .iter()
             .find(|&&(_, _, k)| k == EdgeKind::Continue)
             .expect("labeled continue");
-        assert_eq!(cont_to, outer_head, "continue 'outer must target the outer head");
+        assert_eq!(
+            cont_to, outer_head,
+            "continue 'outer must target the outer head"
+        );
         // break 'outer targets the outer after-block: the block the
         // outer head's zero-iteration branch also reaches.
         let (_, break_to, _) = *cfg
@@ -659,7 +704,8 @@ mod tests {
             .find(|&&(_, _, k)| k == EdgeKind::Break)
             .expect("labeled break");
         assert!(
-            cfg.edges.contains(&(outer_head, break_to, EdgeKind::Branch)),
+            cfg.edges
+                .contains(&(outer_head, break_to, EdgeKind::Branch)),
             "break must land where the outer loop exits: {cfg:?}"
         );
     }
@@ -677,14 +723,21 @@ mod tests {
             .map(|&(_, t, _)| t)
             .collect();
         targets.dedup();
-        assert_eq!(targets.len(), 2, "inner and outer break go to different afters");
+        assert_eq!(
+            targets.len(),
+            2,
+            "inner and outer break go to different afters"
+        );
     }
 
     #[test]
     fn bare_loop_without_break_leaves_after_unreachable() {
         let cfg = cfg_of("fn f() {\n    loop {\n        tick();\n    }\n}\n");
         let reach = cfg.reachable();
-        assert!(!reach[cfg.exit], "nothing escapes a breakless loop: {cfg:?}");
+        assert!(
+            !reach[cfg.exit],
+            "nothing escapes a breakless loop: {cfg:?}"
+        );
     }
 
     #[test]
@@ -794,7 +847,11 @@ mod tests {
             .filter(|&&(f, _, k)| k == EdgeKind::Branch && f != head)
             .map(|&(_, t, _)| t)
             .collect();
-        assert_eq!(branch_blocks.len(), 2, "then and else of the inner if: {cfg:?}");
+        assert_eq!(
+            branch_blocks.len(),
+            2,
+            "then and else of the inner if: {cfg:?}"
+        );
         for b in branch_blocks {
             assert!(
                 states[head] & (1 << b) != 0,
@@ -820,9 +877,12 @@ mod tests {
 
     #[test]
     fn statement_attributes_are_skipped() {
-        let cfg = cfg_of(
-            "fn f() {\n    #[cfg(test)]\n    for i in 0..3 {\n        tick(i);\n    }\n}\n",
+        let cfg =
+            cfg_of("fn f() {\n    #[cfg(test)]\n    for i in 0..3 {\n        tick(i);\n    }\n}\n");
+        assert_eq!(
+            cfg.loop_bodies.len(),
+            1,
+            "the attribute must not swallow the loop"
         );
-        assert_eq!(cfg.loop_bodies.len(), 1, "the attribute must not swallow the loop");
     }
 }

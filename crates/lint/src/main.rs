@@ -58,7 +58,10 @@ fn main() -> ExitCode {
             match muaa_lint::find_workspace_root(&cwd) {
                 Some(r) => r,
                 None => {
-                    eprintln!("muaa-lint: no [workspace] Cargo.toml above {}", cwd.display());
+                    eprintln!(
+                        "muaa-lint: no [workspace] Cargo.toml above {}",
+                        cwd.display()
+                    );
                     return ExitCode::from(2);
                 }
             }

@@ -59,8 +59,16 @@ fn is_item_modifier(t: &Token) -> bool {
         || t.is_punct(')')
         || matches!(
             t.text.as_str(),
-            "pub" | "crate" | "in" | "super" | "self" | "const" | "unsafe" | "extern"
-                | "async" | "default"
+            "pub"
+                | "crate"
+                | "in"
+                | "super"
+                | "self"
+                | "const"
+                | "unsafe"
+                | "extern"
+                | "async"
+                | "default"
         ) && t.kind == TokenKind::Ident
 }
 
@@ -151,12 +159,17 @@ pub fn build(fa: &FileAnalysis) -> ItemTree {
                     .filter(|&c| c != usize::MAX)
                     .map(|c| fa.tok(c).line)
                     .unwrap_or(t.line);
-                tree.parallel_regions.push((pending_line.unwrap_or(t.line), end));
+                tree.parallel_regions
+                    .push((pending_line.unwrap_or(t.line), end));
             }
             pending.clear();
             pending_line = None;
             if let Some(open) = body_open {
-                let close = if partner[open] != usize::MAX { partner[open] } else { n };
+                let close = if partner[open] != usize::MAX {
+                    partner[open]
+                } else {
+                    n
+                };
                 impl_stack.push((close, self_type));
                 ci = open + 1;
             } else {
@@ -167,13 +180,13 @@ pub fn build(fa: &FileAnalysis) -> ItemTree {
         if t.is_ident("fn") && ci + 1 < n && fa.tok(ci + 1).kind == TokenKind::Ident {
             let name = fa.tok(ci + 1).text.clone();
             let body_open = find_body_open(fa, ci + 2, n);
-            let body = body_open.and_then(|o| {
-                (partner[o] != usize::MAX).then_some((o, partner[o]))
-            });
+            let body =
+                body_open.and_then(|o| (partner[o] != usize::MAX).then_some((o, partner[o])));
             let body_lines = body.map(|(o, c)| (fa.tok(o).line, fa.tok(c).line));
             if pending.iter().any(|a| attr_is_positive_parallel_cfg(a)) {
                 let end = body_lines.map(|(_, e)| e).unwrap_or(t.line);
-                tree.parallel_regions.push((pending_line.unwrap_or(t.line), end));
+                tree.parallel_regions
+                    .push((pending_line.unwrap_or(t.line), end));
             }
             // Walk back over the modifier run (`pub(crate) const unsafe
             // extern "C" …`) to see whether this fn is `unsafe`/`pub`.
@@ -212,7 +225,8 @@ pub fn build(fa: &FileAnalysis) -> ItemTree {
             // attribute run: resolve its span for region tracking.
             if pending.iter().any(|a| attr_is_positive_parallel_cfg(a)) {
                 let end = item_end_line(fa, ci, n, &partner);
-                tree.parallel_regions.push((pending_line.unwrap_or(t.line), end));
+                tree.parallel_regions
+                    .push((pending_line.unwrap_or(t.line), end));
             }
             pending.clear();
             pending_line = None;
@@ -314,7 +328,11 @@ fn item_end_line(fa: &FileAnalysis, ci: usize, n: usize, partner: &[usize]) -> u
             TokenKind::Punct(';') if depth <= 0 => return t.line,
             TokenKind::Punct('{') if depth <= 0 => {
                 let close = partner[j];
-                return if close != usize::MAX { fa.tok(close).line } else { t.line };
+                return if close != usize::MAX {
+                    fa.tok(close).line
+                } else {
+                    t.line
+                };
             }
             _ => {}
         }
@@ -364,7 +382,12 @@ mod tests {
                    #[cfg_attr(any(), muaa::hot)]\nfn gated() {}\n\
                    #[inline]\nfn cold() {}";
         let t = tree_of(src);
-        let hot: Vec<&str> = t.fns.iter().filter(|f| f.is_hot).map(|f| f.name.as_str()).collect();
+        let hot: Vec<&str> = t
+            .fns
+            .iter()
+            .filter(|f| f.is_hot)
+            .map(|f| f.name.as_str())
+            .collect();
         assert_eq!(hot, vec!["direct", "gated"]);
     }
 

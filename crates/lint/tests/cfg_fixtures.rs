@@ -22,7 +22,10 @@ fn cfg_of(src: &str, name: &str) -> Cfg {
         .iter()
         .find(|f| f.name == name)
         .unwrap_or_else(|| panic!("fixture lost fn `{name}`"));
-    cfg::build_fn(&fa, f.body.unwrap_or_else(|| panic!("`{name}` has no body")))
+    cfg::build_fn(
+        &fa,
+        f.body.unwrap_or_else(|| panic!("`{name}` has no body")),
+    )
 }
 
 fn kind_count(cfg: &Cfg, kind: EdgeKind) -> usize {
@@ -95,7 +98,10 @@ fn breakless_loop_escapes_only_through_the_labeled_break() {
     assert_eq!(g.loop_bodies.len(), 2, "{g:?}");
     assert_eq!(kind_count(&g, EdgeKind::Break), 3);
     let reach = g.reachable();
-    assert!(reach[g.exit], "break 'done must make the tail reachable: {g:?}");
+    assert!(
+        reach[g.exit],
+        "break 'done must make the tail reachable: {g:?}"
+    );
     // The bare outer loop has no zero-iteration branch: its after
     // block is reachable only via the labeled break.
     let outer_head = g
@@ -110,7 +116,10 @@ fn breakless_loop_escapes_only_through_the_labeled_break() {
         .iter()
         .filter(|&&(f, _, k)| f == outer_head && k == EdgeKind::Branch)
         .count();
-    assert_eq!(head_branches, 1, "bare loop head only enters its body: {g:?}");
+    assert_eq!(
+        head_branches, 1,
+        "bare loop head only enters its body: {g:?}"
+    );
 }
 
 #[test]
@@ -144,7 +153,11 @@ fn try_and_return_edges_reach_the_exit() {
     let src = include_str!("fixtures/cfg/try_and_return.rs");
     let g = cfg_of(src, "load");
     assert_eq!(kind_count(&g, EdgeKind::Err), 2, "two `?` sites: {g:?}");
-    assert_eq!(kind_count(&g, EdgeKind::Return), 2, "two early returns: {g:?}");
+    assert_eq!(
+        kind_count(&g, EdgeKind::Return),
+        2,
+        "two early returns: {g:?}"
+    );
     for &(_, to, k) in &g.edges {
         if matches!(k, EdgeKind::Err | EdgeKind::Return) {
             assert_eq!(to, g.exit, "{g:?}");
@@ -157,7 +170,13 @@ fn try_and_return_edges_reach_the_exit() {
 fn dataflow_fixpoint_converges_around_the_back_edge() {
     let src = include_str!("fixtures/cfg/diamond_back_edge.rs");
     let g = cfg_of(src, "alternate");
-    let states = cfg::forward(&g, &(1u64 << g.entry), &0u64, |a, b| a | b, |s, b| s | (1 << b));
+    let states = cfg::forward(
+        &g,
+        &(1u64 << g.entry),
+        &0u64,
+        |a, b| a | b,
+        |s, b| s | (1 << b),
+    );
     let head = g
         .edges
         .iter()
@@ -170,7 +189,11 @@ fn dataflow_fixpoint_converges_around_the_back_edge() {
         .filter(|&&(f, _, k)| k == EdgeKind::Branch && f != head)
         .map(|&(_, t, _)| t)
         .collect();
-    assert_eq!(branch_blocks.len(), 2, "then/else of the body diamond: {g:?}");
+    assert_eq!(
+        branch_blocks.len(),
+        2,
+        "then/else of the body diamond: {g:?}"
+    );
     for b in branch_blocks {
         assert!(
             states[head] & (1 << b) != 0,
@@ -187,8 +210,14 @@ fn guard_lifetime_fixture_trips_d15_three_ways() {
     assert_eq!(violations.len(), 3, "{report:?}");
     assert!(violations.iter().all(|v| v.rule == "D15"), "{report:?}");
     let lines: Vec<u32> = violations.iter().map(|v| v.line).collect();
-    assert!(lines.contains(&line_of(src, "let _ = AllocGuard::strict")), "{report:?}");
-    assert!(lines.contains(&line_of(src, "std::mem::forget(g)")), "{report:?}");
+    assert!(
+        lines.contains(&line_of(src, "let _ = AllocGuard::strict")),
+        "{report:?}"
+    );
+    assert!(
+        lines.contains(&line_of(src, "std::mem::forget(g)")),
+        "{report:?}"
+    );
     assert!(lines.contains(&line_of(src, "drop(sw)")), "{report:?}");
 }
 
@@ -203,7 +232,10 @@ fn epoch_protocol_fixture_trips_d16_three_ways() {
         .iter()
         .find(|v| v.line == line_of(src, "self.cache.invalidate_customer(*id);"))
         .unwrap_or_else(|| panic!("mutation-before-bump finding missing: {report:?}"));
-    assert!(mutation_first.message.contains("without an epoch bump"), "{report:?}");
+    assert!(
+        mutation_first.message.contains("without an epoch bump"),
+        "{report:?}"
+    );
     let torn = violations
         .iter()
         .find(|v| v.line == line_of(src, "return Err(());"))
@@ -225,15 +257,27 @@ fn hot_accum_fixture_trips_d17_twice() {
     assert!(violations.iter().all(|v| v.rule == "D17"), "{report:?}");
     let lines: Vec<u32> = violations.iter().map(|v| v.line).collect();
     assert!(lines.contains(&line_of(src, "total += *x;")), "{report:?}");
-    assert!(lines.contains(&line_of(src, "lanes[i % 4] += xs[i];")), "{report:?}");
+    assert!(
+        lines.contains(&line_of(src, "lanes[i % 4] += xs[i];")),
+        "{report:?}"
+    );
 }
 
 #[test]
 fn shape_fixtures_stay_clean_under_the_full_rule_set() {
     for (path, src) in [
-        ("crates/algorithms/src/nested_loops.rs", include_str!("fixtures/cfg/nested_loops.rs")),
-        ("crates/algorithms/src/labeled_flow.rs", include_str!("fixtures/cfg/labeled_flow.rs")),
-        ("crates/algorithms/src/match_guards.rs", include_str!("fixtures/cfg/match_guards.rs")),
+        (
+            "crates/algorithms/src/nested_loops.rs",
+            include_str!("fixtures/cfg/nested_loops.rs"),
+        ),
+        (
+            "crates/algorithms/src/labeled_flow.rs",
+            include_str!("fixtures/cfg/labeled_flow.rs"),
+        ),
+        (
+            "crates/algorithms/src/match_guards.rs",
+            include_str!("fixtures/cfg/match_guards.rs"),
+        ),
         (
             "crates/algorithms/src/try_and_return.rs",
             include_str!("fixtures/cfg/try_and_return.rs"),

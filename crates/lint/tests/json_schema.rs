@@ -102,7 +102,9 @@ impl Node {
                 }
                 Node::Arr(items) => {
                     let i: usize = seg.parse().unwrap_or_else(|_| panic!("bad index `{seg}`"));
-                    items.get(i).unwrap_or_else(|| panic!("index {i} out of range"))
+                    items
+                        .get(i)
+                        .unwrap_or_else(|| panic!("index {i} out of range"))
                 }
                 other => panic!("cannot descend `{seg}` into {other:?}"),
             };
@@ -176,7 +178,10 @@ fn parse_node(chars: &mut std::iter::Peekable<std::str::Chars<'_>>, doc: &str) -
             while chars.peek().is_some_and(|c| c.is_ascii_digit()) {
                 n.push(chars.next().unwrap());
             }
-            Node::Num(n.parse().unwrap_or_else(|_| panic!("bad number near `{n}`")))
+            Node::Num(
+                n.parse()
+                    .unwrap_or_else(|_| panic!("bad number near `{n}`")),
+            )
         }
     }
 }
@@ -231,8 +236,15 @@ fn json_output_round_trips_against_the_report() {
     let lines: Vec<&str> = json.lines().collect();
     assert_eq!(lines.len(), report.violations.len() + 1, "{json}");
 
-    const VIOLATION_KEYS: [&str; 7] =
-        ["file", "line", "col", "rule", "allow_key", "message", "snippet"];
+    const VIOLATION_KEYS: [&str; 7] = [
+        "file",
+        "line",
+        "col",
+        "rule",
+        "allow_key",
+        "message",
+        "snippet",
+    ];
     for (v, line) in report.violations.iter().zip(&lines) {
         let obj = parse_obj(line);
         let keys: Vec<&str> = obj.iter().map(|(k, _)| k.as_str()).collect();
@@ -249,9 +261,18 @@ fn json_output_round_trips_against_the_report() {
     let summary = parse_obj(lines.last().unwrap());
     let keys: Vec<&str> = summary.iter().map(|(k, _)| k.as_str()).collect();
     assert_eq!(keys, ["files_checked", "violations", "unsafe_sites"]);
-    assert_eq!(num_field(&summary, "files_checked"), report.files_checked as u64);
-    assert_eq!(num_field(&summary, "violations"), report.violations.len() as u64);
-    assert_eq!(num_field(&summary, "unsafe_sites"), report.unsafe_sites.len() as u64);
+    assert_eq!(
+        num_field(&summary, "files_checked"),
+        report.files_checked as u64
+    );
+    assert_eq!(
+        num_field(&summary, "violations"),
+        report.violations.len() as u64
+    );
+    assert_eq!(
+        num_field(&summary, "unsafe_sites"),
+        report.unsafe_sites.len() as u64
+    );
 }
 
 #[test]
@@ -259,10 +280,8 @@ fn json_escapes_survive_the_round_trip() {
     // A D13 finding whose snippet is a line holding escaped quotes:
     // the worst case the wire format has to carry.
     let src = "#[muaa::hot]\npub fn kernel() { stage(); }\nfn stage() -> String {\n    \"he said \\\"hi\\\"\".to_string()\n}\n";
-    let report = muaa_lint::run_sources(&[(
-        "crates/core/src/quoted.rs".to_string(),
-        src.to_string(),
-    )]);
+    let report =
+        muaa_lint::run_sources(&[("crates/core/src/quoted.rs".to_string(), src.to_string())]);
     let quoted = report
         .violations
         .iter()
@@ -294,7 +313,9 @@ fn text_output_matches_the_ci_problem_matcher() {
     // must parse, and two-digit ids must capture whole.
     let mut matched = 0;
     for line in report.render().lines() {
-        let Some((loc, rest)) = line.split_once(": [") else { continue };
+        let Some((loc, rest)) = line.split_once(": [") else {
+            continue;
+        };
         let mut parts = loc.rsplitn(3, ':');
         let col: u32 = parts.next().unwrap().parse().expect("col");
         let line_no: u32 = parts.next().unwrap().parse().expect("line");
@@ -325,9 +346,16 @@ fn sarif_output_round_trips_against_the_report() {
     let sarif = report.render_sarif();
     let mut chars = sarif.trim_end().chars().peekable();
     let doc = parse_node(&mut chars, &sarif);
-    assert_eq!(chars.next(), None, "trailing garbage after the SARIF document");
+    assert_eq!(
+        chars.next(),
+        None,
+        "trailing garbage after the SARIF document"
+    );
 
-    assert_eq!(doc.str_at(&["$schema"]), "https://json.schemastore.org/sarif-2.1.0.json");
+    assert_eq!(
+        doc.str_at(&["$schema"]),
+        "https://json.schemastore.org/sarif-2.1.0.json"
+    );
     assert_eq!(doc.str_at(&["version"]), "2.1.0");
     assert_eq!(doc.arr_at(&["runs"]).len(), 1, "exactly one run");
     let driver = doc.at(&["runs", "0", "tool", "driver"]);
@@ -347,7 +375,10 @@ fn sarif_output_round_trips_against_the_report() {
         assert_eq!(r.str_at(&["defaultConfiguration", "level"]), "error");
     }
     for required in ["D12", "D15", "D16", "D17"] {
-        assert!(ids.contains(&required), "rule table lost {required}: {ids:?}");
+        assert!(
+            ids.contains(&required),
+            "rule table lost {required}: {ids:?}"
+        );
     }
 
     let results = doc.arr_at(&["runs", "0", "results"]);

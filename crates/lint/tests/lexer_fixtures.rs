@@ -17,7 +17,10 @@ fn nested_block_comments_close_at_matching_depth() {
     assert_eq!(comments.len(), 1, "one comment token: {toks:?}");
     assert!(comments[0].text.contains("inner unsafe"));
     assert!(comments[0].text.contains("still comment"));
-    assert!(!toks.iter().any(|t| t.is_ident("unsafe")), "unsafe stayed inside the comment");
+    assert!(
+        !toks.iter().any(|t| t.is_ident("unsafe")),
+        "unsafe stayed inside the comment"
+    );
     assert!(toks.iter().any(|t| t.is_ident("fn")));
     assert!(toks.iter().any(|t| t.is_ident("ok")));
 }
@@ -33,7 +36,10 @@ fn multi_hash_raw_strings_swallow_inner_terminators() {
     assert_eq!(strs.len(), 2, "two raw strings: {toks:?}");
     assert!(strs[0].text.contains("has \"# inside"));
     assert_eq!(strs[1].text, r##"r#"x"#"##);
-    assert!(!toks.iter().any(|t| t.is_ident("inside")), "raw content never leaks as idents");
+    assert!(
+        !toks.iter().any(|t| t.is_ident("inside")),
+        "raw content never leaks as idents"
+    );
 }
 
 /// Raw C-strings (`cr"…"`, `cr#"…"#`) are single string tokens; a
@@ -46,7 +52,9 @@ fn raw_c_strings_lex_as_single_tokens() {
     let strs: Vec<_> = toks.iter().filter(|t| t.kind == TokenKind::Str).collect();
     assert_eq!(strs.len(), 2, "two cr-strings: {toks:?}");
     assert!(strs[1].text.contains("\"mid\""));
-    assert!(!toks.iter().any(|t| t.is_ident("unsafe") || t.is_ident("quoted")));
+    assert!(!toks
+        .iter()
+        .any(|t| t.is_ident("unsafe") || t.is_ident("quoted")));
     // `crate` must still lex as a plain ident — the cr-prefix check
     // cannot eat identifiers that merely start with `cr`.
     let toks2 = lex("crate::x; let cry = 1;");

@@ -31,7 +31,11 @@ fn workspace_has_no_lint_violations() {
 #[test]
 fn every_workspace_unsafe_site_has_a_safety_comment() {
     let report = muaa_lint::run(&workspace_root()).expect("lint pass runs");
-    let missing: Vec<_> = report.unsafe_sites.iter().filter(|s| !s.has_safety).collect();
+    let missing: Vec<_> = report
+        .unsafe_sites
+        .iter()
+        .filter(|s| !s.has_safety)
+        .collect();
     assert!(missing.is_empty(), "unsafe without SAFETY: {missing:?}");
 }
 

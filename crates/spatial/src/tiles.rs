@@ -127,7 +127,11 @@ impl TileGrid {
     /// spanned by the disc's bounding square.
     #[inline]
     fn disc_box(&self, center: Point, radius: f64) -> (u32, u32, u32, u32) {
-        let r = if radius.is_finite() { radius.max(0.0) } else { 0.0 };
+        let r = if radius.is_finite() {
+            radius.max(0.0)
+        } else {
+            0.0
+        };
         (
             Self::axis(center.x - r, self.min_x, self.inv_w, self.nx),
             Self::axis(center.x + r, self.min_x, self.inv_w, self.nx),
@@ -278,7 +282,10 @@ mod tests {
         // Zero-radius disc covers exactly the center's tile.
         let grid = TileGrid::from_bounds(Point::new(0.0, 0.0), Point::new(1.0, 1.0), 16);
         let c = Point::new(0.4, 0.8);
-        assert_eq!(grid.disc_tiles(c, 0.0).collect::<Vec<_>>(), vec![grid.tile_of(c)]);
+        assert_eq!(
+            grid.disc_tiles(c, 0.0).collect::<Vec<_>>(),
+            vec![grid.tile_of(c)]
+        );
     }
 
     #[test]

@@ -155,9 +155,7 @@ impl VendorIndex {
             Some(pos) => pos,
             None => {
                 let max_radius = class_radius(new_key);
-                let pos = self
-                    .classes
-                    .partition_point(|c| c.key < new_key);
+                let pos = self.classes.partition_point(|c| c.key < new_key);
                 self.classes.insert(
                     pos,
                     RadiusClass {
@@ -181,9 +179,7 @@ impl VendorIndex {
 
     /// Position of the class with `key` in the sorted class list.
     fn class_pos(&self, key: usize) -> Option<usize> {
-        self.classes
-            .binary_search_by(|c| c.key.cmp(&key))
-            .ok()
+        self.classes.binary_search_by(|c| c.key.cmp(&key)).ok()
     }
 
     /// All vendors whose area contains `p` (`d(p, v_j) ≤ r_j`),
@@ -196,13 +192,15 @@ impl VendorIndex {
             // A member's own radius never exceeds its class radius, so
             // the exact predicate subsumes the class-radius prefilter
             // the old nested-Vec path applied first.
-            class.grid.visit_candidates(p, class.max_radius, |local, d2| {
-                if d2 <= class.r2[local as usize] {
-                    // Caller-reused buffer, in-capacity at steady state;
-                    // the counting guard pins it. lint: allow(hot_alloc)
-                    out.push(class.ids[local as usize]);
-                }
-            });
+            class
+                .grid
+                .visit_candidates(p, class.max_radius, |local, d2| {
+                    if d2 <= class.r2[local as usize] {
+                        // Caller-reused buffer, in-capacity at steady state;
+                        // the counting guard pins it. lint: allow(hot_alloc)
+                        out.push(class.ids[local as usize]);
+                    }
+                });
         }
     }
 
@@ -230,10 +228,21 @@ impl VendorIndex {
         let mut members = 0usize;
         for class in &self.classes {
             class.grid.debug_validate();
-            assert_eq!(class.r2.len(), class.grid.len(), "r2 must align with the class grid");
-            assert_eq!(class.ids.len(), class.grid.len(), "ids must align with the class grid");
+            assert_eq!(
+                class.r2.len(),
+                class.grid.len(),
+                "r2 must align with the class grid"
+            );
+            assert_eq!(
+                class.ids.len(),
+                class.grid.len(),
+                "ids must align with the class grid"
+            );
             for (local, &vid) in class.ids.iter().enumerate() {
-                assert!(vid.index() < self.membership.len(), "class member {vid} out of range");
+                assert!(
+                    vid.index() < self.membership.len(),
+                    "class member {vid} out of range"
+                );
                 assert_eq!(
                     self.membership[vid.index()],
                     (class.key, local as u32),
@@ -351,10 +360,10 @@ mod tests {
         for step in 0..150u64 {
             let j = (step.wrapping_mul(2654435761) % vendors.len() as u64) as usize;
             let r = match step % 4 {
-                0 => 0.0,                              // degenerate class 0
-                1 => vendors[j].radius * 1.001,        // usually same class
-                2 => (step as f64 * 0.0137) % 0.5,     // arbitrary class hop
-                _ => vendors[j].radius * 7.0 + 1e-9,   // guaranteed class hop
+                0 => 0.0,                            // degenerate class 0
+                1 => vendors[j].radius * 1.001,      // usually same class
+                2 => (step as f64 * 0.0137) % 0.5,   // arbitrary class hop
+                _ => vendors[j].radius * 7.0 + 1e-9, // guaranteed class hop
             };
             vendors[j].radius = r;
             idx.set_radius(VendorId::from(j), r);

@@ -52,10 +52,7 @@ fn hot_regions_are_allocation_free_at_steady_state() {
     let inst = generate_synthetic(&cfg);
     let model = muaa_core::PearsonUtility::uniform(tags);
     let ctx = SolverContext::indexed(&inst, &model);
-    let grid = GridIndex::new(
-        inst.customers().iter().map(|c| c.location).collect(),
-        0.3,
-    );
+    let grid = GridIndex::new(inst.customers().iter().map(|c| c.location).collect(), 0.3);
     let vindex = VendorIndex::new(inst.vendors());
     let probe = Point::new(0.5, 0.5);
     let (cid, _) = inst.customers_enumerated().next().expect("nonempty");
@@ -69,8 +66,9 @@ fn hot_regions_are_allocation_free_at_steady_state() {
     // steady-state merge over warm arenas (DESIGN.md §15).
     let mut engine = ShardedContext::new(&inst, &model, 9);
     let move_target = inst.customer(cid).location;
-    let exercise =
-        |ids: &mut Vec<u32>, vids: &mut Vec<muaa_core::VendorId>, engine: &mut ShardedContext<'_>| {
+    let exercise = |ids: &mut Vec<u32>,
+                    vids: &mut Vec<muaa_core::VendorId>,
+                    engine: &mut ShardedContext<'_>| {
         let _nan = sanitize::NanGuard::new("test.solver_pipeline");
         std::hint::black_box(Greedy.assign(&ctx));
         std::hint::black_box(Recon::new().assign(&ctx));
@@ -81,7 +79,7 @@ fn hot_regions_are_allocation_free_at_steady_state() {
         std::hint::black_box(model.similarity(cid, customer, vid, vendor));
         std::hint::black_box(engine.greedy());
         std::hint::black_box(engine.recon(&Recon::new()));
-        };
+    };
 
     par::with_sequential(|| {
         // Pass 1: warm the memo, the thread-local pair-base scratch and
@@ -118,7 +116,10 @@ fn hot_regions_are_allocation_free_at_steady_state() {
             s.allocations, 0,
             "hot region `{region}` allocated at steady state: {s:?}"
         );
-        assert_eq!(s.nonfinite, 0, "hot region `{region}` saw non-finite values");
+        assert_eq!(
+            s.nonfinite, 0,
+            "hot region `{region}` saw non-finite values"
+        );
     }
     let clean = stats
         .iter()
@@ -158,5 +159,39 @@ fn solver_pipeline_produces_only_finite_utilities() {
         sanitize::thread_nonfinite_count(),
         before,
         "solver pipeline produced non-finite pair bases"
+    );
+}
+
+/// A context build allocates per vendor and per index, not per
+/// customer: c2v is the transpose of the per-vendor scans and the
+/// customer moments are written in place into the flat arrays
+/// (DESIGN.md §10–§11). At the Table IV defaults (500 vendors),
+/// doubling the customers from 10 000 to 20 000 must add fewer than
+/// 1 000 allocations. The build runs on the calling thread so the
+/// per-thread counter sees all of it; without `muaa-sanitize` both
+/// counts read 0 and the check holds trivially.
+#[test]
+fn context_build_allocations_do_not_scale_with_customers() {
+    let build_allocs = |customers| {
+        let cfg = SyntheticConfig {
+            customers,
+            ..Default::default()
+        };
+        assert_eq!(cfg.vendors, 500, "Table IV default vendor count");
+        let inst = generate_synthetic(&cfg);
+        let model = muaa_core::PearsonUtility::uniform(cfg.tags);
+        par::with_sequential(|| {
+            let before = sanitize::thread_alloc_count();
+            let ctx = SolverContext::indexed(&inst, &model);
+            let allocs = sanitize::thread_alloc_count() - before;
+            drop(ctx);
+            allocs
+        })
+    };
+    let (small, large) = (build_allocs(10_000), build_allocs(20_000));
+    assert!(
+        large.saturating_sub(small) < 1_000,
+        "10 000 more customers cost {} more allocations ({small} → {large})",
+        large.saturating_sub(small)
     );
 }
