@@ -91,7 +91,7 @@ pub fn upper_bounds(ctx: &SolverContext<'_>) -> UpperBounds {
         }
         // Serial pre-pass in arrival order; the bound feeds golden
         // CSVs, so this summation order is pinned and never re-chunked
-        // by the thread pool. lint: allow(par_reduce)
+        // by the thread pool.
         customer_bound += utilities.iter().sum::<f64>();
     }
 

@@ -555,18 +555,6 @@ impl<'a> SolverContext<'a> {
     /// concurrently, then the eligibility CSR is filled from the grids
     /// and the memo sized to its pairs.
     pub fn indexed(instance: &'a ProblemInstance, model: &'a dyn UtilityModel) -> Self {
-        Self::indexed_cow(Cow::Borrowed(instance), model)
-    }
-
-    /// [`indexed`](Self::indexed), but taking ownership of the instance
-    /// (the context's lifetime is then tied only to the model). The
-    /// sharded engine uses this for its per-tile sub-instances, which
-    /// have no owner other than the shard itself.
-    pub fn indexed_owned(instance: ProblemInstance, model: &'a dyn UtilityModel) -> Self {
-        Self::indexed_cow(Cow::Owned(instance), model)
-    }
-
-    fn indexed_cow(instance: Cow<'a, ProblemInstance>, model: &'a dyn UtilityModel) -> Self {
         let pearson = model.as_pearson();
         let (indexes, cache) = par::join(
             || {
@@ -578,10 +566,10 @@ impl<'a> SolverContext<'a> {
                 let vendor_index = VendorIndex::new(instance.vendors());
                 (customer_grid, vendor_index)
             },
-            || pearson.map(|p| PairCache::build(&instance, p)),
+            || pearson.map(|p| PairCache::build(instance, p)),
         );
         let mut ctx = SolverContext {
-            instance,
+            instance: Cow::Borrowed(instance),
             model,
             customer_grid: Some(indexes.0),
             vendor_index: Some(indexes.1),

@@ -32,17 +32,6 @@
 //! utility model and the spatial indexes, and they return
 //! [`SolveOutcome`]s carrying the assignment set, its total utility and
 //! the measured wall-clock time.
-//!
-//! ## Tile-sharded engine (DESIGN.md §15)
-//!
-//! [`ShardedContext`] partitions the plane into spatial tiles and keeps
-//! one [`SolverContext`] shard per tile (its customers plus every
-//! vendor whose broadcast disc intersects it). Candidate generation
-//! runs shard-parallel; a deterministic merge reconstructs each
-//! vendor's global eligibility row, and the offline solver bodies run
-//! unchanged on the merged view — so sharded GREEDY / RECON /
-//! BATCHED-RECON output is byte-identical to the unsharded solvers at
-//! any tile and thread count.
 
 #![warn(missing_docs)]
 #![warn(clippy::all)]
@@ -51,8 +40,6 @@ mod bounds;
 mod context;
 pub mod offline;
 pub mod online;
-mod oracle;
-pub mod shard;
 mod stats;
 
 pub use bounds::{upper_bounds, UpperBounds};
@@ -71,5 +58,4 @@ pub use online::estimate::{estimate_gamma_bounds, GammaBounds};
 pub use online::oafa::OAfa;
 pub use online::threshold::ThresholdFn;
 pub use online::{run_online, OnlineSolver};
-pub use shard::ShardedContext;
 pub use stats::SolveOutcome;

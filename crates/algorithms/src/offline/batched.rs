@@ -19,10 +19,7 @@
 use crate::context::SolverContext;
 use crate::offline::recon::MckpBackend;
 use crate::offline::OfflineSolver;
-use crate::oracle::PairOracle;
-use muaa_core::{
-    AdTypeId, Assignment, AssignmentSet, CustomerId, DetRng, ProblemInstance, VendorId,
-};
+use muaa_core::{AdTypeId, Assignment, AssignmentSet, CustomerId, DetRng, VendorId};
 use muaa_knapsack::{MckpItem, MckpProblem};
 
 /// Semi-online RECON over arrival-order windows.
@@ -54,21 +51,6 @@ impl BatchedRecon {
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
         self
-    }
-
-    /// The window count.
-    pub fn windows(&self) -> usize {
-        self.windows
-    }
-
-    /// The configured backend.
-    pub fn backend(&self) -> MckpBackend {
-        self.backend
-    }
-
-    /// The configured reconciliation-order seed.
-    pub fn seed(&self) -> u64 {
-        self.seed
     }
 }
 
@@ -110,19 +92,15 @@ fn shed_window_overload(
     }
 }
 
-/// The full batched pipeline over any [`PairOracle`]: per-window MCKPs
-/// over remaining budgets, window reconciliation, sequential commit.
-/// `BatchedRecon` delegates here with the [`SolverContext`] oracle; the
-/// sharded engine (`crate::shard`) reuses the identical body with its
-/// merged-view oracle, making sharded BATCHED-RECON byte-identical by
-/// construction.
-pub(crate) fn batched_assign<O: PairOracle>(
-    inst: &ProblemInstance,
-    oracle: &O,
+/// The full batched pipeline: per-window MCKPs over remaining budgets,
+/// window reconciliation, sequential commit.
+fn batched_assign(
+    ctx: &SolverContext<'_>,
     windows: usize,
     backend: MckpBackend,
     seed: u64,
 ) -> AssignmentSet {
+    let inst = ctx.instance();
     let m = inst.num_customers();
     let mut set = AssignmentSet::new(inst);
     if m == 0 {
@@ -157,8 +135,8 @@ pub(crate) fn batched_assign<O: PairOracle>(
                 }
                 // This window's candidates: the vendor's eligibility
                 // row restricted to the window range.
-                let candidates: Vec<CustomerId> = oracle
-                    .eligible(vid)
+                let candidates: Vec<CustomerId> = ctx
+                    .eligible_customers(vid)
                     .iter()
                     .copied()
                     .filter(|&cid| in_window(cid))
@@ -172,7 +150,7 @@ pub(crate) fn batched_assign<O: PairOracle>(
                 let mut problem = MckpProblem::new(remaining.as_cents());
                 BASES.with(|scratch| {
                     let bases = &mut *scratch.borrow_mut();
-                    oracle.bases_into(vid, &candidates, bases);
+                    ctx.pair_base_block(vid, &candidates, bases);
                     for &base in bases.iter() {
                         problem.add_class(
                             inst.ad_types()
@@ -252,7 +230,7 @@ pub(crate) fn batched_assign<O: PairOracle>(
 
 impl OfflineSolver for BatchedRecon {
     fn assign(&self, ctx: &SolverContext<'_>) -> AssignmentSet {
-        batched_assign(ctx.instance(), ctx, self.windows, self.backend, self.seed)
+        batched_assign(ctx, self.windows, self.backend, self.seed)
     }
 
     fn name(&self) -> &'static str {

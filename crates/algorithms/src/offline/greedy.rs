@@ -13,7 +13,6 @@
 
 use crate::context::SolverContext;
 use crate::offline::OfflineSolver;
-use crate::oracle::PairOracle;
 use muaa_core::{AdTypeId, Assignment, AssignmentSet, CustomerId, ProblemInstance, VendorId};
 
 /// One candidate triple with its static efficiency.
@@ -28,15 +27,18 @@ pub(crate) struct Candidate {
 /// Collect every valid (customer, vendor, ad type) triple with positive
 /// utility. Vendors are scanned in parallel; per-vendor candidate lists
 /// are concatenated in vendor-id order, so the output is identical to
-/// the sequential scan. Generic over the [`PairOracle`] so the sharded
-/// engine's merged view produces the identical candidate list.
+/// the sequential scan.
 ///
 /// Zero-allocation inner loop (DESIGN.md §11): each vendor's eligible
-/// customers come from the oracle's row slice and their pair bases from
-/// one [`PairOracle::bases_into`] call into a thread-local scratch
+/// customers come from its CSR row slice and their pair bases from one
+/// [`SolverContext::pair_base_block`] call into a thread-local scratch
 /// buffer reused across vendors.
 #[cfg_attr(any(), muaa::hot)]
-fn collect_candidates<O: PairOracle>(inst: &ProblemInstance, oracle: &O) -> Vec<Candidate> {
+fn collect_candidates(ctx: &SolverContext<'_>) -> Vec<Candidate> {
+    // Naming the type lets muaa-lint's call graph resolve
+    // `inst.vendors()` to `ProblemInstance` alone, not to every
+    // `vendors` in the workspace.
+    let inst: &ProblemInstance = ctx.instance();
     use std::cell::RefCell;
     thread_local! {
         // Scratch reused across vendors. lint: allow(hot_alloc): one-time
@@ -45,10 +47,10 @@ fn collect_candidates<O: PairOracle>(inst: &ProblemInstance, oracle: &O) -> Vec<
     }
     let per_vendor = muaa_core::par::par_map(inst.vendors(), 1, |j, _| {
         let vid = VendorId::from(j);
-        let cids = oracle.eligible(vid);
+        let cids = ctx.eligible_customers(vid);
         BASES.with(|scratch| {
             let mut bases = scratch.borrow_mut();
-            oracle.bases_into(vid, cids, &mut bases);
+            ctx.pair_base_block(vid, cids, &mut bases);
             // lint: allow(hot_alloc): par_map requires an owned
             // per-vendor result list — the one §11-sanctioned
             // allocation of this loop.
@@ -108,11 +110,11 @@ pub(crate) fn sort_candidates(candidates: &mut [Candidate]) {
     });
 }
 
-/// The GREEDY body shared by the unsharded solver and the sharded
-/// engine: collect candidates through the oracle, sort into efficiency
-/// order, sweep into a feasible set on `inst`.
-pub(crate) fn greedy_assign<O: PairOracle>(inst: &ProblemInstance, oracle: &O) -> AssignmentSet {
-    let mut candidates = collect_candidates(inst, oracle);
+/// The GREEDY body: collect candidates, sort into efficiency order,
+/// sweep into a feasible set.
+fn greedy_assign(ctx: &SolverContext<'_>) -> AssignmentSet {
+    let inst = ctx.instance();
+    let mut candidates = collect_candidates(ctx);
     sort_candidates(&mut candidates);
     let mut set = AssignmentSet::new(inst);
     for cand in candidates {
@@ -133,7 +135,7 @@ pub struct Greedy;
 
 impl OfflineSolver for Greedy {
     fn assign(&self, ctx: &SolverContext<'_>) -> AssignmentSet {
-        greedy_assign(ctx.instance(), ctx)
+        greedy_assign(ctx)
     }
 
     fn name(&self) -> &'static str {
@@ -149,7 +151,7 @@ pub struct NaiveGreedy;
 
 impl OfflineSolver for NaiveGreedy {
     fn assign(&self, ctx: &SolverContext<'_>) -> AssignmentSet {
-        let mut candidates = collect_candidates(ctx.instance(), ctx);
+        let mut candidates = collect_candidates(ctx);
         let mut set = AssignmentSet::new(ctx.instance());
         loop {
             // Scan for the best feasible candidate.
@@ -345,7 +347,7 @@ mod tests {
         let model = PearsonUtility::uniform(3);
         let ctx = SolverContext::indexed(&inst, &model);
         assert!(
-            collect_candidates(&inst, &ctx).len() > 4096,
+            collect_candidates(&ctx).len() > 4096,
             "instance too small to exercise the parallel sort path"
         );
         let parallel = Greedy.assign(&ctx);

@@ -13,7 +13,6 @@
 
 use crate::context::SolverContext;
 use crate::offline::OfflineSolver;
-use crate::oracle::PairOracle;
 use muaa_core::{
     AdTypeId, Assignment, AssignmentSet, CustomerId, DetRng, Money, ProblemInstance, VendorId,
 };
@@ -97,16 +96,6 @@ impl Recon {
         self.seed = seed;
         self
     }
-
-    /// The configured backend.
-    pub fn backend(&self) -> MckpBackend {
-        self.backend
-    }
-
-    /// The configured violation-order seed.
-    pub fn seed(&self) -> u64 {
-        self.seed
-    }
 }
 
 impl Default for Recon {
@@ -118,9 +107,9 @@ impl Default for Recon {
 /// Mutable reconciliation state: per-vendor solutions with global
 /// (possibly capacity-violating) customer loads, plus a per-customer
 /// pick index so phase 2 never rescans every vendor's solution.
-struct ReconState<'i, O> {
+struct ReconState<'i, 'a> {
     inst: &'i ProblemInstance,
-    oracle: &'i O,
+    ctx: &'i SolverContext<'a>,
     /// Instances per vendor: `(customer, ad type, λ)`.
     per_vendor: Vec<Vec<(CustomerId, AdTypeId, f64)>>,
     /// Per customer: `(vendor, λ)` of every instance currently serving
@@ -136,7 +125,7 @@ struct ReconState<'i, O> {
     spend: Vec<Money>,
 }
 
-impl<'i, O: PairOracle> ReconState<'i, O> {
+impl ReconState<'_, '_> {
     fn vendor_has_pair(&self, vid: VendorId, cid: CustomerId) -> bool {
         self.picks_of[cid.index()]
             .binary_search_by_key(&(vid.index() as u32), |&(j, _)| j)
@@ -202,7 +191,7 @@ impl<'i, O: PairOracle> ReconState<'i, O> {
                 if self.vendor_has_pair(vid, cid) {
                     continue;
                 }
-                if let Some((tid, lambda, gamma)) = self.oracle.best_ad_type(cid, vid, remaining) {
+                if let Some((tid, lambda, gamma)) = self.ctx.best_ad_type(cid, vid, remaining) {
                     if best.is_none_or(|(_, _, _, bg)| gamma > bg) {
                         best = Some((cid, tid, lambda, gamma));
                     }
@@ -225,18 +214,10 @@ impl<'i, O: PairOracle> ReconState<'i, O> {
     }
 }
 
-/// The full RECON pipeline over any [`PairOracle`]: phase-1 per-vendor
-/// MCKPs, phase-2 reconciliation, final materialisation. `Recon`
-/// delegates here with the [`SolverContext`] oracle; the sharded engine
-/// (`crate::shard`) reuses the identical body with its merged-view
-/// oracle, which is what makes sharded RECON byte-identical by
-/// construction.
-pub(crate) fn recon_assign<O: PairOracle>(
-    inst: &ProblemInstance,
-    oracle: &O,
-    backend: MckpBackend,
-    seed: u64,
-) -> AssignmentSet {
+/// The full RECON pipeline: phase-1 per-vendor MCKPs, phase-2
+/// reconciliation, final materialisation.
+fn recon_assign(ctx: &SolverContext<'_>, backend: MckpBackend, seed: u64) -> AssignmentSet {
+    let inst = ctx.instance();
     use std::cell::RefCell;
     thread_local! {
         static BASES: RefCell<Vec<f64>> = const { RefCell::new(Vec::new()) };
@@ -251,17 +232,17 @@ pub(crate) fn recon_assign<O: PairOracle>(
     // Each vendor's MCKP is independent, so the solves fan out in
     // parallel; the load/spend bookkeeping is merged sequentially in
     // vendor-id order, giving the same state as the sequential loop.
-    // Eligible customers come from the oracle's row (the CSR slice, or
-    // the sharded merge of it) and pair bases from one batched-kernel
-    // call into a thread-local scratch (DESIGN.md §11) — nothing
-    // per-vendor is allocated beyond the MCKP problem itself.
+    // Eligible customers come from the CSR row slice and pair bases
+    // from one batched-kernel call into a thread-local scratch
+    // (DESIGN.md §11) — nothing per-vendor is allocated beyond the MCKP
+    // problem itself.
     let phase1 = muaa_core::par::par_map(inst.vendors(), 1, |j, vendor| {
         let vid = VendorId::from(j);
-        let valid = oracle.eligible(vid);
+        let valid = ctx.eligible_customers(vid);
         let mut problem = MckpProblem::new(vendor.budget.as_cents());
         BASES.with(|scratch| {
             let bases = &mut *scratch.borrow_mut();
-            oracle.bases_into(vid, valid, bases);
+            ctx.pair_base_block(vid, valid, bases);
             // Class order ↔ valid-customer order.
             for &base in bases.iter() {
                 problem.add_class(
@@ -310,7 +291,7 @@ pub(crate) fn recon_assign<O: PairOracle>(
 
     let mut state = ReconState {
         inst,
-        oracle,
+        ctx,
         per_vendor,
         picks_of,
         load,
@@ -325,7 +306,7 @@ pub(crate) fn recon_assign<O: PairOracle>(
             state.remove_lowest_for(vid, cid);
             // Line 11: the freed vendor re-assigns greedily, over the
             // same eligibility row phase 1 used.
-            state.refill(vid, oracle.eligible(vid));
+            state.refill(vid, ctx.eligible_customers(vid));
         }
     }
 
@@ -342,7 +323,7 @@ pub(crate) fn recon_assign<O: PairOracle>(
 
 impl OfflineSolver for Recon {
     fn assign(&self, ctx: &SolverContext<'_>) -> muaa_core::AssignmentSet {
-        recon_assign(ctx.instance(), ctx, self.backend, self.seed)
+        recon_assign(ctx, self.backend, self.seed)
     }
 
     fn name(&self) -> &'static str {

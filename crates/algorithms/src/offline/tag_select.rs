@@ -11,12 +11,10 @@
 //! application (a memo *column reset*, never a context rebuild)
 //! followed by an incremental GREEDY re-solve.
 //!
-//! The loop is written against [`SelectionEngine`], implemented by
-//! both [`SolverContext`] and [`ShardedContext`]. Because the sharded
-//! engine's solves are byte-identical to the unsharded ones (the §15
-//! merge invariant) and the loop itself branches only on utility
-//! comparisons of those solves, the *selected tags* are identical too
-//! — sharded and unsharded runs of [`select_tags`] agree bit for bit.
+//! The loop is written against [`SelectionEngine`], which
+//! [`SolverContext`] implements. The loop branches only on utility
+//! comparisons of byte-identical solves, so the *selected tags* do not
+//! depend on the thread count.
 //!
 //! Candidate order is deterministic: tags are ranked by an optional
 //! per-vendor seed score (e.g. taxonomy interest-propagation mass
@@ -27,18 +25,16 @@
 use crate::context::SolverContext;
 use crate::offline::greedy::Greedy;
 use crate::offline::OfflineSolver;
-use crate::shard::ShardedContext;
 use muaa_core::{
     AssignmentSet, CoreError, Delta, ProblemInstance, TagVector, UtilityModel, VendorId,
 };
 
 /// A solver stack the tag-selection loop can drive.
 ///
-/// The two implementations — [`SolverContext`] (single arena) and
-/// [`ShardedContext`] (tile-sharded) — both route `set_tags` through
-/// their `Delta::VendorTags` arm, so the cost of a candidate
-/// evaluation is one memo column reset plus an incremental re-solve,
-/// never a from-scratch rebuild.
+/// [`SolverContext`] routes `set_tags` through its `Delta::VendorTags`
+/// arm, so the cost of a candidate evaluation is one memo column reset
+/// plus an incremental re-solve, never a from-scratch rebuild. Callers
+/// may wrap a context in their own engine, e.g. to time each call.
 pub trait SelectionEngine {
     /// Replace vendor `vid`'s broadcast tag vector incrementally.
     fn set_tags(&mut self, vid: VendorId, tags: TagVector) -> Result<(), CoreError>;
@@ -52,9 +48,9 @@ pub trait SelectionEngine {
     /// The utility model the engine scores with.
     fn model(&self) -> &dyn UtilityModel;
 
-    /// Total utility of `set` under the current world. Both engines
-    /// sum in assignment order, so equal assignment sets score to
-    /// bit-equal utilities.
+    /// Total utility of `set` under the current world, summed in
+    /// assignment order, so equal assignment sets score to bit-equal
+    /// utilities.
     fn utility_of(&self, set: &AssignmentSet) -> f64 {
         set.total_utility(self.instance(), self.model())
     }
@@ -75,24 +71,6 @@ impl SelectionEngine for SolverContext<'_> {
 
     fn model(&self) -> &dyn UtilityModel {
         SolverContext::model(self)
-    }
-}
-
-impl SelectionEngine for ShardedContext<'_> {
-    fn set_tags(&mut self, vid: VendorId, tags: TagVector) -> Result<(), CoreError> {
-        self.apply(&Delta::VendorTags(vid, tags))
-    }
-
-    fn solve(&mut self) -> AssignmentSet {
-        ShardedContext::greedy(self)
-    }
-
-    fn instance(&self) -> &ProblemInstance {
-        ShardedContext::instance(self)
-    }
-
-    fn model(&self) -> &dyn UtilityModel {
-        ShardedContext::model(self)
     }
 }
 
@@ -217,10 +195,8 @@ fn evaluate<E: SelectionEngine>(
 /// incrementally after each candidate column reset. Leaves the engine
 /// with the selected tags applied.
 ///
-/// Deterministic and engine-independent: running this on a
-/// [`SolverContext`] and on a [`ShardedContext`] over the same
-/// instance yields bit-identical `chosen`, `utility`, and
-/// `assignments` (see `tagselect_equivalence` tests).
+/// Deterministic: the same instance and config yield bit-identical
+/// `chosen`, `utility`, and `assignments`.
 pub fn select_tags<E: SelectionEngine>(engine: &mut E, cfg: &TagSelectConfig) -> TagSelection {
     let universe = engine.instance().tag_universe();
     let num_vendors = engine.instance().num_vendors();
@@ -478,35 +454,6 @@ mod tests {
         let swapped = select_tags(&mut swap_ctx, &TagSelectConfig::greedy(2).with_swap_pass());
 
         assert!(swapped.utility >= plain.utility);
-    }
-
-    #[test]
-    fn sharded_and_unsharded_select_identically() {
-        let inst = instance();
-        let model = PearsonUtility::uniform(4);
-        let cfg = TagSelectConfig::greedy(2).with_swap_pass();
-
-        let mut ctx = SolverContext::indexed(&inst, &model);
-        let flat = select_tags(&mut ctx, &cfg);
-
-        for tiles in [1usize, 4, 9] {
-            let inst_s = instance();
-            let mut sharded = ShardedContext::new(&inst_s, &model, tiles);
-            let out = select_tags(&mut sharded, &cfg);
-            assert_eq!(flat.chosen, out.chosen, "{tiles} tiles: chosen tags");
-            assert_eq!(
-                flat.utility.to_bits(),
-                out.utility.to_bits(),
-                "{tiles} tiles: utility bits"
-            );
-            assert_eq!(
-                flat.assignments.assignments(),
-                out.assignments.assignments(),
-                "{tiles} tiles: assignments"
-            );
-            assert_eq!(flat.resolves, out.resolves, "{tiles} tiles: resolve count");
-            sharded.debug_validate();
-        }
     }
 
     #[test]

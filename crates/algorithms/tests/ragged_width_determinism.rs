@@ -1,13 +1,13 @@
 //! Thread-count determinism at ragged tag widths: every pair base and
-//! every solver output, unsharded and sharded, must be byte-identical
-//! at 4 threads and sequentially while the tag width sweeps every
-//! chunk/tail split of the 4-lane moment schedule (DESIGN.md §16).
+//! every solver output must be byte-identical at 4 threads and
+//! sequentially while the tag width sweeps every chunk/tail split of
+//! the 4-lane moment schedule (DESIGN.md §16).
 //!
 //! Tag widths range over 0..=64 — covering the empty vector, widths
 //! below one lane chunk, exact multiples of the 4-lane chunk, and every
 //! ragged tail in between.
 
-use muaa_algorithms::{BatchedRecon, Greedy, OfflineSolver, Recon, ShardedContext, SolverContext};
+use muaa_algorithms::{BatchedRecon, Greedy, OfflineSolver, Recon, SolverContext};
 use muaa_core::{par, PearsonUtility, ProblemInstance};
 use muaa_testkit::{
     customer, diurnal_profile, for_all, instance, usize_in, vec_of, vendor, DetRng,
@@ -57,29 +57,8 @@ fn solver_bits(
     bits
 }
 
-/// Same fingerprint through the tile-sharded engine.
-fn sharded_bits(instance: &ProblemInstance, model: &PearsonUtility, which: usize) -> Vec<u64> {
-    let mut engine = ShardedContext::new(instance, model, 4);
-    let set = match which {
-        0 => engine.greedy(),
-        1 => engine.recon(&Recon::new()),
-        _ => engine.batched_recon(&BatchedRecon::new(3)),
-    };
-    let mut bits: Vec<u64> = set
-        .assignments()
-        .iter()
-        .map(|a| {
-            ((a.customer.index() as u64) << 40)
-                | ((a.vendor.index() as u64) << 20)
-                | a.ad_type.index() as u64
-        })
-        .collect();
-    bits.push(set.total_utility(instance, model).to_bits());
-    bits
-}
-
-/// Pair bases, the three solvers and the sharded engine, each
-/// byte-diffed at 4 threads against a sequential run.
+/// Pair bases and the three solvers, each byte-diffed at 4 threads
+/// against a sequential run.
 #[test]
 fn thread_count_is_bitwise_invisible_at_every_ragged_width() {
     for_all(
@@ -96,22 +75,13 @@ fn thread_count_is_bitwise_invisible_at_every_ragged_width() {
             assert_eq!(pairs_par, pairs_seq, "pair bases diverged at width {tags}");
 
             let solvers: [&dyn OfflineSolver; 3] = [&Greedy, &Recon::new(), &BatchedRecon::new(3)];
-            for (i, solver) in solvers.iter().enumerate() {
-                let par_bits = par::with_threads(4, || solver_bits(instance, &model, *solver));
-                let seq_bits = par::with_sequential(|| solver_bits(instance, &model, *solver));
+            for solver in solvers {
+                let par_bits = par::with_threads(4, || solver_bits(instance, &model, solver));
+                let seq_bits = par::with_sequential(|| solver_bits(instance, &model, solver));
                 assert_eq!(
                     par_bits,
                     seq_bits,
                     "{} diverged at width {tags}",
-                    solver.name()
-                );
-
-                let sh_par = par::with_threads(4, || sharded_bits(instance, &model, i));
-                let sh_seq = par::with_sequential(|| sharded_bits(instance, &model, i));
-                assert_eq!(
-                    sh_par,
-                    sh_seq,
-                    "sharded {} diverged at width {tags}",
                     solver.name()
                 );
             }

@@ -4,10 +4,7 @@
 //!
 //! * `pair_cache_report` — pair-base memo, candidate arena and delta
 //!   churn (DESIGN.md §10–§12);
-//! * `shard_report` — tile-sharded vs unsharded GREEDY (DESIGN.md §15);
-//! * `tagselect_report` — column-reset vs full rebuild (DESIGN.md §17);
-//! * `determinism_harness` — solver output byte-diffed across 1/2/4/8
-//!   threads (DESIGN.md §14).
+//! * `tagselect_report` — column-reset vs full rebuild (DESIGN.md §17).
 //!
 //! Each report asserts its own byte-identity checks. End-to-end numbers
 //! come from the `benchmark/` package. This library exposes the shared
@@ -52,11 +49,10 @@ pub fn synthetic_fixture(customers: usize, vendors: usize, budget: (f64, f64)) -
     }
 }
 
-/// A scale-out fixture from the constant-memory streaming generator
-/// (DESIGN.md §15) — the workload of the sharding benchmarks. The
-/// downsizing rule keeps the expected per-disc customer population of
-/// the full 1M × 10k fixture, so solver behaviour stays comparable
-/// across sizes.
+/// A scale-out fixture from the constant-memory streaming generator —
+/// the workload of the tag-selection report. The downsizing rule keeps
+/// the expected per-disc customer population of the full 1M × 10k
+/// fixture, so solver behaviour stays comparable across sizes.
 pub fn streamed_fixture(customers: usize, vendors: usize) -> Fixture {
     let cfg = StreamConfig::downsized(customers, vendors);
     let tags = cfg.tags;

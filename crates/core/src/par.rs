@@ -60,9 +60,9 @@ pub fn sequential_forced() -> bool {
 }
 
 /// Run `f` with every fan-out *made from this thread* pinned to exactly
-/// `threads` workers, regardless of the machine's core count. The
-/// determinism harness uses this to replay the solvers at 1/2/4/8
-/// threads and byte-diff the outputs; the outputs are bit-identical by
+/// `threads` workers, regardless of the machine's core count.
+/// `tests/thread_determinism.rs` uses this to replay the solvers at
+/// 1/2/4/8 threads and byte-diff the outputs; they are bit-identical by
 /// construction, and this knob makes that claim *testable* on any
 /// machine (including single-core CI containers).
 ///

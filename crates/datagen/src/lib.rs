@@ -19,10 +19,11 @@
 //!   AdWords-statistics-like triple.
 //! * [`dist`] — the truncated-Gaussian and Zipf samplers the above are
 //!   built on.
-//! * [`StreamConfig`] / [`generate_streamed`] — the constant-memory
-//!   streaming generator behind the million-customer sharding fixtures
-//!   (DESIGN.md §15): records are randomly addressable, use no `rand`
-//!   and no libm, and their first bits are pinned by smoke tests.
+//! * [`StreamConfig`] / [`generate_streamed`] — a constant-memory
+//!   streaming generator for large fixtures (the tag-selection report
+//!   builds its fixture with it): records are randomly addressable, use
+//!   no `rand` and no libm, and their first bits are pinned by smoke
+//!   tests.
 
 #![warn(missing_docs)]
 #![warn(clippy::all)]

@@ -1,16 +1,16 @@
-//! Constant-memory streaming workload generator (DESIGN.md §15).
+//! Constant-memory streaming workload generator.
 //!
-//! The tile-sharded engine targets million-customer instances; holding
-//! a second copy of such a workload inside the *generator* (the
-//! `Vec`-building style of [`crate::generate_synthetic`]) doubles peak
-//! memory for no benefit. [`StreamConfig`] instead yields customers and
-//! vendors as iterators: record `k` is produced by a [`SplitMix64`]
+//! The default fixture has a million customers; holding a second copy
+//! of such a workload inside the *generator* (the `Vec`-building style
+//! of [`crate::generate_synthetic`]) doubles peak memory for no
+//! benefit. [`StreamConfig`] instead yields customers and vendors as
+//! iterators: record `k` is produced by a [`SplitMix64`]
 //! stream re-seeded from `(seed, stream tag, k)`, so
 //!
 //! * memory is `O(1)` in the instance size (each record is built and
 //!   handed off independently),
 //! * the stream is *randomly addressable* — record `k` never depends on
-//!   records `0..k`, so consumers can skip, resume, or shard the stream
+//!   records `0..k`, so consumers can skip, resume, or split the stream
 //!   without replaying it, and
 //! * the bits are identical on every platform and in every build: the
 //!   generator draws from no RNG crate and uses no transcendental
@@ -81,10 +81,10 @@ fn record_seed(seed: u64, tag: u64, index: u64) -> u64 {
 const CUSTOMER_TAG: u64 = 0xC057;
 const VENDOR_TAG: u64 = 0x7E4D;
 
-/// Configuration of the streaming generator. The default is the
-/// scale-out fixture the sharding benchmarks use: one million customers
-/// against ten thousand vendors on the unit square, with vendor radii
-/// sized so an average disc holds a few hundred customers.
+/// Configuration of the streaming generator. The default is a
+/// scale-out fixture: one million customers against ten thousand
+/// vendors on the unit square, with vendor radii sized so an average
+/// disc holds a few hundred customers.
 #[derive(Clone, Debug)]
 pub struct StreamConfig {
     /// Number of customers `m`.

@@ -15,9 +15,9 @@
 //! - utility sweep tables (`fig_*_a_*.csv`, ablations, bounds):
 //!   regenerating them means re-running the full competitor set for
 //!   minutes per figure. Their *solver outputs* are already pinned by
-//!   the determinism harness and the rebuild-equivalence suites, so a
-//!   byte drift there could only come from the harness plumbing this
-//!   file exercises via the ratio study.
+//!   `tests/thread_determinism.rs` and the rebuild-equivalence suites,
+//!   so a byte drift there could only come from the harness plumbing
+//!   this file exercises via the ratio study.
 
 use muaa_experiments::figures::{ratios, settings, tag_select_study};
 use muaa_experiments::Table;

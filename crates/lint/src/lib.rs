@@ -826,7 +826,7 @@ mod tests {
 
     #[test]
     fn d11_flags_apply_fns_missing_a_variant() {
-        // The sharded engine forgot the VendorTags arm behind a
+        // A delta engine forgot the VendorTags arm behind a
         // wildcard — exactly the parity bug the rule exists for.
         let partial = "use crate::Delta;\npub struct Sharded;\nimpl Sharded {\n    pub fn apply(&mut self, d: &Delta) {\n        match d { Delta::AddCustomer(_) => {}, _ => {} }\n    }\n}";
         let files: Vec<(String, String)> = [

@@ -30,7 +30,7 @@
 //! `--no-default-features` build honest. D6 is the static half of the
 //! zero-allocation claim the `muaa-sanitize` runtime guards check
 //! dynamically; D7 is the static half of the thread-count-invariance
-//! claim the determinism harness checks end-to-end. An annotation
+//! claim `tests/thread_determinism.rs` checks end-to-end. An annotation
 //! applies to its own line and the line directly below it; D8 keeps
 //! the annotation inventory honest (doc comments never register
 //! annotations, so rule tables like the one above are inert).
@@ -171,7 +171,7 @@ pub const RULES: &[RuleSpec] = &[
     RuleSpec {
         id: "D11",
         summary: "apply/apply_delta names Delta:: variants but not all of them \
-                  (sharded/unsharded arm parity)",
+                  (ProblemInstance::apply / SolverContext::apply arm parity)",
         allow_key: "delta_parity",
         include: &["crates/", "src/"],
         exclude: &[],
@@ -1426,8 +1426,8 @@ pub fn d9_dead_validators(analyzed: &[(FileAnalysis, ItemTree)]) -> Vec<Violatio
 
 /// D11: `Delta` match-arm parity. Every `apply`/`apply_delta` whose
 /// body names at least one `Delta::` variant must name them all —
-/// these are the delta engines (unsharded context, sharded router,
-/// instance mutator), and a variant added to the vocabulary but
+/// these are the delta engines (`ProblemInstance::apply` and
+/// `SolverContext::apply`), and a variant added to the vocabulary but
 /// missing from one engine's arm set is exactly the bug class that
 /// breaks rebuild-equivalence silently. Exhaustiveness via the
 /// compiler doesn't cover it: a `_ => {}` arm compiles while dropping
@@ -1525,7 +1525,8 @@ pub fn d11_delta_parity(analyzed: &[(FileAnalysis, ItemTree)]) -> Vec<Violation>
                     format!(
                         "`{}` matches on `Delta` but never names {} — every delta \
                          engine's arm set must cover the whole vocabulary \
-                         (sharded/unsharded parity), or justify with \
+                         (ProblemInstance::apply / SolverContext::apply parity), \
+                         or justify with \
                          `// lint: allow(delta_parity): <why>`",
                         f.name,
                         missing.join(", ")
@@ -1552,7 +1553,7 @@ const D15_GUARD_CTORS: &[(&str, &str)] = &[
 ];
 
 /// Derived-structure mutators D16 recognises: memo-cache, CSR
-/// eligibility, vendor-index and shard-routing methods. Every name
+/// eligibility and vendor-index methods. Every name
 /// here rewrites state that `Instance::epoch` versions; calling one
 /// outside an epoch bump's dominance region desynchronises the
 /// derived structures from the instance.
@@ -1569,9 +1570,6 @@ const D16_MUTATION_METHODS: &[&str] = &[
     "swap_remove_row",
     "set_radius",
     "relocate",
-    "add_to_shard",
-    "remove_from_shard",
-    "rebuild_shard",
 ];
 
 /// Receivers whose generic `insert`/`swap_remove` calls are also grid

@@ -13,19 +13,12 @@
 //! [`GridIndex`] serves the first; [`VendorIndex`] (a grid over vendor
 //! locations that accounts for each vendor's own radius) serves the
 //! second. NEAREST additionally uses [`GridIndex::k_nearest`].
-//! [`TileGrid`] partitions the plane into rectangular tiles for the
-//! tile-sharded solver engine: customers route to their unique tile,
-//! vendors replicate into every tile their broadcast disc intersects.
 
 #![warn(missing_docs)]
 #![warn(clippy::all)]
 
 mod grid;
-mod kdtree;
-mod tiles;
 mod vendor_index;
 
 pub use grid::GridIndex;
-pub use kdtree::KdTree;
-pub use tiles::TileGrid;
 pub use vendor_index::VendorIndex;

@@ -429,57 +429,3 @@ mod mutation_equivalence {
         );
     }
 }
-
-mod kdtree_equivalence {
-    use super::{gen_points, gen_query};
-    use muaa_spatial::{GridIndex, KdTree};
-    use muaa_testkit::{f64_in, for_all, usize_in, DetRng};
-
-    const CASES: u32 = 128;
-
-    #[test]
-    fn kdtree_and_grid_agree_on_range_queries() {
-        let gen = |r: &mut DetRng| {
-            (
-                gen_points(r, 150),
-                gen_query(r, -0.3..1.3),
-                f64_in(r, 0.0..0.6),
-            )
-        };
-        for_all(
-            "kdtree_and_grid_agree_on_range_queries",
-            CASES,
-            gen,
-            |&(ref points, q, radius)| {
-                let grid = GridIndex::new(points.clone(), 0.05);
-                let tree = KdTree::new(points.clone());
-                let mut a = grid.range_query(q, radius);
-                let mut b = tree.range_query(q, radius);
-                a.sort_unstable();
-                b.sort_unstable();
-                assert_eq!(a, b);
-            },
-        );
-    }
-
-    #[test]
-    fn kdtree_and_grid_agree_on_knn() {
-        let gen = |r: &mut DetRng| {
-            (
-                gen_points(r, 150),
-                gen_query(r, 0.0..1.0),
-                usize_in(r, 0..12),
-            )
-        };
-        for_all(
-            "kdtree_and_grid_agree_on_knn",
-            CASES,
-            gen,
-            |&(ref points, q, k)| {
-                let grid = GridIndex::new(points.clone(), 0.05);
-                let tree = KdTree::new(points.clone());
-                assert_eq!(grid.k_nearest(q, k), tree.k_nearest(q, k));
-            },
-        );
-    }
-}

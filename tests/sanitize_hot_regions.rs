@@ -17,9 +17,9 @@
 //! allocations observed**. Everything is forced onto the calling thread
 //! (`par::with_sequential`) so the thread-local scratch warmed in pass
 //! one is the scratch measured in pass two; thread-count *equivalence*
-//! is the determinism harness's job, not this test's.
+//! is `tests/thread_determinism.rs`'s job, not this test's.
 
-use muaa_algorithms::{BatchedRecon, Greedy, OfflineSolver, Recon, ShardedContext, SolverContext};
+use muaa_algorithms::{BatchedRecon, Greedy, OfflineSolver, Recon, SolverContext};
 use muaa_core::{par, sanitize, Point, UtilityModel};
 use muaa_datagen::{generate_synthetic, Range, SyntheticConfig};
 use muaa_spatial::{GridIndex, VendorIndex};
@@ -27,15 +27,13 @@ use muaa_spatial::{GridIndex, VendorIndex};
 /// Regions that must be allocation-free at steady state. The counting
 /// regions get their zero from warmed caller-owned buffers; the strict
 /// ones would have panicked on drop already if they ever allocated.
-const MUST_BE_ZERO: [&str; 8] = [
+const MUST_BE_ZERO: [&str; 6] = [
     "context.pair_base_block",
     "context.best_ad_type",
     "grid.visit_candidates",
     "grid.range_query_into",
     "vendor_index.covering_into",
     "utility.similarity_fused",
-    "shard.merge_rows",
-    "shard.bases_into",
 ];
 
 #[test]
@@ -61,14 +59,7 @@ fn hot_regions_are_allocation_free_at_steady_state() {
 
     let mut ids = Vec::new();
     let mut vids = Vec::new();
-    // The sharded engine re-merges after every epoch bump; a same-point
-    // move is the cheapest epoch-bumping delta, so pass 2 measures the
-    // steady-state merge over warm arenas (DESIGN.md §15).
-    let mut engine = ShardedContext::new(&inst, &model, 9);
-    let move_target = inst.customer(cid).location;
-    let exercise = |ids: &mut Vec<u32>,
-                    vids: &mut Vec<muaa_core::VendorId>,
-                    engine: &mut ShardedContext<'_>| {
+    let exercise = |ids: &mut Vec<u32>, vids: &mut Vec<muaa_core::VendorId>| {
         let _nan = sanitize::NanGuard::new("test.solver_pipeline");
         std::hint::black_box(Greedy.assign(&ctx));
         std::hint::black_box(Recon::new().assign(&ctx));
@@ -77,24 +68,15 @@ fn hot_regions_are_allocation_free_at_steady_state() {
         vindex.covering_into(probe, vids);
         std::hint::black_box(ctx.best_ad_type(cid, vid, inst.vendor(vid).budget));
         std::hint::black_box(model.similarity(cid, customer, vid, vendor));
-        std::hint::black_box(engine.greedy());
-        std::hint::black_box(engine.recon(&Recon::new()));
     };
 
     par::with_sequential(|| {
         // Pass 1: warm the memo, the thread-local pair-base scratch and
         // the query output buffers on *this* thread.
-        exercise(&mut ids, &mut vids, &mut engine);
-        // Bump the sharded engine's epoch *before* the reset: delta
-        // application itself is maintenance (it legitimately allocates
-        // when rewiring CSR rows), but it leaves the merged arena stale,
-        // so pass 2 measures a full re-merge over warm arenas.
-        engine
-            .apply(&muaa_core::Delta::MoveCustomer(cid, move_target))
-            .expect("same-point move is always valid");
+        exercise(&mut ids, &mut vids);
         sanitize::reset_region_stats();
         // Pass 2: the steady state the zero-alloc claim is about.
-        exercise(&mut ids, &mut vids, &mut engine);
+        exercise(&mut ids, &mut vids);
     });
 
     let stats = sanitize::region_stats();

@@ -1,0 +1,90 @@
+//! Thread-count byte-identity of the offline solvers (DESIGN.md §14):
+//! GREEDY, RECON and BATCHED-RECON(8), re-run at 1/2/4/8 pinned
+//! threads and forced-sequential, must produce the same bytes.
+//!
+//! The workspace's core invariant is that every parallel path is
+//! bit-identical to its sequential twin — `par_map` fans out in fixed
+//! input order, `par_sort_by` is a stable merge sort, and D7 forbids
+//! order-sensitive float reductions in `cfg(parallel)` code. This test
+//! is the end-to-end check of that claim: each solver's full
+//! assignment list *and* its total utility are serialized to a byte
+//! fingerprint (ids plus raw `f64` bits, so a 1-ULP drift fails), and
+//! every run must match the 1-thread run. The thread counts are pinned
+//! with [`par::with_threads`], so the check holds meaning on a
+//! single-core host too. Under `--features muaa-core/muaa-sanitize`
+//! the allocation and NaN guards are live while it runs.
+
+use muaa_algorithms::{BatchedRecon, Greedy, OfflineSolver, Recon, SolverContext};
+use muaa_core::{par, PearsonUtility};
+use muaa_datagen::{generate_synthetic, Range, SyntheticConfig};
+
+const THREAD_COUNTS: [usize; 4] = [1, 2, 4, 8];
+
+/// Byte fingerprint of a solver run: each assignment's ids in commit
+/// order, then the total utility as raw bits.
+fn fingerprint(solver: &dyn OfflineSolver, ctx: &SolverContext<'_>) -> Vec<u8> {
+    let outcome = solver.run(ctx);
+    let mut bytes = Vec::with_capacity(outcome.assignments.len() * 12 + 8);
+    for a in outcome.assignments.assignments() {
+        bytes.extend_from_slice(&(a.customer.index() as u32).to_le_bytes());
+        bytes.extend_from_slice(&(a.vendor.index() as u32).to_le_bytes());
+        bytes.extend_from_slice(&(a.ad_type.index() as u32).to_le_bytes());
+    }
+    bytes.extend_from_slice(&outcome.total_utility.to_bits().to_le_bytes());
+    bytes
+}
+
+/// Panic with the first differing byte unless `run` equals `baseline`.
+fn assert_same_bytes(baseline: &[u8], run: &[u8], what: &str) {
+    if run == baseline {
+        return;
+    }
+    let first = baseline
+        .iter()
+        .zip(run)
+        .position(|(a, b)| a != b)
+        .unwrap_or(baseline.len().min(run.len()));
+    panic!(
+        "{what} diverges from the 1-thread run at byte {first} (lens {} vs {})",
+        baseline.len(),
+        run.len()
+    );
+}
+
+#[test]
+fn solvers_are_byte_identical_at_every_thread_count() {
+    let cfg = SyntheticConfig {
+        customers: 2_000,
+        vendors: 40,
+        budget: Range::new(5.0, 10.0),
+        radius: Range::new(0.03, 0.06),
+        seed: 0xBE7C,
+        ..Default::default()
+    };
+    let instance = generate_synthetic(&cfg);
+    let model = PearsonUtility::uniform(cfg.tags);
+    let ctx = SolverContext::indexed(&instance, &model);
+
+    let solvers: [(&str, &dyn OfflineSolver); 3] = [
+        ("GREEDY", &Greedy),
+        ("RECON", &Recon::new()),
+        ("BATCHED-RECON(8)", &BatchedRecon::new(8)),
+    ];
+    for (name, solver) in solvers {
+        let baseline = par::with_threads(THREAD_COUNTS[0], || fingerprint(solver, &ctx));
+        assert!(
+            baseline.len() > 8,
+            "{name} assigned nothing, so the comparison would be vacuous"
+        );
+        let sequential = par::with_sequential(|| fingerprint(solver, &ctx));
+        assert_same_bytes(
+            &baseline,
+            &sequential,
+            &format!("{name}, forced sequential,"),
+        );
+        for &threads in &THREAD_COUNTS[1..] {
+            let run = par::with_threads(threads, || fingerprint(solver, &ctx));
+            assert_same_bytes(&baseline, &run, &format!("{name} at {threads} threads"));
+        }
+    }
+}
