@@ -20,7 +20,8 @@
 //! optimum than to the bound.
 
 use crate::context::SolverContext;
-use muaa_knapsack::{MckpItem, MckpLpGreedy, MckpProblem};
+use crate::offline::recon::ad_type_items;
+use muaa_knapsack::{MckpLpGreedy, MckpProblem};
 
 /// Both relaxation bounds plus their minimum.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -55,12 +56,7 @@ pub fn upper_bounds(ctx: &SolverContext<'_>) -> UpperBounds {
             if base <= 0.0 {
                 continue;
             }
-            problem.add_class(
-                inst.ad_types()
-                    .iter()
-                    .map(|t| MckpItem::new(t.cost.as_cents(), (base * t.effectiveness).max(0.0)))
-                    .collect(),
-            );
+            problem.add_class(ad_type_items(inst, base));
         }
         vendor_bound += MckpLpGreedy.solve_detailed(&problem).lp_bound;
     }

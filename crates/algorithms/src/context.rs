@@ -35,6 +35,13 @@ const MEMO_MAX_PAIRS: usize = 1 << 23;
 /// the value [`SolverContext::with_pair_cache_cap`] starts from.
 pub const DEFAULT_PAIR_CACHE_CAP: usize = MEMO_MAX_PAIRS * std::mem::size_of::<AtomicU64>();
 
+/// Chunk floor of [`SolverContext::fill_memo`]: a context with at most
+/// this many customers fills inline, a larger one in at most one chunk
+/// per this many customers. So small live contexts (tag selection
+/// re-solves a 600-customer one per candidate) spawn no thread for a
+/// fill that is mostly hits.
+const FILL_MIN_CUSTOMERS: usize = 4096;
+
 /// Sentinel marking an unfilled memo slot. This is a NaN bit pattern;
 /// [`SolverContext::pair_base`] never returns NaN (non-finite distances
 /// are mapped to 0 and similarities are clamped), so no real value
@@ -515,8 +522,8 @@ impl EligibilityIndex {
 ///   entities. Required for [`TableUtility`](muaa_core::TableUtility)
 ///   and other non-geometric distance models; fine for small instances.
 ///
-/// Both modes materialize the [`EligibilityIndex`] eagerly, so
-/// [`eligible_customers`](Self::eligible_customers) /
+/// Both modes materialize the eligibility index (DESIGN.md §11)
+/// eagerly, so [`eligible_customers`](Self::eligible_customers) /
 /// [`eligible_vendors`](Self::eligible_vendors) are O(1) slice borrows
 /// in every solver inner loop.
 pub struct SolverContext<'a> {
@@ -934,7 +941,8 @@ impl<'a> SolverContext<'a> {
     }
 
     /// Batched pair-base kernel: evaluate one vendor against a whole
-    /// customer slice (typically its [`eligible_customers`] list) into
+    /// customer slice (typically its
+    /// [`eligible_customers`](Self::eligible_customers) list) into
     /// `out` (cleared first; `out[k]` corresponds to `cids[k]`).
     ///
     /// This is the DESIGN.md §11 block kernel: the vendor row is
@@ -961,6 +969,43 @@ impl<'a> SolverContext<'a> {
             // In-capacity after the reserve above; the counting
             // guard + sanitize tests pin this. lint: allow(hot_alloc)
             out.push(self.pair_base_cached(cache, cid, vid));
+        }
+    }
+
+    /// Fill every empty memo slot, customer by customer (DESIGN.md
+    /// §10): the c2v arena is walked in contiguous customer chunks, one
+    /// per thread, so each customer's moment row is read once for all
+    /// its covering vendors instead of once per vendor. GREEDY and RECON
+    /// call this before their vendor-major reads of every pair; a
+    /// context without a memo has nothing to fill.
+    pub(crate) fn fill_memo(&self) {
+        let (Some(cache), Some(slots)) = (&self.cache, &self.eligibility.c2v.slots) else {
+            return;
+        };
+        let spans = &self.eligibility.c2v.spans;
+        par::par_map(spans, FILL_MIN_CUSTOMERS, |i, &(start, len, _)| {
+            let run = start as usize..(start + len) as usize;
+            self.fill_row(cache, slots, CustomerId::from(i), run);
+        });
+    }
+
+    /// [`fill_memo`](Self::fill_memo)'s per-customer body: fill the
+    /// empty slots of `cid`'s c2v run through the fused kernel.
+    #[cfg_attr(any(), muaa::hot)]
+    fn fill_row(
+        &self,
+        cache: &PairCache,
+        slots: &[AtomicU64],
+        cid: CustomerId,
+        run: std::ops::Range<usize>,
+    ) {
+        let _hot = muaa_core::sanitize::AllocGuard::strict("context.fill_memo");
+        let vids = &self.eligibility.c2v.ids[run.clone()];
+        for (slot, &vid) in slots[run].iter().zip(vids) {
+            if slot.load(Ordering::Relaxed) == MEMO_EMPTY {
+                let base = self.pair_base_fused(cache, cid, vid);
+                slot.store(base.to_bits(), Ordering::Relaxed);
+            }
         }
     }
 
@@ -1906,14 +1951,23 @@ mod tests {
     /// Filled memo slots of `ctx` as `(customer, vendor)` indices, in
     /// c2v order.
     fn filled_slots(ctx: &SolverContext<'_>) -> Vec<(usize, usize)> {
+        slot_bits(ctx)
+            .into_iter()
+            .filter(|&(.., bits)| bits != MEMO_EMPTY)
+            .map(|(i, j, _)| (i, j))
+            .collect()
+    }
+
+    /// Every eligible pair of `ctx` with its memo slot's bits, as
+    /// `(customer, vendor, bits)` in c2v order.
+    fn slot_bits(ctx: &SolverContext<'_>) -> Vec<(usize, usize, u64)> {
         let c2v = &ctx.eligibility.c2v;
         let slots = c2v.slots.as_ref().expect("memoized context");
         let mut out = Vec::new();
         for (i, &(start, ..)) in c2v.spans.iter().enumerate() {
             for (pos, vid) in c2v.row(i).iter().enumerate() {
-                if slots[start as usize + pos].load(Ordering::Relaxed) != MEMO_EMPTY {
-                    out.push((i, vid.index()));
-                }
+                let bits = slots[start as usize + pos].load(Ordering::Relaxed);
+                out.push((i, vid.index(), bits));
             }
         }
         out
@@ -1930,6 +1984,71 @@ mod tests {
                     .map(move |vid| (cid.index(), vid.index()))
             })
             .collect()
+    }
+
+    /// Fill `ctx`'s memo the lazy way: vendor by vendor through the
+    /// block kernel.
+    fn fill_vendor_major(ctx: &SolverContext<'_>) {
+        let mut block = Vec::new();
+        for (vid, _) in ctx.instance().vendors_enumerated() {
+            ctx.pair_base_block(vid, ctx.eligible_customers(vid), &mut block);
+        }
+    }
+
+    /// `fill_memo` fills every eligible pair with the bits the lazy
+    /// vendor-major fill stores, at every thread count: the instance
+    /// has more than twice the per-thread customer floor, so 2, 4 and 8
+    /// threads really split it. After a tag change, a move and an
+    /// arrival, a second fill matches a fresh build.
+    #[test]
+    fn fill_memo_matches_the_lazy_fill_at_every_thread_count() {
+        let inst = synthetic_instance(2 * FILL_MIN_CUSTOMERS + 808, 40);
+        assert!(inst.num_customers() / FILL_MIN_CUSTOMERS >= 2);
+        let model = PearsonUtility::uniform(4);
+        let lazy = SolverContext::indexed(&inst, &model);
+        fill_vendor_major(&lazy);
+        let expect = slot_bits(&lazy);
+        assert_eq!(filled_slots(&lazy), eligible_pairs(&lazy));
+        let deltas = [
+            Delta::VendorTags(
+                VendorId::new(3),
+                TagVector::new(vec![0.9, 0.1, 0.0, 1.0]).unwrap(),
+            ),
+            Delta::MoveCustomer(CustomerId::new(17), Point::new(0.64, 0.14)),
+            Delta::AddCustomer(Customer {
+                location: Point::new(0.41, 0.26),
+                ..delta_customer(500)
+            }),
+        ];
+        let mut post = inst.clone();
+        for delta in &deltas {
+            post.apply(delta).unwrap();
+        }
+        let fresh = SolverContext::indexed(&post, &model);
+        fill_vendor_major(&fresh);
+        for threads in [1, 2, 4, 8] {
+            let mut ctx = SolverContext::indexed(&inst, &model);
+            par::with_threads(threads, || ctx.fill_memo());
+            assert_eq!(
+                filled_slots(&ctx),
+                eligible_pairs(&ctx),
+                "{threads} threads"
+            );
+            assert!(
+                slot_bits(&ctx) == expect,
+                "{threads} threads: slot bits differ"
+            );
+            for delta in &deltas {
+                ctx.apply(delta).unwrap();
+            }
+            assert!(filled_slots(&ctx).len() < eligible_pairs(&ctx).len());
+            par::with_threads(threads, || ctx.fill_memo());
+            assert!(
+                slot_bits(&ctx) == slot_bits(&fresh),
+                "{threads} threads: slots after deltas differ from a fresh build"
+            );
+            ctx.debug_validate();
+        }
     }
 
     /// Warm-memo retention per delta kind (DESIGN.md §12): afterwards
@@ -1997,10 +2116,7 @@ mod tests {
         ];
         for &(deltas, resetting) in &cases {
             let mut ctx = SolverContext::indexed(&inst, &model);
-            let mut block = Vec::new();
-            for (vid, _) in inst.vendors_enumerated() {
-                ctx.pair_base_block(vid, ctx.eligible_customers(vid), &mut block);
-            }
+            fill_vendor_major(&ctx);
             let before = eligible_pairs(&ctx);
             assert_eq!(
                 filled_slots(&ctx),

@@ -17,10 +17,10 @@
 //! this axis.
 
 use crate::context::SolverContext;
-use crate::offline::recon::MckpBackend;
+use crate::offline::recon::{ad_type_items, MckpBackend};
 use crate::offline::OfflineSolver;
 use muaa_core::{AdTypeId, Assignment, AssignmentSet, CustomerId, DetRng, VendorId};
-use muaa_knapsack::{MckpItem, MckpProblem};
+use muaa_knapsack::MckpProblem;
 
 /// Semi-online RECON over arrival-order windows.
 #[derive(Clone, Debug)]
@@ -152,17 +152,7 @@ fn batched_assign(
                     let bases = &mut *scratch.borrow_mut();
                     ctx.pair_base_block(vid, &candidates, bases);
                     for &base in bases.iter() {
-                        problem.add_class(
-                            inst.ad_types()
-                                .iter()
-                                .map(|t| {
-                                    MckpItem::new(
-                                        t.cost.as_cents(),
-                                        (base * t.effectiveness).max(0.0),
-                                    )
-                                })
-                                .collect(),
-                        );
+                        problem.add_class(ad_type_items(inst, base));
                     }
                     let solution = backend.solve(&problem);
                     let mut out = Vec::new();

@@ -32,9 +32,11 @@ pub(crate) struct Candidate {
 /// Zero-allocation inner loop (DESIGN.md §11): each vendor's eligible
 /// customers come from its CSR row slice and their pair bases from one
 /// [`SolverContext::pair_base_block`] call into a thread-local scratch
-/// buffer reused across vendors.
+/// buffer reused across vendors. The memo is filled customer-major
+/// first, so those calls only read it (DESIGN.md §10).
 #[cfg_attr(any(), muaa::hot)]
 fn collect_candidates(ctx: &SolverContext<'_>) -> Vec<Candidate> {
+    ctx.fill_memo();
     // Naming the type lets muaa-lint's call graph resolve
     // `inst.vendors()` to `ProblemInstance` alone, not to every
     // `vendors` in the workspace.

@@ -40,6 +40,18 @@ impl MckpBackend {
     }
 }
 
+/// The MCKP class of a pair with base utility `base` (paper §III-A):
+/// one item per ad type, costing `c_k` in cents and worth
+/// `λ = base · β_k`, clamped at 0.
+pub(crate) fn ad_type_items(
+    inst: &ProblemInstance,
+    base: f64,
+) -> impl Iterator<Item = MckpItem> + '_ {
+    inst.ad_types()
+        .iter()
+        .map(move |t| MckpItem::new(t.cost.as_cents(), (base * t.effectiveness).max(0.0)))
+}
+
 /// The RECON solver. Randomness only affects the order violated
 /// customers are visited in (Alg. 1 line 7), as in the paper.
 ///
@@ -222,6 +234,9 @@ fn recon_assign(ctx: &SolverContext<'_>, backend: MckpBackend, seed: u64) -> Ass
     thread_local! {
         static BASES: RefCell<Vec<f64>> = const { RefCell::new(Vec::new()) };
     }
+    // Phase 1 reads every eligible pair vendor by vendor; fill the memo
+    // customer by customer first (DESIGN.md §10).
+    ctx.fill_memo();
     let n_vendors = inst.num_vendors();
     let mut per_vendor: Vec<Vec<(CustomerId, AdTypeId, f64)>> = Vec::with_capacity(n_vendors);
     let mut picks_of: Vec<Vec<(u32, f64)>> = vec![Vec::new(); inst.num_customers()];
@@ -245,14 +260,7 @@ fn recon_assign(ctx: &SolverContext<'_>, backend: MckpBackend, seed: u64) -> Ass
             ctx.pair_base_block(vid, valid, bases);
             // Class order ↔ valid-customer order.
             for &base in bases.iter() {
-                problem.add_class(
-                    inst.ad_types()
-                        .iter()
-                        .map(|t| {
-                            MckpItem::new(t.cost.as_cents(), (base * t.effectiveness).max(0.0))
-                        })
-                        .collect(),
-                );
+                problem.add_class(ad_type_items(inst, base));
             }
             let solution = backend.solve(&problem);
             let mut picked = Vec::new();

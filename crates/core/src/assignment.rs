@@ -210,15 +210,13 @@ impl AssignmentSet {
     /// (capacity, budget, pair uniqueness). The spatial constraint 1 is
     /// the caller's responsibility — solvers only generate in-range
     /// candidates, and range checking needs the utility model's distance.
+    /// The two array lookups run before the pair-set hash: most GREEDY
+    /// candidates fail on capacity or budget.
     pub fn fits(&self, instance: &ProblemInstance, a: Assignment) -> bool {
-        if self.pair_used(a.customer, a.vendor) {
-            return false;
-        }
-        if self.customer_load(a.customer) >= instance.customer(a.customer).capacity {
-            return false;
-        }
         let cost = instance.ad_type(a.ad_type).cost;
-        self.vendor_spend(a.vendor) + cost <= instance.vendor(a.vendor).budget
+        self.customer_load(a.customer) < instance.customer(a.customer).capacity
+            && self.vendor_spend(a.vendor) + cost <= instance.vendor(a.vendor).budget
+            && !self.pair_used(a.customer, a.vendor)
     }
 
     /// Add an assignment after checking [`fits`](Self::fits); returns
@@ -459,6 +457,44 @@ mod tests {
         // Customer 0 has capacity 1: second ad (from another vendor) must fail.
         assert!(!set.try_push(&inst, asg(0, 1, 0)));
         assert_eq!(set.len(), 1);
+    }
+
+    /// `fits` is the plain conjunction of constraints 2–4 whatever order
+    /// it tests them in: after a partial fill, every (customer, vendor,
+    /// ad type) agrees with the three checks made independently,
+    /// including candidates that break two of them at once.
+    #[test]
+    fn fits_is_the_conjunction_of_capacity_budget_and_pair() {
+        let inst = small_instance();
+        let mut set = AssignmentSet::new(&inst);
+        // Customer 0 full (capacity 1) on pair (0, 0); vendor 1 spent out
+        // ($2 of $2) on pair (1, 1); vendor 0 keeps $2.
+        assert!(set.try_push(&inst, asg(0, 0, 0)));
+        assert!(set.try_push(&inst, asg(1, 1, 1)));
+        let mut double_breaks = 0;
+        for c in 0..2 {
+            for v in 0..2 {
+                for t in 0..2 {
+                    let a = asg(c, v, t);
+                    let (cid, vid) = (a.customer, a.vendor);
+                    let capacity = set.customer_load(cid) < inst.customer(cid).capacity;
+                    let budget = set.vendor_spend(vid).as_cents()
+                        + inst.ad_type(a.ad_type).cost.as_cents()
+                        <= inst.vendor(vid).budget.as_cents();
+                    let fresh = !set
+                        .assignments()
+                        .iter()
+                        .any(|x| x.customer == cid && x.vendor == vid);
+                    let broken = [capacity, budget, fresh].iter().filter(|ok| !**ok).count();
+                    double_breaks += usize::from(broken >= 2);
+                    assert_eq!(set.fits(&inst, a), capacity && budget && fresh, "{a}");
+                }
+            }
+        }
+        // (0, 0, *): capacity and pair; (0, 1, *): capacity and budget;
+        // (1, 1, *): budget and pair.
+        assert_eq!(double_breaks, 6);
+        assert!(set.fits(&inst, asg(1, 0, 1)));
     }
 
     #[test]

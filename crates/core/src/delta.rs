@@ -1,4 +1,5 @@
-//! Incremental mutation vocabulary for [`ProblemInstance`]: the typed
+//! Incremental mutation vocabulary for
+//! [`ProblemInstance`](crate::instance::ProblemInstance): the typed
 //! deltas a live broker applies between solver runs (customer arrivals,
 //! departures and movement; vendor budget/radius updates; ad-type
 //! repricing), batched for atomic-ish application.
@@ -39,7 +40,8 @@ use crate::instance::ProblemInstance;
 use crate::money::Money;
 use crate::tags::TagVector;
 
-/// One incremental mutation of a [`ProblemInstance`].
+/// One incremental mutation of a
+/// [`ProblemInstance`](crate::instance::ProblemInstance).
 #[derive(Clone, Debug)]
 pub enum Delta {
     /// Append a new customer; it receives the next dense id.

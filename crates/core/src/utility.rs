@@ -135,8 +135,8 @@ impl PearsonUtility {
     /// This is the **oracle spelling** of Eq. (5): the textbook two-pass
     /// centered formulation (means first, then centered cross/variance
     /// sums), deliberately *different* arithmetic from the raw-moment
-    /// kernels that the solver paths use ([`crate::simd`] +
-    /// [`pearson_from_moments`]). The production kernels must stay
+    /// kernels that the solver paths use ([`crate::simd`] + the private
+    /// `pearson_from_moments`). The production kernels must stay
     /// within `1e-12` of this function — pinned by unit tests here and a
     /// property test over random weights/tags — so a bug in the fused
     /// raw-moment algebra cannot drift silently while the bit-identity

@@ -3,8 +3,7 @@
 //! The paper posits that tag activity levels ("coffee is active in the
 //! mornings") exist as an input; in a deployed system they must be
 //! *learned* from timestamped check-ins. This module turns a log of
-//! `(tag, timestamp)` events into an
-//! [`ActivityProfile`](muaa_core::ActivityProfile):
+//! `(tag, timestamp)` events into an [`ActivityProfile`]:
 //!
 //! 1. count events per (tag, hour slot);
 //! 2. propagate counts up the taxonomy (a ramen check-in is evidence

@@ -22,8 +22,33 @@ use crate::problem::MckpItem;
 /// among items of equal cost only the most profitable (lowest index on
 /// ties) survives.
 pub fn hull_indices(items: &[MckpItem]) -> Vec<usize> {
+    hull_into(items, &mut HullScratch::default())
+        .iter()
+        .map(|&(_, _, i)| i)
+        .collect()
+}
+
+/// Buffers [`hull_into`] reuses from one class to the next, so a solve
+/// over many classes allocates them once.
+#[derive(Debug, Default)]
+pub(crate) struct HullScratch {
+    /// Item indices in `(cost asc, profit desc, index asc)` order.
+    order: Vec<usize>,
+    /// Hull entries `(cost, profit, original index)`, the virtual
+    /// `(0, 0)` base first.
+    hull: Vec<(u64, f64, usize)>,
+}
+
+/// The hull of [`hull_indices`] as `(cost, profit, index)` entries in
+/// increasing cost order, built in `scratch`.
+pub(crate) fn hull_into<'s>(
+    items: &[MckpItem],
+    scratch: &'s mut HullScratch,
+) -> &'s [(u64, f64, usize)] {
     // Sort by (cost asc, profit desc, index asc).
-    let mut order: Vec<usize> = (0..items.len()).collect();
+    let order = &mut scratch.order;
+    order.clear();
+    order.extend(0..items.len());
     order.sort_by(|&a, &b| {
         items[a]
             .cost
@@ -35,10 +60,12 @@ pub fn hull_indices(items: &[MckpItem]) -> Vec<usize> {
     // Monotone chain over (cost, profit), starting at the virtual
     // (0, 0) point. Keep only strictly-improving profits, then enforce
     // concavity of the efficiency sequence.
-    // Hull entries: (cost, profit, original index). The virtual base is
-    // represented by cost = 0, profit = 0, index = usize::MAX.
-    let mut hull: Vec<(u64, f64, usize)> = vec![(0, 0.0, usize::MAX)];
-    for &i in &order {
+    // The virtual base is represented by cost = 0, profit = 0,
+    // index = usize::MAX; nothing below pops it.
+    let hull = &mut scratch.hull;
+    hull.clear();
+    hull.push((0, 0.0, usize::MAX));
+    for &i in order.iter() {
         let it = items[i];
         if it.profit <= 0.0 || it.profit.is_nan() {
             continue; // never better than the null choice
@@ -76,11 +103,7 @@ pub fn hull_indices(items: &[MckpItem]) -> Vec<usize> {
         }
         hull.push((it.cost, it.profit, i));
     }
-
-    hull.into_iter()
-        .filter(|&(_, _, i)| i != usize::MAX)
-        .map(|(_, _, i)| i)
-        .collect()
+    &hull[1..]
 }
 
 #[cfg(test)]

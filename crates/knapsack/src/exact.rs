@@ -20,9 +20,8 @@ const NO_CHOICE: u8 = u8::MAX;
 impl MckpSolver for MckpExactDp {
     fn solve(&self, problem: &MckpProblem) -> MckpSolution {
         let cap = problem.capacity() as usize;
-        let classes = problem.classes();
         assert!(
-            classes.iter().all(|c| c.len() < NO_CHOICE as usize),
+            problem.classes().all(|c| c.len() < NO_CHOICE as usize),
             "MckpExactDp supports at most {} items per class",
             NO_CHOICE - 1
         );
@@ -31,9 +30,9 @@ impl MckpSolver for MckpExactDp {
         // so far. choice[class][b]: item picked for `class` at state b.
         let mut dp = vec![0.0_f64; cap + 1];
         let mut next = vec![0.0_f64; cap + 1];
-        let mut choices: Vec<Vec<u8>> = Vec::with_capacity(classes.len());
+        let mut choices: Vec<Vec<u8>> = Vec::with_capacity(problem.num_classes());
 
-        for class in classes {
+        for class in problem.classes() {
             let mut choice_row = vec![NO_CHOICE; cap + 1];
             // Null choice: carry dp forward.
             next.copy_from_slice(&dp);
@@ -60,7 +59,7 @@ impl MckpSolver for MckpExactDp {
         // The DP is monotone in b, so the best state is at full capacity.
         let mut b = cap;
         let mut sol = MckpSolution::empty(problem);
-        for (class_idx, class) in classes.iter().enumerate().rev() {
+        for (class_idx, class) in problem.classes().enumerate().rev() {
             let ch = choices[class_idx][b];
             if ch != NO_CHOICE {
                 let item = &class[ch as usize];
@@ -90,7 +89,7 @@ mod tests {
     fn problem(cap: u64, classes: &[&[(u64, f64)]]) -> MckpProblem {
         let mut p = MckpProblem::new(cap);
         for class in classes {
-            p.add_class(class.iter().map(|&(c, pr)| MckpItem::new(c, pr)).collect());
+            p.add_class(class.iter().map(|&(c, pr)| MckpItem::new(c, pr)));
         }
         p
     }
@@ -168,8 +167,7 @@ mod tests {
                 let n_items = rng.gen_range(1, 4);
                 p.add_class(
                     (0..n_items)
-                        .map(|_| MckpItem::new(rng.gen_range(1, 300) as u64, rng.gen_f64()))
-                        .collect(),
+                        .map(|_| MckpItem::new(rng.gen_range(1, 300) as u64, rng.gen_f64())),
                 );
             }
             let sol = MckpExactDp.solve(&p);
@@ -197,7 +195,7 @@ mod tests {
                 return;
             }
             rec(p, class + 1, cost, profit, best);
-            for item in &p.classes()[class] {
+            for item in p.class(class) {
                 rec(p, class + 1, cost + item.cost, profit + item.profit, best);
             }
         }

@@ -43,7 +43,6 @@ impl MckpSolver for MckpFptas {
         let n = problem.num_classes();
         let max_profit = problem
             .classes()
-            .iter()
             .flatten()
             .filter(|i| i.cost <= problem.capacity())
             .map(|i| i.profit)
@@ -56,7 +55,6 @@ impl MckpSolver for MckpFptas {
         // Scaled profit of each item; per-class max bounds the DP axis.
         let scaled: Vec<Vec<u64>> = problem
             .classes()
-            .iter()
             .map(|class| {
                 class
                     .iter()
@@ -84,12 +82,12 @@ impl MckpSolver for MckpFptas {
         // profit p (u8::MAX = null choice).
         let mut choice_rows: Vec<Vec<u8>> = Vec::with_capacity(n);
         assert!(
-            problem.classes().iter().all(|c| c.len() < u8::MAX as usize),
+            problem.classes().all(|c| c.len() < u8::MAX as usize),
             "MckpFptas supports at most {} items per class",
             u8::MAX - 1
         );
 
-        for (ci, class) in problem.classes().iter().enumerate() {
+        for (ci, class) in problem.classes().enumerate() {
             next.copy_from_slice(&dp);
             let mut row = vec![u8::MAX; states];
             for (ii, item) in class.iter().enumerate() {
@@ -130,7 +128,7 @@ impl MckpSolver for MckpFptas {
             let ch = choice_rows[ci][p];
             if ch != u8::MAX {
                 let ii = ch as usize;
-                let item = problem.classes()[ci][ii];
+                let item = problem.class(ci)[ii];
                 sol.choices[ci] = Some(ii);
                 sol.profit += item.profit;
                 sol.cost += item.cost;
@@ -185,13 +183,9 @@ mod tests {
                 let cap = rng.gen_range(50, 600) as u64;
                 let mut p = MckpProblem::new(cap);
                 for _ in 0..rng.gen_range(1, 7) {
-                    p.add_class(
-                        (0..rng.gen_range(1, 4))
-                            .map(|_| {
-                                MckpItem::new(rng.gen_range(1, 400) as u64, rng.gen_f64() * 10.0)
-                            })
-                            .collect(),
-                    );
+                    p.add_class((0..rng.gen_range(1, 4)).map(|_| {
+                        MckpItem::new(rng.gen_range(1, 400) as u64, rng.gen_f64() * 10.0)
+                    }));
                 }
                 let sol = MckpFptas::new(eps).solve(&p);
                 let exact = MckpExactDp.solve(&p);
@@ -212,11 +206,7 @@ mod tests {
         let mut rng = DetRng::seed_from_u64(31);
         let mut p = MckpProblem::new(500);
         for _ in 0..8 {
-            p.add_class(
-                (0..3)
-                    .map(|_| MckpItem::new(rng.gen_range(1, 300) as u64, rng.gen_f64()))
-                    .collect(),
-            );
+            p.add_class((0..3).map(|_| MckpItem::new(rng.gen_range(1, 300) as u64, rng.gen_f64())));
         }
         let loose = MckpFptas::new(0.5).solve(&p);
         let tight = MckpFptas::new(0.01).solve(&p);

@@ -10,7 +10,7 @@
 //! (hence ≥ ½ · OPT) — in practice far closer, because MUAA increments
 //! are tiny relative to the budget.
 
-use crate::dominance::hull_indices;
+use crate::dominance::{hull_into, HullScratch};
 use crate::problem::{MckpProblem, MckpSolution, MckpSolver};
 
 /// The LP-relaxation greedy solver. See the module docs.
@@ -55,21 +55,21 @@ impl MckpLpGreedy {
         let mut increments: Vec<Increment> = Vec::new();
         // Track the best single item that fits, as rounding fallback.
         let mut best_single: Option<(usize, usize, f64)> = None;
+        // One set of hull buffers for every class of this solve.
+        let mut scratch = HullScratch::default();
 
-        for (ci, class) in problem.classes().iter().enumerate() {
-            let hull = hull_indices(class);
+        for (ci, class) in problem.classes().enumerate() {
             let mut prev_cost = 0u64;
             let mut prev_profit = 0.0f64;
-            for &ii in &hull {
-                let item = class[ii];
+            for &(cost, profit, ii) in hull_into(class, &mut scratch) {
                 increments.push(Increment {
                     class: ci as u32,
                     item: ii as u32,
-                    delta_cost: item.cost - prev_cost,
-                    delta_profit: item.profit - prev_profit,
+                    delta_cost: cost - prev_cost,
+                    delta_profit: profit - prev_profit,
                 });
-                prev_cost = item.cost;
-                prev_profit = item.profit;
+                prev_cost = cost;
+                prev_profit = profit;
             }
             for (ii, item) in class.iter().enumerate() {
                 if item.cost <= problem.capacity()
@@ -143,7 +143,7 @@ impl MckpLpGreedy {
         // (classic ½-approximation argument).
         if let Some((ci, ii, p)) = best_single {
             if p > solution.profit {
-                let item = problem.classes()[ci][ii];
+                let item = problem.class(ci)[ii];
                 let mut choices = vec![None; problem.num_classes()];
                 choices[ci] = Some(ii);
                 solution = MckpSolution {
@@ -192,7 +192,7 @@ mod tests {
     fn problem(cap: u64, classes: &[&[(u64, f64)]]) -> MckpProblem {
         let mut p = MckpProblem::new(cap);
         for class in classes {
-            p.add_class(class.iter().map(|&(c, pr)| MckpItem::new(c, pr)).collect());
+            p.add_class(class.iter().map(|&(c, pr)| MckpItem::new(c, pr)));
         }
         p
     }
@@ -227,8 +227,7 @@ mod tests {
             for _ in 0..rng.gen_range(1, 6) {
                 p.add_class(
                     (0..rng.gen_range(1, 4))
-                        .map(|_| MckpItem::new(rng.gen_range(1, 300) as u64, rng.gen_f64()))
-                        .collect(),
+                        .map(|_| MckpItem::new(rng.gen_range(1, 300) as u64, rng.gen_f64())),
                 );
             }
             let detail = MckpLpGreedy.solve_detailed(&p);
@@ -259,9 +258,7 @@ mod tests {
         let mut p = MckpProblem::new(2000);
         for _ in 0..40 {
             p.add_class(
-                (0..3)
-                    .map(|_| MckpItem::new(rng.gen_range(50, 250) as u64, rng.gen_f64()))
-                    .collect(),
+                (0..3).map(|_| MckpItem::new(rng.gen_range(50, 250) as u64, rng.gen_f64())),
             );
         }
         let lp = MckpLpGreedy.solve(&p);

@@ -41,9 +41,16 @@ impl MckpItem {
 /// Choosing *nothing* from a class is always allowed (in MUAA a vendor
 /// may simply not advertise to a customer), so the implicit `(0, 0)`
 /// null item is part of every class.
+///
+/// The classes live in one flat item buffer with an end offset per
+/// class, so a problem of any size holds two allocations, not one per
+/// class.
 #[derive(Clone, Debug, Default)]
 pub struct MckpProblem {
-    classes: Vec<Vec<MckpItem>>,
+    /// Every class's items, back to back.
+    items: Vec<MckpItem>,
+    /// `ends[k]` is one past class `k`'s last item in `items`.
+    ends: Vec<usize>,
     capacity: u64,
 }
 
@@ -51,7 +58,8 @@ impl MckpProblem {
     /// Create a problem with the given capacity (budget in cents).
     pub fn new(capacity: u64) -> Self {
         MckpProblem {
-            classes: Vec::new(),
+            items: Vec::new(),
+            ends: Vec::new(),
             capacity,
         }
     }
@@ -59,25 +67,33 @@ impl MckpProblem {
     /// Add a class of items; returns its index. Items with zero profit
     /// are kept (solvers will simply never pick them over the null
     /// choice unless free).
-    pub fn add_class(&mut self, items: Vec<MckpItem>) -> usize {
+    pub fn add_class(&mut self, items: impl IntoIterator<Item = MckpItem>) -> usize {
+        let start = self.items.len();
+        self.items.extend(items);
         debug_assert!(
-            items
+            self.items[start..]
                 .iter()
                 .all(|i| i.profit.is_finite() && i.profit >= 0.0),
             "item profits must be finite and non-negative"
         );
-        self.classes.push(items);
-        self.classes.len() - 1
+        self.ends.push(self.items.len());
+        self.ends.len() - 1
     }
 
-    /// The classes.
-    pub fn classes(&self) -> &[Vec<MckpItem>] {
-        &self.classes
+    /// The items of class `k`.
+    pub fn class(&self, k: usize) -> &[MckpItem] {
+        let start = if k == 0 { 0 } else { self.ends[k - 1] };
+        &self.items[start..self.ends[k]]
+    }
+
+    /// The classes, in index order.
+    pub fn classes(&self) -> impl ExactSizeIterator<Item = &[MckpItem]> + DoubleEndedIterator {
+        (0..self.num_classes()).map(move |k| self.class(k))
     }
 
     /// Number of classes.
     pub fn num_classes(&self) -> usize {
-        self.classes.len()
+        self.ends.len()
     }
 
     /// The capacity (budget) in cents.
@@ -88,8 +104,7 @@ impl MckpProblem {
     /// Sum of each class's maximum profit — an (unreachable in general)
     /// upper bound used for scaling.
     pub fn profit_upper_bound(&self) -> f64 {
-        self.classes
-            .iter()
+        self.classes()
             .map(|c| c.iter().map(|i| i.profit).fold(0.0_f64, f64::max))
             .sum()
     }
@@ -124,7 +139,7 @@ impl MckpSolution {
         }
         let mut profit = 0.0;
         let mut cost: u64 = 0;
-        for (class, choice) in problem.classes().iter().zip(&self.choices) {
+        for (class, choice) in problem.classes().zip(&self.choices) {
             if let Some(idx) = *choice {
                 let Some(item) = class.get(idx) else {
                     return false;
@@ -176,6 +191,17 @@ mod tests {
         assert_eq!(p.num_classes(), 2);
         assert_eq!(p.capacity(), 500);
         assert!((p.profit_upper_bound() - 4.0).abs() < 1e-12);
+        // Flat storage keeps each class's items in order, empty classes
+        // included.
+        let c = p.add_class([]);
+        assert_eq!(c, 2);
+        assert_eq!(
+            p.class(1),
+            &[MckpItem::new(200, 3.0), MckpItem::new(100, 0.5)]
+        );
+        assert!(p.class(2).is_empty());
+        let lens: Vec<usize> = p.classes().map(<[MckpItem]>::len).collect();
+        assert_eq!(lens, vec![1, 2, 0]);
     }
 
     #[test]

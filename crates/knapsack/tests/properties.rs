@@ -137,7 +137,7 @@ fn check_hull_lp(p: &MckpProblem) {
     let mut reduced = MckpProblem::new(p.capacity());
     for class in p.classes() {
         let hull = hull_indices(class);
-        reduced.add_class(hull.iter().map(|&i| class[i]).collect());
+        reduced.add_class(hull.iter().map(|&i| class[i]));
     }
     let full_lp = MckpLpGreedy.solve_detailed(p).lp_bound;
     let red_lp = MckpLpGreedy.solve_detailed(&reduced).lp_bound;
@@ -217,7 +217,7 @@ fn brute_force(p: &MckpProblem) -> f64 {
             return;
         }
         rec(p, class + 1, cost, profit, best);
-        for item in &p.classes()[class] {
+        for item in p.class(class) {
             rec(p, class + 1, cost + item.cost, profit + item.profit, best);
         }
     }

@@ -43,7 +43,7 @@ pub enum Command {
         /// Instance path.
         path: String,
         /// Solver name: recon | greedy | naive-greedy | random |
-        /// nearest | online | batched:<windows> | exact.
+        /// nearest | online | `batched:<windows>` | exact.
         solver: String,
         /// Seed for randomized solvers.
         seed: u64,

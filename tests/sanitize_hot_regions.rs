@@ -27,8 +27,9 @@ use muaa_spatial::{GridIndex, VendorIndex};
 /// Regions that must be allocation-free at steady state. The counting
 /// regions get their zero from warmed caller-owned buffers; the strict
 /// ones would have panicked on drop already if they ever allocated.
-const MUST_BE_ZERO: [&str; 6] = [
+const MUST_BE_ZERO: [&str; 7] = [
     "context.pair_base_block",
+    "context.fill_memo",
     "context.best_ad_type",
     "grid.visit_candidates",
     "grid.range_query_into",
@@ -173,6 +174,40 @@ fn context_build_allocations_do_not_scale_with_customers() {
     let (small, large) = (build_allocs(10_000), build_allocs(20_000));
     assert!(
         large.saturating_sub(small) < 1_000,
+        "10 000 more customers cost {} more allocations ({small} → {large})",
+        large.saturating_sub(small)
+    );
+}
+
+/// RECON's phase 1 allocates per vendor, not per MCKP class: each
+/// problem keeps its classes in one flat item buffer and the LP-greedy
+/// solver builds every class's hull in scratch reused across the solve
+/// (DESIGN.md §3.1). On the Table IV synthetic fixture, doubling the
+/// customers from 10 000 to 20 000 must add fewer than 5 000
+/// allocations to a sequential RECON plan on a built context. Without
+/// `muaa-sanitize` both counts read 0 and the check holds trivially.
+#[test]
+fn recon_allocations_do_not_scale_with_customers() {
+    let plan_allocs = |customers| {
+        let cfg = SyntheticConfig {
+            customers,
+            ..Default::default()
+        };
+        assert_eq!(cfg.vendors, 500, "Table IV default vendor count");
+        let inst = generate_synthetic(&cfg);
+        let model = muaa_core::PearsonUtility::uniform(cfg.tags);
+        par::with_sequential(|| {
+            let ctx = SolverContext::indexed(&inst, &model);
+            let before = sanitize::thread_alloc_count();
+            let set = Recon::new().assign(&ctx);
+            let allocs = sanitize::thread_alloc_count() - before;
+            drop(set);
+            allocs
+        })
+    };
+    let (small, large) = (plan_allocs(10_000), plan_allocs(20_000));
+    assert!(
+        large.saturating_sub(small) < 5_000,
         "10 000 more customers cost {} more allocations ({small} → {large})",
         large.saturating_sub(small)
     );
