@@ -97,19 +97,22 @@ fn collect_candidates(ctx: &SolverContext<'_>) -> Vec<Candidate> {
 /// positive gammas of real models the two orders agree exactly (total
 /// order matches `<` on same-sign finite floats).
 ///
-/// `par_sort_by` is a stable parallel merge sort producing the
-/// identical permutation to `sort_by` for any thread count (and falling
-/// back to it below its run threshold), so the global candidate order —
-/// and therefore the sweep — stays byte-identical between feature
-/// configurations.
+/// An unstable sort is exact here: candidates are unique (customer,
+/// vendor, ad type) triples and the comparator ends on all three ids,
+/// so no two candidates compare `Equal` and the sorted permutation is
+/// the only one there is — the one a stable sort would produce.
 pub(crate) fn sort_candidates(candidates: &mut [Candidate]) {
-    muaa_core::par::par_sort_by(candidates, |a, b| {
-        b.gamma
-            .total_cmp(&a.gamma)
-            .then(a.customer.cmp(&b.customer))
-            .then(a.vendor.cmp(&b.vendor))
-            .then(a.ad_type.cmp(&b.ad_type))
-    });
+    candidates.sort_unstable_by(candidate_order);
+}
+
+/// GREEDY's commit order: γ descending, then customer, vendor and ad
+/// type ascending — a strict total order over distinct triples.
+fn candidate_order(a: &Candidate, b: &Candidate) -> std::cmp::Ordering {
+    b.gamma
+        .total_cmp(&a.gamma)
+        .then(a.customer.cmp(&b.customer))
+        .then(a.vendor.cmp(&b.vendor))
+        .then(a.ad_type.cmp(&b.ad_type))
 }
 
 /// The GREEDY body: collect candidates, sort into efficiency order,
@@ -339,22 +342,47 @@ mod tests {
             .any(|asg| asg.customer.index() % 2 == 1));
     }
 
-    /// The global candidate order must be thread-count invariant: a run
-    /// big enough to engage `par_sort_by`'s parallel merge path (above
-    /// its 4096-element run threshold) commits the exact assignment
-    /// sequence of a forced-sequential run.
+    /// Co-located, identical customers tie on γ for every vendor and ad
+    /// type, so only the id tie-breaks order them. The unstable sort
+    /// must still land on the stable sort's permutation, and no two
+    /// adjacent candidates may compare `Equal` (which is why it does).
     #[test]
-    fn parallel_candidate_sort_matches_sequential() {
-        let inst = instance(600, 20, 4.0);
+    fn candidate_sort_matches_stable_sort_under_gamma_ties() {
+        let twin = Customer {
+            location: Point::new(0.5, 0.5),
+            capacity: 2,
+            view_probability: 0.5,
+            interests: TagVector::new(vec![0.3, 0.5, 0.7]).unwrap(),
+            arrival: Timestamp::from_hours(9.0),
+        };
+        let inst = InstanceBuilder::new()
+            .ad_types([
+                AdType::new("TL", Money::from_dollars(1.0), 0.1),
+                AdType::new("PL", Money::from_dollars(2.0), 0.2),
+            ])
+            .customers(std::iter::repeat_n(twin, 300))
+            .vendors((0..6).map(|j| Vendorish::at(j, 6, 4.0, 3)))
+            .build()
+            .unwrap();
         let model = PearsonUtility::uniform(3);
         let ctx = SolverContext::indexed(&inst, &model);
+        let mut unstable = collect_candidates(&ctx);
+        let gammas: std::collections::BTreeSet<u64> =
+            unstable.iter().map(|c| c.gamma.to_bits()).collect();
         assert!(
-            collect_candidates(&ctx).len() > 4096,
-            "instance too small to exercise the parallel sort path"
+            gammas.len() * 100 < unstable.len(),
+            "{} distinct gammas over {} candidates: too few ties to test",
+            gammas.len(),
+            unstable.len()
         );
-        let parallel = Greedy.assign(&ctx);
-        let sequential = muaa_core::par::with_sequential(|| Greedy.assign(&ctx));
-        assert_eq!(parallel.assignments(), sequential.assignments());
+        let mut stable = unstable.clone();
+        stable.sort_by(candidate_order);
+        sort_candidates(&mut unstable);
+        let key = |c: &Candidate| (c.gamma.to_bits(), c.customer, c.vendor, c.ad_type);
+        assert!(unstable.iter().map(key).eq(stable.iter().map(key)));
+        for w in unstable.windows(2) {
+            assert_eq!(candidate_order(&w[0], &w[1]), std::cmp::Ordering::Less);
+        }
     }
 
     #[test]

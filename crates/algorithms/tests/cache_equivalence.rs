@@ -72,7 +72,7 @@ fn solvers_match_uncached_sequential() {
             ];
             for solver in &solvers {
                 let fast = solver.assign(&cached);
-                let slow = par::with_sequential(|| {
+                let slow = par::with_threads(1, || {
                     let ctx = SolverContext::indexed(instance, &model).without_pair_cache();
                     solver.assign(&ctx)
                 });

@@ -71,13 +71,13 @@ fn thread_count_is_bitwise_invisible_at_every_ragged_width() {
             let model = PearsonUtility::new(diurnal_profile(tags, 5));
 
             let pairs_par = par::with_threads(4, || pair_base_bits(instance, &model));
-            let pairs_seq = par::with_sequential(|| pair_base_bits(instance, &model));
+            let pairs_seq = par::with_threads(1, || pair_base_bits(instance, &model));
             assert_eq!(pairs_par, pairs_seq, "pair bases diverged at width {tags}");
 
             let solvers: [&dyn OfflineSolver; 3] = [&Greedy, &Recon::new(), &BatchedRecon::new(3)];
             for solver in solvers {
                 let par_bits = par::with_threads(4, || solver_bits(instance, &model, solver));
-                let seq_bits = par::with_sequential(|| solver_bits(instance, &model, solver));
+                let seq_bits = par::with_threads(1, || solver_bits(instance, &model, solver));
                 assert_eq!(
                     par_bits,
                     seq_bits,

@@ -80,13 +80,13 @@ fn main() {
     // Identity sanity: the two paths must agree bit-for-bit.
     assert_eq!(sweep(&cached).to_bits(), sweep(&uncached).to_bits());
 
-    // Solver-level wall clock, parallel vs forced-sequential, shared
+    // Solver-level wall clock, all threads vs one thread, shared
     // warm cache so only the fan-out differs.
     let threads = par::max_threads();
     let greedy_par_s = best_of(3, || Greedy.assign(&cached));
-    let greedy_seq_s = best_of(3, || par::with_sequential(|| Greedy.assign(&cached)));
+    let greedy_seq_s = best_of(3, || par::with_threads(1, || Greedy.assign(&cached)));
     let recon_par_s = best_of(3, || Recon::new().assign(&cached));
-    let recon_seq_s = best_of(3, || par::with_sequential(|| Recon::new().assign(&cached)));
+    let recon_seq_s = best_of(3, || par::with_threads(1, || Recon::new().assign(&cached)));
 
     // End-to-end: cold cached context + solve vs cold uncached
     // sequential context + solve (what a user actually experiences).
@@ -95,7 +95,7 @@ fn main() {
         Greedy.assign(&ctx)
     });
     let e2e_uncached_s = best_of(3, || {
-        par::with_sequential(|| {
+        par::with_threads(1, || {
             let ctx = SolverContext::indexed(inst, &fixture.model).without_pair_cache();
             Greedy.assign(&ctx)
         })

@@ -78,18 +78,20 @@ const D12_ROOT_PATHS: &[&str] = &[
 /// once per region by design.
 const D13_SANCTIONED_FILES: &[&str] = &["crates/core/src/sanitize.rs", "crates/core/src/par.rs"];
 
-/// Files sanctioned for D14: the fixed-chunk reducers and the moment
+/// Files sanctioned for D14: the fixed-chunk reducer and the moment
 /// kernels' lane schedule are the *sanctioned* ways to reduce floats.
 const D14_SANCTIONED_FILES: &[&str] = &["crates/core/src/par.rs", "crates/core/src/simd.rs"];
 
 /// Function names sanctioned for D14 wherever they live (re-exports,
 /// thin forwarding shims).
-const D14_SANCTIONED_FNS: &[&str] = &["sum_f64", "par_sum_f64"];
+const D14_SANCTIONED_FNS: &[&str] = &["sum_f64"];
 
 /// `par::` helpers whose call marks the calling fn as a parallel
-/// region seed for D14. (`join` is only counted when `par ::`-
-/// qualified, so `str::join` stays out.)
-const PAR_DRIVERS: &[&str] = &["par_map", "join", "par_sort_by", "with_threads"];
+/// region seed for D14: the two that fan work out to other threads.
+/// (`join` is only counted when `par ::`-qualified, so `str::join`
+/// stays out.) `with_threads` is not one: it runs its closure on the
+/// calling thread, and any fan-out inside is a seed of its own.
+const PAR_DRIVERS: &[&str] = &["par_map", "join"];
 
 /// Control keywords that look like `name(…)` to a token scan.
 const CALL_KEYWORDS: &[&str] = &[
@@ -597,10 +599,9 @@ impl CallGraph {
         out
     }
 
-    /// D14: any fn reachable from a parallel region that performs an
-    /// order-sensitive f64 accumulation must be one of the sanctioned
-    /// reducers. D7 catches reductions *inside* `cfg(parallel)` items;
-    /// this rule follows the calls out of them.
+    /// D14: any fn reachable from a parallel region — a fn that calls
+    /// a `par::` fan-out — that performs an order-sensitive f64
+    /// accumulation must be one of the sanctioned reducers.
     pub fn d14_reduction_taint(&self, files: &[(FileAnalysis, ItemTree)]) -> Vec<Violation> {
         let mut out = Vec::new();
         let mut reported: BTreeSet<(usize, u32, u32)> = BTreeSet::new();
@@ -617,17 +618,7 @@ impl CallGraph {
             let (order, parent) = self.reach(seed, &blocked);
             for v in order {
                 let vf = &files[self.nodes[v].file].0;
-                let vtree = &files[self.nodes[v].file].1;
                 for &(line, col, what) in &self.effects[v].reduce {
-                    // Sites *inside* a `cfg(parallel)` item are D7's
-                    // jurisdiction; D14 owns what the region reaches.
-                    if vtree
-                        .parallel_regions
-                        .iter()
-                        .any(|&(lo, hi)| lo <= line && line <= hi)
-                    {
-                        continue;
-                    }
                     if vf.in_test(line) || !reported.insert((self.nodes[v].file, line, col)) {
                         continue;
                     }
@@ -641,7 +632,7 @@ impl CallGraph {
                         format!(
                             "order-sensitive float reduction `{what}` in `{}` is reachable \
                              from parallel region `{}` (via {}); route it through \
-                             `muaa_core::par::sum_f64` / `par_sum_f64` or justify with \
+                             `muaa_core::par::sum_f64` or justify with \
                              `// lint: allow(par_reduce): <why>`",
                             self.label(v),
                             self.label(seed),
@@ -656,16 +647,9 @@ impl CallGraph {
 
     fn is_d14_seed(&self, files: &[(FileAnalysis, ItemTree)], id: usize) -> bool {
         let node = &self.nodes[id];
-        if node.in_test || d14_sanctioned(&files[node.file].0.rel_path) {
-            return false;
-        }
-        if self.effects[id].par_driver {
-            return true;
-        }
-        let tree = &files[node.file].1;
-        tree.parallel_regions
-            .iter()
-            .any(|&(lo, hi)| lo <= node.line && node.line <= hi)
+        !node.in_test
+            && !d14_sanctioned(&files[node.file].0.rel_path)
+            && self.effects[id].par_driver
     }
 
     /// Render the production subgraph as GraphViz DOT, clustered per
@@ -1522,7 +1506,7 @@ mod tests {
     }
 
     #[test]
-    fn d14_ignores_sanctioned_reducers_max_folds_and_d7_territory() {
+    fn d14_ignores_sanctioned_reducers_max_folds_and_pinned_thread_counts() {
         // Routed through the sanctioned reducer name: clean.
         let routed = "fn fan(xs: &[f64]) -> f64 { par::par_map(xs, |x| *x); sum_f64(xs) }\n\
                       fn sum_f64(xs: &[f64]) -> f64 { xs.iter().sum::<f64>() }";
@@ -1533,9 +1517,12 @@ mod tests {
                      fn peak(xs: &[f64]) -> f64 { xs.iter().copied().fold(0.0_f64, f64::max) }";
         let (files, g) = ws(&[("crates/algorithms/src/a.rs", maxed)]);
         assert!(g.d14_reduction_taint(&files).is_empty());
-        // A reduction inside a cfg(parallel) item is D7's finding.
-        let intra = "#[cfg(feature = \"parallel\")]\nfn fan(xs: &[f64]) -> f64 {\n    xs.iter().sum::<f64>()\n}";
-        let (files, g) = ws(&[("crates/algorithms/src/a.rs", intra)]);
+        // `with_threads` runs its closure on the calling thread: pinning
+        // a thread count fans nothing out, so the caller's own float
+        // sums are not reachable from a parallel region.
+        let pinned = "fn main() {\n    let t = par::with_threads(1, || solve());\n    \
+                      let s = [t, 2.0].iter().sum::<f64>();\n    report(s);\n}";
+        let (files, g) = ws(&[("crates/bench/src/bin/r.rs", pinned)]);
         assert!(g.d14_reduction_taint(&files).is_empty());
     }
 

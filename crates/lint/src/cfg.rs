@@ -1,7 +1,7 @@
 //! Per-function control-flow graphs and a forward dataflow framework
 //! (DESIGN.md §19).
 //!
-//! The token rules (D1–D5), item rules (D6–D11) and call-graph rules
+//! The token rules (D1–D4), item rules (D6–D11) and call-graph rules
 //! (D12–D14) all reason about *which* constructs appear in a body,
 //! never about the *order they execute in*. The typestate rules
 //! (D15–D17) need exactly that order: a guard binding matters only

@@ -2,8 +2,8 @@
 //! safety static-analysis pass (DESIGN.md §13).
 //!
 //! The repo's core guarantee — bit-identical (0 ULP) solver outputs
-//! across the parallel/sequential configs and across the delta engine
-//! vs. a full rebuild — is enforced dynamically by the equivalence test
+//! at every thread count and across the delta engine vs. a full
+//! rebuild — is enforced dynamically by the equivalence test
 //! suites. This crate enforces it *statically*: it walks every `.rs`
 //! file in the workspace with a hand-rolled lexer (no `syn`, no
 //! registry access) and rejects the construct classes that silently
@@ -183,182 +183,25 @@ pub fn check_source(rel_path: &str, src: &str) -> (Vec<Violation>, Vec<UnsafeSit
     (report.violations, report.unsafe_sites)
 }
 
-/// FNV-1a over the source text: the cache-validity fingerprint. Not
-/// cryptographic — it only has to notice edits between lint runs.
-fn fnv64(s: &str) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for b in s.bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
-}
-
-/// Parse results carried across [`run_sources_cached`] invocations:
-/// `rel_path → (content hash, lex/pre-index, item tree)`. Lexing and
-/// item-tree construction dominate a lint run's cost; the rules
-/// themselves re-run every time (their allow-usage flags are
-/// per-run state — see `FileAnalysis::reset_allow_usage`). A `BTreeMap`
-/// so no code path can ever depend on hash-iteration order.
-#[derive(Debug, Default)]
-pub struct ParseCache {
-    entries: std::collections::BTreeMap<String, (u64, FileAnalysis, tree::ItemTree)>,
-}
-
-impl ParseCache {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Number of files currently cached.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// `true` when nothing is cached yet.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-}
-
-/// One file's per-file phase input: `(rel_path, source, cached parse)`.
-type FileInput<'a> = (&'a str, &'a str, Option<(FileAnalysis, tree::ItemTree)>);
-
-/// One file's per-file phase output: the (possibly cache-reused)
-/// parse plus the D1–D7/D15–D17 findings.
-struct FileUnit {
-    fa: FileAnalysis,
-    items: tree::ItemTree,
-    violations: Vec<Violation>,
-    sites: Vec<UnsafeSite>,
-}
-
-/// Run the per-file phase for one source, reusing a cached parse when
-/// the caller validated it. The per-file rules always re-run: they
-/// are cheap relative to parsing and own the allow-usage state.
-fn process_one(rel: &str, src: &str, cached: Option<(FileAnalysis, tree::ItemTree)>) -> FileUnit {
-    let (fa, items) = match cached {
-        Some((fa, items)) => {
-            fa.reset_allow_usage();
-            (fa, items)
-        }
-        None => {
-            let fa = FileAnalysis::new(rel, src);
-            let items = tree::build(&fa);
-            (fa, items)
-        }
-    };
-    let (violations, sites) = rules::run_all(&fa, &items);
-    FileUnit {
-        fa,
-        items,
-        violations,
-        sites,
-    }
-}
-
-/// Per-file phase over every input, in input order. Parallel build:
-/// contiguous chunks fan out over scoped threads and the results
-/// merge back in input order, so the diagnostic stream is
-/// byte-identical to the sequential build's (`FileAnalysis` owns
-/// `Cell` state, so each file's rules run on the thread that owns
-/// it — nothing is shared).
-#[cfg(feature = "parallel")]
-fn process_files(inputs: Vec<FileInput<'_>>, threads: Option<usize>) -> Vec<FileUnit> {
-    let threads = threads
-        .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
-        .clamp(1, inputs.len().max(1));
-    if threads <= 1 {
-        return inputs
-            .into_iter()
-            .map(|(rel, src, c)| process_one(rel, src, c))
-            .collect();
-    }
-    let chunk = inputs.len().div_ceil(threads);
-    let mut work: Vec<Vec<FileInput<'_>>> = Vec::new();
-    let mut inputs = inputs;
-    while !inputs.is_empty() {
-        let rest = inputs.split_off(chunk.min(inputs.len()));
-        work.push(std::mem::replace(&mut inputs, rest));
-    }
-    let mut units = Vec::new();
-    std::thread::scope(|s| {
-        let handles: Vec<_> = work
-            .into_iter()
-            .map(|batch| {
-                s.spawn(move || {
-                    batch
-                        .into_iter()
-                        .map(|(rel, src, c)| process_one(rel, src, c))
-                        .collect::<Vec<_>>()
-                })
-            })
-            .collect();
-        for h in handles {
-            match h.join() {
-                Ok(batch) => units.extend(batch),
-                Err(e) => std::panic::resume_unwind(e),
-            }
-        }
-    });
-    units
-}
-
-/// Sequential twin of the parallel fan-out: same signature, same
-/// input-order output.
-#[cfg(not(feature = "parallel"))]
-fn process_files(inputs: Vec<FileInput<'_>>, _threads: Option<usize>) -> Vec<FileUnit> {
-    inputs
-        .into_iter()
-        .map(|(rel, src, c)| process_one(rel, src, c))
-        .collect()
-}
-
 /// The full pass over a set of in-memory `(rel_path, source)` files:
-/// per-file rules (D1–D7, D15–D17), then the workspace-level passes —
-/// the dead-validator audit (D9) and the `Delta` arm-parity audit
-/// (D11) — then allow hygiene (D8) last, so its staleness check
-/// observes every other rule's allow consultations.
+/// per-file rules (D1–D4, D6, D15–D17), then the workspace-level passes —
+/// the dead-validator audit (D9), the `Delta` arm-parity audit (D11)
+/// and the call-graph rules (D12–D14) — then allow hygiene (D8) last,
+/// so its staleness check observes every other rule's allow
+/// consultations.
 pub fn run_sources(files: &[(String, String)]) -> Report {
-    run_sources_cached(files, &mut ParseCache::new())
-}
-
-/// [`run_sources`] with a caller-owned parse cache: unchanged files
-/// skip lexing and item-tree construction. The diagnostic stream is
-/// identical either way.
-pub fn run_sources_cached(files: &[(String, String)], cache: &mut ParseCache) -> Report {
-    run_sources_tuned(files, cache, None)
-}
-
-/// [`run_sources_cached`] with an explicit per-file-phase thread
-/// count (`None` = available parallelism under the `parallel`
-/// feature, always 1 without it). The lint self-benchmark uses this
-/// to time sequential vs parallel on identical inputs.
-pub fn run_sources_tuned(
-    files: &[(String, String)],
-    cache: &mut ParseCache,
-    threads: Option<usize>,
-) -> Report {
-    let inputs: Vec<FileInput<'_>> = files
-        .iter()
-        .map(|(rel, src)| {
-            let cached = match cache.entries.remove(rel) {
-                Some((hash, fa, items)) if hash == fnv64(src) => Some((fa, items)),
-                _ => None,
-            };
-            (rel.as_str(), src.as_str(), cached)
-        })
-        .collect();
-    let units = process_files(inputs, threads);
     let mut report = Report {
-        files_checked: units.len(),
+        files_checked: files.len(),
         ..Report::default()
     };
-    let mut analyzed: Vec<(FileAnalysis, tree::ItemTree)> = Vec::with_capacity(units.len());
-    for unit in units {
-        report.violations.extend(unit.violations);
-        report.unsafe_sites.extend(unit.sites);
-        analyzed.push((unit.fa, unit.items));
+    let mut analyzed: Vec<(FileAnalysis, tree::ItemTree)> = Vec::with_capacity(files.len());
+    for (rel, src) in files {
+        let fa = FileAnalysis::new(rel, src);
+        let items = tree::build(&fa);
+        let (violations, sites) = rules::run_all(&fa, &items);
+        report.violations.extend(violations);
+        report.unsafe_sites.extend(sites);
+        analyzed.push((fa, items));
     }
     report
         .violations
@@ -385,14 +228,6 @@ pub fn run_sources_tuned(
     report
         .unsafe_sites
         .sort_by_key(|s| (s.file.clone(), s.line, s.col));
-    // Rebuild the cache from this run's parses (fresh and reused
-    // alike). Clearing first evicts files no longer in the input —
-    // the `remove`-based validation above only touches files that
-    // are still present.
-    cache.entries.clear();
-    for ((rel, src), (fa, items)) in files.iter().zip(analyzed) {
-        cache.entries.insert(rel.clone(), (fnv64(src), fa, items));
-    }
     report
 }
 
@@ -406,9 +241,8 @@ const SKIP_DIRS: &[&str] = &[
 /// Read every lintable `.rs` file under `root`, deterministically
 /// (directory entries are visited in sorted order; paths come back
 /// workspace-relative and `/`-separated) — the exact input shape
-/// [`run_sources`] expects. Public so the lint self-benchmark can
-/// collect once and time the pass alone.
-pub fn collect_sources(root: &Path) -> std::io::Result<Vec<(String, String)>> {
+/// [`run_sources`] expects.
+fn collect_sources(root: &Path) -> std::io::Result<Vec<(String, String)>> {
     let mut files = Vec::new();
     collect_rs_files(root, root, &mut files)?;
     files.sort();
@@ -643,27 +477,6 @@ mod tests {
         assert!(violations("crates/core/src/a.rs", or).is_empty());
     }
 
-    // ---- D5 ---------------------------------------------------------
-
-    #[test]
-    fn d5_flags_unpaired_parallel_cfg() {
-        let src = "#[cfg(feature = \"parallel\")]\nfn fan_out() {}\n";
-        let v = violations("crates/core/src/a.rs", src);
-        assert_eq!(v.len(), 1);
-        assert_eq!((v[0].rule, v[0].line), ("D5", 1));
-    }
-
-    #[test]
-    fn d5_accepts_paired_or_annotated_cfg() {
-        let paired = "#[cfg(feature = \"parallel\")]\nfn go() { threads() }\n#[cfg(not(feature = \"parallel\"))]\nfn go() { serial() }\n";
-        assert!(violations("crates/core/src/a.rs", paired).is_empty());
-        let annotated = "// parallel-only import; the sequential build has no twin. lint: allow(par_only)\n#[cfg(feature = \"parallel\")]\nuse std::thread;\n";
-        assert!(violations("crates/core/src/a.rs", annotated).is_empty());
-        // Other features are not this rule's business.
-        let other = "#[cfg(feature = \"serde\")]\nfn s() {}\n";
-        assert!(violations("crates/core/src/a.rs", other).is_empty());
-    }
-
     // ---- D6 ---------------------------------------------------------
 
     #[test]
@@ -697,35 +510,6 @@ mod tests {
         // A justified allow waives a deliberate allocation.
         let allowed = "#[muaa::hot]\nfn kernel(out: &mut Vec<f64>) {\n    // one-time warm-up growth, pinned by the counting guard. lint: allow(hot_alloc)\n    out.push(1.0);\n}";
         assert!(violations("crates/core/src/a.rs", allowed).is_empty());
-    }
-
-    // ---- D7 ---------------------------------------------------------
-
-    #[test]
-    fn d7_flags_float_sums_only_inside_parallel_items() {
-        let src = "#[cfg(feature = \"parallel\")]\nfn fan(xs: &[f64]) -> f64 {\n    xs.iter().sum::<f64>()\n}\n#[cfg(not(feature = \"parallel\"))]\nfn fan(xs: &[f64]) -> f64 { muaa_core::par::sum_f64(xs) }";
-        let v = violations("crates/algorithms/src/a.rs", src);
-        assert_eq!(v.len(), 1, "{v:?}");
-        assert_eq!((v[0].rule, v[0].line), ("D7", 3));
-        assert!(v[0].message.contains("par_sum_f64"));
-        // The same sum outside any parallel region is fine.
-        let outside = "fn plain(xs: &[f64]) -> f64 { xs.iter().sum::<f64>() }";
-        assert!(violations("crates/algorithms/src/a.rs", outside).is_empty());
-    }
-
-    #[test]
-    fn d7_flags_adding_folds_but_not_max_folds_or_usize_sums() {
-        let fold = "#[cfg(feature = \"parallel\")]\nfn fan(xs: &[f64]) -> f64 {\n    xs.iter().fold(0.0, |acc, x| acc + x)\n}\n#[cfg(not(feature = \"parallel\"))]\nfn fan(xs: &[f64]) -> f64 { 0.0 }";
-        assert_eq!(rule_ids("crates/x/src/a.rs", fold), vec!["D7"]);
-        // Max-folds don't re-associate additions.
-        let max = "#[cfg(feature = \"parallel\")]\nfn fan(xs: &[f64]) -> f64 {\n    xs.iter().copied().fold(0.0, f64::max)\n}\n#[cfg(not(feature = \"parallel\"))]\nfn fan(xs: &[f64]) -> f64 { 0.0 }";
-        assert!(violations("crates/x/src/a.rs", max).is_empty());
-        // Integer sums are exact — only the f64 turbofish is flagged.
-        let usize_sum = "#[cfg(feature = \"parallel\")]\nfn fan(xs: &[usize]) -> usize {\n    xs.iter().sum::<usize>()\n}\n#[cfg(not(feature = \"parallel\"))]\nfn fan(xs: &[usize]) -> usize { 0 }";
-        assert!(violations("crates/x/src/a.rs", usize_sum).is_empty());
-        // A justified allow waives it.
-        let allowed = "#[cfg(feature = \"parallel\")]\nfn fan(xs: &[f64]) -> f64 {\n    // single fixed chunk by caller contract. lint: allow(float_reduce)\n    xs.iter().sum::<f64>()\n}\n#[cfg(not(feature = \"parallel\"))]\nfn fan(xs: &[f64]) -> f64 { 0.0 }";
-        assert!(violations("crates/x/src/a.rs", allowed).is_empty());
     }
 
     // ---- D8 ---------------------------------------------------------
@@ -877,18 +661,18 @@ mod tests {
 
     #[test]
     fn json_rendering_escapes_quotes_and_carries_allow_keys() {
-        let src = "#[cfg(feature = \"parallel\")]\nfn fan_out() {}\n";
-        let report = run_sources(&[("crates/x/src/a.rs".to_string(), src.to_string())]);
+        let src = "fn f(v: Vec<u32>) -> u32 { *v.first().expect(\"non-empty\") }\n";
+        let report = run_sources(&[("crates/core/src/a.rs".to_string(), src.to_string())]);
         let json = report.render_json();
         let first = json.lines().next().unwrap();
         assert!(
-            first.starts_with("{\"file\":\"crates/x/src/a.rs\",\"line\":1,"),
+            first.starts_with("{\"file\":\"crates/core/src/a.rs\",\"line\":1,"),
             "{first}"
         );
-        assert!(first.contains("\"rule\":\"D5\""), "{first}");
-        assert!(first.contains("\"allow_key\":\"par_only\""), "{first}");
-        // The snippet's quotes around "parallel" must be escaped.
-        assert!(first.contains("\\\"parallel\\\""), "{first}");
+        assert!(first.contains("\"rule\":\"D4\""), "{first}");
+        assert!(first.contains("\"allow_key\":\"unwrap\""), "{first}");
+        // The snippet's quotes around "non-empty" must be escaped.
+        assert!(first.contains("\\\"non-empty\\\""), "{first}");
         let last = json.lines().last().unwrap();
         assert!(last.contains("\"files_checked\":1"), "{last}");
     }
@@ -957,8 +741,8 @@ mod tests {
         assert_eq!(v[0].rule, "D17");
     }
 
-    /// Small multi-file workspace for the engine tests: one dirty file,
-    /// one clean, one with an allow that must survive cache reuse.
+    /// Small multi-file workspace for the SARIF test: one dirty file,
+    /// one clean, one with an allow.
     fn engine_files() -> Vec<(String, String)> {
         vec![
             (
@@ -971,48 +755,6 @@ mod tests {
                 "fn g(v: &mut Vec<f64>) {\n    // lint: allow(partial_cmp): test fixture\n    v.sort_by(|a, b| a.partial_cmp(b).unwrap());\n}\n".into(),
             ),
         ]
-    }
-
-    #[test]
-    fn cached_rerun_is_byte_identical_and_reuses_parses() {
-        let files = engine_files();
-        let cold = run_sources(&files).render_json();
-        let mut cache = ParseCache::new();
-        let first = run_sources_cached(&files, &mut cache);
-        assert_eq!(cache.len(), files.len(), "every file must be cached");
-        // Second run hits the cache for every file; the allow-usage
-        // flags were reset, so D8 must not report the allow as unused.
-        let second = run_sources_cached(&files, &mut cache);
-        assert_eq!(first.render_json(), cold);
-        assert_eq!(second.render_json(), cold);
-        assert_eq!(cache.len(), files.len());
-    }
-
-    #[test]
-    fn cache_invalidates_on_edit_and_drops_deleted_files() {
-        let mut files = engine_files();
-        let mut cache = ParseCache::new();
-        run_sources_cached(&files, &mut cache);
-        // Fixing the dirty file must change the report despite the
-        // warm cache entry for its old contents.
-        files[0].1 = "pub fn id(x: u32) -> u32 { x }\n".into();
-        let fixed = run_sources_cached(&files, &mut cache);
-        assert!(fixed.violations.is_empty(), "{:?}", fixed.violations);
-        // Deleting a file must evict its entry.
-        files.pop();
-        run_sources_cached(&files, &mut cache);
-        assert_eq!(cache.len(), files.len());
-    }
-
-    #[test]
-    fn parallel_and_sequential_scans_render_identically() {
-        let files = engine_files();
-        let mut c1 = ParseCache::new();
-        let mut cn = ParseCache::new();
-        let one = run_sources_tuned(&files, &mut c1, Some(1));
-        let many = run_sources_tuned(&files, &mut cn, None);
-        assert_eq!(one.render_json(), many.render_json());
-        assert_eq!(one.render(), many.render());
     }
 
     #[test]

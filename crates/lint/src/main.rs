@@ -11,9 +11,7 @@
 //! prints the workspace call graph as GraphViz DOT instead of
 //! diagnostics; `--audit` prints the unsafe-reachability audit (which
 //! public entry points reach each unsafe site). Both still exit 1 on
-//! violations so CI can archive the artifacts and gate in one step. CI
-//! runs this on both feature configs (the pass itself is
-//! config-independent — it reads sources, not cfg-expanded code).
+//! violations so CI can archive the artifacts and gate in one step.
 
 use std::path::PathBuf;
 use std::process::ExitCode;

@@ -1,4 +1,4 @@
-//! The MUAA rule set (DESIGN.md §13–§14, §19): sixteen
+//! The MUAA rule set (DESIGN.md §13–§14, §19): fourteen
 //! repo-specific determinism and safety rules, declared in [`RULES`]
 //! with per-path allowlists and applied over the token stream from
 //! [`crate::lexer`], the item view from [`crate::tree`], and — for
@@ -10,9 +10,7 @@
 //! | D2 | no `HashMap`/`HashSet` iteration in solver-path crates | `// lint: allow(hash_iter)` |
 //! | D3 | every `unsafe` needs an immediately preceding `// SAFETY:` | (the comment itself) |
 //! | D4 | no `.unwrap()`/`.expect()` in core/spatial library code | `// lint: allow(unwrap)` |
-//! | D5 | every `#[cfg(feature = "parallel")]` needs a `not(...)` counterpart | `// lint: allow(par_only)` |
 //! | D6 | no allocating constructs inside `#[muaa::hot]` functions | `// lint: allow(hot_alloc)` |
-//! | D7 | no order-sensitive float reductions in `cfg(feature = "parallel")` items | `// lint: allow(float_reduce)` |
 //! | D8 | every allow annotation is justified and still suppresses something | (none — fix the annotation) |
 //! | D9 | every `debug_validate*` validator is reachable from at least one test | `// lint: allow(dead_validator)` |
 //! | D11 | every `apply`/`apply_delta` that names `Delta::` variants names them all | `// lint: allow(delta_parity)` |
@@ -21,15 +19,14 @@
 //! | D14 | float reductions reachable from parallel regions use the sanctioned reducers | `// lint: allow(par_reduce)` |
 //! | D15 | RAII guards (`AllocGuard`/`NanGuard`/`Stopwatch`) are never bound as `let _`, `mem::forget`-ed, or dropped while guarded statements remain on some path | `// lint: allow(guard_lifetime)` |
 //! | D16 | in `apply`/`apply_delta` bodies, every path to a derived-structure mutation is dominated by exactly one epoch bump, and no `Err` exit follows a mutation (valid-prefix) | `// lint: allow(epoch_protocol)` |
-//! | D17 | no manual `f64` compound-assign accumulation in loops inside hot/parallel fns outside the sanctioned reducers | `// lint: allow(manual_accum)` |
+//! | D17 | no manual `f64` compound-assign accumulation in loops inside hot fns outside the sanctioned reducers | `// lint: allow(manual_accum)` |
 //!
-//! D1/D2 exist because the repo's 0-ULP parallel/sequential and
+//! D1/D2 exist because the repo's 0-ULP thread-count and
 //! delta-vs-rebuild guarantees die silently when a float comparator is
 //! non-total (NaN makes `sort_by` order unspecified) or when a merge
-//! order depends on hash-table iteration. D5 keeps the
-//! `--no-default-features` build honest. D6 is the static half of the
+//! order depends on hash-table iteration. D6 is the static half of the
 //! zero-allocation claim the `muaa-sanitize` runtime guards check
-//! dynamically; D7 is the static half of the thread-count-invariance
+//! dynamically; D14 is the static half of the thread-count-invariance
 //! claim `tests/thread_determinism.rs` checks end-to-end. An annotation
 //! applies to its own line and the line directly below it; D8 keeps
 //! the annotation inventory honest (doc comments never register
@@ -88,7 +85,7 @@ pub struct RuleSpec {
 }
 
 /// The rule table. Scopes mirror the determinism contract: D2/D4 bind
-/// the crates on the solver path, D1/D3/D5 bind the whole tree.
+/// the crates on the solver path, D1/D3 bind the whole tree.
 pub const RULES: &[RuleSpec] = &[
     RuleSpec {
         id: "D1",
@@ -127,29 +124,11 @@ pub const RULES: &[RuleSpec] = &[
         skip_test_code: true,
     },
     RuleSpec {
-        id: "D5",
-        summary: "#[cfg(feature = \"parallel\")] without a not(...) counterpart",
-        allow_key: "par_only",
-        include: &["crates/", "src/"],
-        exclude: &["/tests/", "/benches/"],
-        skip_test_code: true,
-    },
-    RuleSpec {
         id: "D6",
         summary: "allocating construct inside a #[muaa::hot] function",
         allow_key: "hot_alloc",
         include: &[],
         exclude: &[],
-        skip_test_code: true,
-    },
-    RuleSpec {
-        id: "D7",
-        summary: "order-sensitive float reduction in cfg(feature = \"parallel\") code \
-                  (use muaa_core::par::sum_f64 / par_sum_f64)",
-        allow_key: "float_reduce",
-        // The fixed-chunk reducers themselves live in par.rs.
-        include: &[],
-        exclude: &["crates/core/src/par.rs"],
         skip_test_code: true,
     },
     RuleSpec {
@@ -201,7 +180,7 @@ pub const RULES: &[RuleSpec] = &[
     RuleSpec {
         id: "D14",
         summary: "order-sensitive float reduction reachable from a parallel region \
-                  (use muaa_core::par::sum_f64 / par_sum_f64)",
+                  (use muaa_core::par::sum_f64)",
         allow_key: "par_reduce",
         include: &[],
         exclude: &[],
@@ -231,7 +210,7 @@ pub const RULES: &[RuleSpec] = &[
     RuleSpec {
         id: "D17",
         summary: "manual f64 compound-assign accumulation in a loop inside a \
-                  hot/parallel fn (route through the sanctioned reducers)",
+                  hot fn (route through the sanctioned reducers)",
         allow_key: "manual_accum",
         include: &["crates/", "src/"],
         exclude: &[],
@@ -448,16 +427,6 @@ impl FileAnalysis {
             }
         }
         hit
-    }
-
-    /// Clear every allow annotation's used flag. A cached parse is
-    /// reused across runs, and D8's staleness audit must observe only
-    /// the *current* run's consultations — stale flags from a prior
-    /// run would mask annotations that no longer suppress anything.
-    pub(crate) fn reset_allow_usage(&self) {
-        for site in &self.allow_sites {
-            site.used.set(false);
-        }
     }
 
     /// Is `line` inside test collateral?
@@ -740,14 +709,8 @@ pub fn run_all(fa: &FileAnalysis, tree: &ItemTree) -> (Vec<Violation>, Vec<Unsaf
     if applies(spec("D4"), &fa.rel_path) {
         violations.extend(d4_unwrap(fa));
     }
-    if applies(spec("D5"), &fa.rel_path) {
-        violations.extend(d5_cfg_pairs(fa));
-    }
     if applies(spec("D6"), &fa.rel_path) {
         violations.extend(d6_hot_alloc(fa, tree));
-    }
-    if applies(spec("D7"), &fa.rel_path) {
-        violations.extend(d7_float_reduce(fa, tree));
     }
     if applies(spec("D15"), &fa.rel_path) {
         violations.extend(d15_guard_lifetime(fa, tree));
@@ -1012,95 +975,6 @@ fn d4_unwrap(fa: &FileAnalysis) -> Vec<Violation> {
     out
 }
 
-/// D5: per file, every `#[cfg(feature = "parallel")]` must be matched
-/// (count-wise) by a `#[cfg(not(feature = "parallel"))]` — otherwise a
-/// `--no-default-features` build silently loses the item.
-fn d5_cfg_pairs(fa: &FileAnalysis) -> Vec<Violation> {
-    let rule = spec("D5");
-    let n = fa.code.len();
-    let mut positives: Vec<(u32, u32)> = Vec::new();
-    let mut negatives = 0usize;
-    let mut ci = 0;
-    while ci < n {
-        if !fa.tok(ci).is_punct('#') {
-            ci += 1;
-            continue;
-        }
-        let mut j = ci + 1;
-        if j < n && fa.tok(j).is_punct('!') {
-            j += 1;
-        }
-        if j >= n || !fa.tok(j).is_punct('[') {
-            ci += 1;
-            continue;
-        }
-        let Some((attr, end)) = fa.collect_attr(j) else {
-            ci += 1;
-            continue;
-        };
-        let site = fa.tok(ci);
-        match classify_parallel_cfg(&attr) {
-            // Allowed or test-region positives drop out of the pairing
-            // count entirely.
-            Some(false)
-                if !((rule.skip_test_code && fa.in_test(site.line))
-                    || fa.allowed(rule.allow_key, site.line)) =>
-            {
-                positives.push((site.line, site.col));
-            }
-            Some(true) => negatives += 1,
-            _ => {}
-        }
-        ci = end + 1;
-    }
-    positives
-        .iter()
-        .skip(negatives)
-        .map(|&(line, col)| {
-            fa.violation(
-                rule.id,
-                line,
-                col,
-                "`#[cfg(feature = \"parallel\")]` without a matching \
-                 `#[cfg(not(feature = \"parallel\"))]` counterpart in this file \
-                 (or `// lint: allow(par_only)`)"
-                    .to_string(),
-            )
-        })
-        .collect()
-}
-
-/// `Some(negated)` if the attribute is `cfg((not()?feature = "parallel")`.
-fn classify_parallel_cfg(attr: &[Token]) -> Option<bool> {
-    let feature_eq_parallel = |t: &[Token]| -> bool {
-        t.len() == 3
-            && t[0].is_ident("feature")
-            && t[1].is_punct('=')
-            && t[2].kind == TokenKind::Str
-            && t[2].text == "\"parallel\""
-    };
-    if attr.len() == 6
-        && attr[0].is_ident("cfg")
-        && attr[1].is_punct('(')
-        && feature_eq_parallel(&attr[2..5])
-        && attr[5].is_punct(')')
-    {
-        return Some(false);
-    }
-    if attr.len() == 9
-        && attr[0].is_ident("cfg")
-        && attr[1].is_punct('(')
-        && attr[2].is_ident("not")
-        && attr[3].is_punct('(')
-        && feature_eq_parallel(&attr[4..7])
-        && attr[7].is_punct(')')
-        && attr[8].is_punct(')')
-    {
-        return Some(true);
-    }
-    None
-}
-
 /// D6: allocating constructs inside `#[muaa::hot]` functions — the
 /// static half of the claim the `muaa-sanitize` `AllocGuard`s verify at
 /// runtime. Banned: `Vec::new`, `vec![…]`, `Box::new`, `format!`,
@@ -1169,65 +1043,6 @@ fn d6_hot_alloc(fa: &FileAnalysis, tree: &ItemTree) -> Vec<Violation> {
                     ),
                 ));
             }
-        }
-    }
-    out
-}
-
-/// D7: order-sensitive float reductions inside items compiled only
-/// under `feature = "parallel"`. A `.sum::<f64>()` or an adding
-/// `.fold(…)` there re-associates when the chunking changes; the
-/// fixed-chunk reducers in `muaa_core::par` are thread-count-invariant
-/// by construction.
-fn d7_float_reduce(fa: &FileAnalysis, tree: &ItemTree) -> Vec<Violation> {
-    let rule = spec("D7");
-    if tree.parallel_regions.is_empty() {
-        return Vec::new();
-    }
-    let in_region = |line: u32| {
-        tree.parallel_regions
-            .iter()
-            .any(|&(lo, hi)| lo <= line && line <= hi)
-    };
-    let mut out = Vec::new();
-    let n = fa.code_len();
-    for ci in 1..n {
-        let t = fa.tok(ci);
-        if t.kind != TokenKind::Ident || !fa.tok(ci - 1).is_punct('.') || !in_region(t.line) {
-            continue;
-        }
-        let hit = match t.text.as_str() {
-            // `.sum::<f64>()` — the turbofish pins the accumulator type.
-            "sum" => {
-                ci + 5 < n
-                    && fa.tok(ci + 1).is_punct(':')
-                    && fa.tok(ci + 2).is_punct(':')
-                    && fa.tok(ci + 3).is_punct('<')
-                    && fa.tok(ci + 4).is_ident("f64")
-                    && fa.tok(ci + 5).is_punct('>')
-            }
-            "fold" => {
-                ci + 1 < n && fa.tok(ci + 1).is_punct('(') && fold_arg_has_binary_add(fa, ci + 1, n)
-            }
-            _ => false,
-        };
-        if !hit || (rule.skip_test_code && fa.in_test(t.line)) {
-            continue;
-        }
-        if !fa.allowed(rule.allow_key, t.line) {
-            out.push(fa.violation(
-                rule.id,
-                t.line,
-                t.col,
-                format!(
-                    "order-sensitive float reduction `.{}` in \
-                     `#[cfg(feature = \"parallel\")]` code; route it through \
-                     `muaa_core::par::sum_f64` / `par_sum_f64` (fixed-chunk, \
-                     thread-count-invariant) or justify with \
-                     `// lint: allow(float_reduce): <why>`",
-                    t.text
-                ),
-            ));
         }
     }
     out
@@ -1582,8 +1397,8 @@ const D16_GRID_METHODS: &[&str] = &["insert", "swap_remove"];
 /// loops by definition.
 const D17_SANCTIONED_FILES: &[&str] = &["crates/core/src/par.rs", "crates/core/src/simd.rs"];
 
-/// Fn names D17 sanctions anywhere: the two reducers D14 routes to.
-const D17_SANCTIONED_FNS: &[&str] = &["sum_f64", "par_sum_f64"];
+/// Fn names D17 sanctions anywhere: the reducer D14 routes to.
+const D17_SANCTIONED_FNS: &[&str] = &["sum_f64"];
 
 /// D15: guard lifetime. A `let _ = <Guard>::<ctor>(…)` drops the
 /// guard on the same statement — the region it should protect is
@@ -1923,12 +1738,11 @@ fn d16_epoch_protocol(fa: &FileAnalysis, tree: &ItemTree) -> Vec<Violation> {
 }
 
 /// D17: manual accumulation. A loop-carried `f64` binding fed by
-/// `+=`/`-=`/`*=` inside a loop replays the bug class D7 catches for
+/// `+=`/`-=`/`*=` inside a loop replays the bug class D14 catches for
 /// `.sum()`/`.fold(`: the addition order becomes an implementation
 /// detail of the loop, so the same data reduced in another schedule
 /// (threads, SIMD lanes, delta replay) drifts by ULPs. Inside hot
-/// fns and parallel regions such loops must live in the sanctioned
-/// reducer files/fns.
+/// fns such loops must live in the sanctioned reducer files/fns.
 fn d17_manual_accumulation(fa: &FileAnalysis, tree: &ItemTree) -> Vec<Violation> {
     let rule = spec("D17");
     if D17_SANCTIONED_FILES.contains(&fa.rel_path.as_str()) {
@@ -1941,12 +1755,7 @@ fn d17_manual_accumulation(fa: &FileAnalysis, tree: &ItemTree) -> Vec<Violation>
         let Some((open, close)) = f.body else {
             continue;
         };
-        let in_parallel = f.body_lines.is_some_and(|(lo, hi)| {
-            tree.parallel_regions
-                .iter()
-                .any(|&(a, b)| a <= hi && lo <= b)
-        });
-        if !(f.is_hot || in_parallel) || D17_SANCTIONED_FNS.contains(&f.name.as_str()) {
+        if !f.is_hot || D17_SANCTIONED_FNS.contains(&f.name.as_str()) {
             continue;
         }
         if rule.skip_test_code && fa.in_test(f.line) {
@@ -2040,16 +1849,11 @@ fn d17_manual_accumulation(fa: &FileAnalysis, tree: &ItemTree) -> Vec<Violation>
                         t.line,
                         t.col,
                         format!(
-                            "loop-carried f64 accumulation into `{}` inside a {} — the \
-                             addition order is schedule-dependent; route through \
-                             muaa_core::par::sum_f64 / par_sum_f64 or a sanctioned kernel, \
-                             or justify with `// lint: allow(manual_accum): <why>`",
-                            t.text,
-                            if f.is_hot {
-                                "#[muaa::hot] fn"
-                            } else {
-                                "parallel region"
-                            }
+                            "loop-carried f64 accumulation into `{}` inside a #[muaa::hot] \
+                             fn — the addition order is schedule-dependent; route through \
+                             muaa_core::par::sum_f64 or a sanctioned kernel, or justify \
+                             with `// lint: allow(manual_accum): <why>`",
+                            t.text
                         ),
                     ));
                 }

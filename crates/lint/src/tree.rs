@@ -1,9 +1,8 @@
 //! Item-level view over the token stream (DESIGN.md §14): matched
-//! delimiters, `fn` items with their outer attributes and enclosing
-//! `impl` type, and the line ranges of `#[cfg(feature = "parallel")]`
-//! items.
+//! delimiters, and `fn` items with their outer attributes and enclosing
+//! `impl` type.
 //!
-//! The original rule set (D1–D5) got away with peephole token scans;
+//! The original rule set (D1–D4) got away with peephole token scans;
 //! the semantic rules need to answer *"which function am I in, and how
 //! is it annotated?"*. This module answers that without a full parser:
 //! one brace-matching pass plus one forward scan that tracks attribute
@@ -41,14 +40,11 @@ pub struct FnItem {
     pub body_lines: Option<(u32, u32)>,
 }
 
-/// The per-file item view consumed by rules D6/D7/D9.
+/// The per-file item view consumed by rules D6/D9 and the call graph.
 #[derive(Debug, Default)]
 pub struct ItemTree {
     /// Every `fn` item in the file, in source order (nested fns too).
     pub fns: Vec<FnItem>,
-    /// Inclusive line spans of items annotated with a *positive*
-    /// `#[cfg(feature = "parallel")]` — D7's jurisdiction.
-    pub parallel_regions: Vec<(u32, u32)>,
 }
 
 /// Modifier tokens that may sit between an attribute run and the item
@@ -79,24 +75,6 @@ fn attr_is_hot(attr: &[Token]) -> bool {
     })
 }
 
-/// Is this a positive `cfg` attribute on `feature = "parallel"`? A
-/// `not(...)` anywhere disqualifies it — negated items are exactly the
-/// ones a `--features parallel` build compiles out.
-fn attr_is_positive_parallel_cfg(attr: &[Token]) -> bool {
-    let Some(first) = attr.first() else {
-        return false;
-    };
-    if !first.is_ident("cfg") || attr.iter().any(|t| t.is_ident("not")) {
-        return false;
-    }
-    attr.windows(3).any(|w| {
-        w[0].is_ident("feature")
-            && w[1].is_punct('=')
-            && w[2].kind == TokenKind::Str
-            && w[2].text == "\"parallel\""
-    })
-}
-
 /// Build the item view for one analysed file.
 pub fn build(fa: &FileAnalysis) -> ItemTree {
     let n = fa.code_len();
@@ -120,7 +98,6 @@ pub fn build(fa: &FileAnalysis) -> ItemTree {
     // by the code index of their closing brace.
     let mut tree = ItemTree::default();
     let mut pending: Vec<Vec<Token>> = Vec::new();
-    let mut pending_line: Option<u32> = None;
     let mut impl_stack: Vec<(usize, Option<String>)> = Vec::new();
     let mut ci = 0;
     while ci < n {
@@ -139,9 +116,6 @@ pub fn build(fa: &FileAnalysis) -> ItemTree {
                     // Inner attrs (`#![…]`) belong to the enclosing
                     // scope, not the next item — drop them.
                     if !inner {
-                        if pending.is_empty() {
-                            pending_line = Some(t.line);
-                        }
                         pending.push(attr);
                     }
                     ci = end + 1;
@@ -153,17 +127,7 @@ pub fn build(fa: &FileAnalysis) -> ItemTree {
         }
         if t.is_ident("impl") {
             let (self_type, body_open) = parse_impl_header(fa, ci, n);
-            if pending.iter().any(|a| attr_is_positive_parallel_cfg(a)) {
-                let end = body_open
-                    .and_then(|o| partner.get(o).copied())
-                    .filter(|&c| c != usize::MAX)
-                    .map(|c| fa.tok(c).line)
-                    .unwrap_or(t.line);
-                tree.parallel_regions
-                    .push((pending_line.unwrap_or(t.line), end));
-            }
             pending.clear();
-            pending_line = None;
             if let Some(open) = body_open {
                 let close = if partner[open] != usize::MAX {
                     partner[open]
@@ -183,11 +147,6 @@ pub fn build(fa: &FileAnalysis) -> ItemTree {
             let body =
                 body_open.and_then(|o| (partner[o] != usize::MAX).then_some((o, partner[o])));
             let body_lines = body.map(|(o, c)| (fa.tok(o).line, fa.tok(c).line));
-            if pending.iter().any(|a| attr_is_positive_parallel_cfg(a)) {
-                let end = body_lines.map(|(_, e)| e).unwrap_or(t.line);
-                tree.parallel_regions
-                    .push((pending_line.unwrap_or(t.line), end));
-            }
             // Walk back over the modifier run (`pub(crate) const unsafe
             // extern "C" …`) to see whether this fn is `unsafe`/`pub`.
             let mut is_unsafe = false;
@@ -214,7 +173,6 @@ pub fn build(fa: &FileAnalysis) -> ItemTree {
                 body_lines,
             });
             pending.clear();
-            pending_line = None;
             // Keep scanning *inside* the signature and body so nested
             // items are seen too.
             ci += 2;
@@ -222,14 +180,8 @@ pub fn build(fa: &FileAnalysis) -> ItemTree {
         }
         if !pending.is_empty() && !is_item_modifier(t) {
             // Some other item (mod/struct/use/static/…) owns the
-            // attribute run: resolve its span for region tracking.
-            if pending.iter().any(|a| attr_is_positive_parallel_cfg(a)) {
-                let end = item_end_line(fa, ci, n, &partner);
-                tree.parallel_regions
-                    .push((pending_line.unwrap_or(t.line), end));
-            }
+            // attribute run.
             pending.clear();
-            pending_line = None;
             // Do not advance: `mod m { … }` bodies still get scanned.
             if t.is_ident("mod") || t.is_ident("trait") {
                 ci += 1;
@@ -315,32 +267,6 @@ fn find_body_open(fa: &FileAnalysis, from: usize, n: usize) -> Option<usize> {
     None
 }
 
-/// Last line of the item starting at code index `ci`: its `;` or the
-/// close of its first depth-0 brace block.
-fn item_end_line(fa: &FileAnalysis, ci: usize, n: usize, partner: &[usize]) -> u32 {
-    let mut depth = 0i32;
-    let mut j = ci;
-    while j < n {
-        let t = fa.tok(j);
-        match t.kind {
-            TokenKind::Punct('(') | TokenKind::Punct('[') => depth += 1,
-            TokenKind::Punct(')') | TokenKind::Punct(']') => depth -= 1,
-            TokenKind::Punct(';') if depth <= 0 => return t.line,
-            TokenKind::Punct('{') if depth <= 0 => {
-                let close = partner[j];
-                return if close != usize::MAX {
-                    fa.tok(close).line
-                } else {
-                    t.line
-                };
-            }
-            _ => {}
-        }
-        j += 1;
-    }
-    fa.tok(n - 1).line
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -351,10 +277,12 @@ mod tests {
 
     #[test]
     fn finds_free_and_associated_fns_with_impl_types() {
+        // The attribute run on `mod m` must not swallow its body.
         let src = "fn free() {}\n\
                    struct S;\n\
                    impl S { pub fn method(&self) -> u32 { 1 } }\n\
-                   impl std::fmt::Debug for S {\n    fn fmt(&self) {}\n}";
+                   impl std::fmt::Debug for S {\n    fn fmt(&self) {}\n}\n\
+                   #[cfg(unix)]\nmod m {\n    pub fn nested() {}\n}";
         let t = tree_of(src);
         let names: Vec<(&str, Option<&str>)> = t
             .fns
@@ -363,7 +291,12 @@ mod tests {
             .collect();
         assert_eq!(
             names,
-            vec![("free", None), ("method", Some("S")), ("fmt", Some("S"))]
+            vec![
+                ("free", None),
+                ("method", Some("S")),
+                ("fmt", Some("S")),
+                ("nested", None)
+            ]
         );
     }
 
@@ -426,24 +359,6 @@ mod tests {
         let t = tree_of(src);
         assert_eq!(t.fns[0].body_lines, Some((1, 4)));
         assert_eq!(t.fns[1].body, None);
-    }
-
-    #[test]
-    fn parallel_regions_track_positive_cfg_items_only() {
-        let src = "#[cfg(feature = \"parallel\")]\nfn fan_out() {\n    work();\n}\n\
-                   #[cfg(not(feature = \"parallel\"))]\nfn serial() {}\n\
-                   #[cfg(feature = \"serde\")]\nfn other() {}";
-        let t = tree_of(src);
-        assert_eq!(t.parallel_regions, vec![(1, 4)]);
-    }
-
-    #[test]
-    fn parallel_mod_spans_the_whole_body() {
-        let src = "#[cfg(feature = \"parallel\")]\nmod fan {\n    pub fn go() {}\n}\nfn after() {}";
-        let t = tree_of(src);
-        assert_eq!(t.parallel_regions, vec![(1, 4)]);
-        // Items inside the region are still discovered.
-        assert!(t.fns.iter().any(|f| f.name == "go"));
     }
 
     #[test]

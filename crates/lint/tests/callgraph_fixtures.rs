@@ -1,8 +1,7 @@
 //! Call-graph resolution and taint fixtures, fed through the full
-//! pipeline (`run_sources`, all rules D1–D14) so they also pin the
-//! rule *interactions*: an allow used by one rule stays visible to
-//! D8, a hot-alloc waiver does not waive the transitive D13 finding,
-//! and the D7/D14 jurisdiction split holds.
+//! pipeline (`run_sources`, every rule) so they also pin the rule
+//! *interactions*: an allow used by one rule stays visible to D8, and
+//! a hot-alloc waiver does not waive the transitive D13 finding.
 //!
 //! Each fixture under `fixtures/callgraph/` isolates one resolution
 //! edge case; the synthetic workspace paths place them in the crates

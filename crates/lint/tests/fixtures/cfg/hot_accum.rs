@@ -1,6 +1,6 @@
-//! Fixture (D17): manual f64 accumulation in hot/parallel loops and
-//! clean twins. The broken shapes never spell `.sum()`/`.fold(` — the
-//! gap D7 leaves — but still accumulate in loop order.
+//! Fixture (D17): manual f64 accumulation in hot loops and clean
+//! twins. The broken shapes never spell `.sum()`/`.fold(` — the gap
+//! D14's reduction scan leaves — but still accumulate in loop order.
 
 /// BROKEN: loop-carried `+=` into an f64 in a hot fn.
 #[muaa::hot]
@@ -12,9 +12,9 @@ pub fn broken_hot_sum(xs: &[f64]) -> f64 {
     total
 }
 
-/// BROKEN: indexed lane accumulator in a parallel-feature item.
-#[cfg(feature = "parallel")]
-pub fn broken_par_lanes(xs: &[f64]) -> f64 {
+/// BROKEN: indexed lane accumulator in a hot fn.
+#[muaa::hot]
+pub fn broken_hot_lanes(xs: &[f64]) -> f64 {
     let mut lanes = [0.0f64; 4];
     let mut i = 0;
     while i < xs.len() {
@@ -22,11 +22,6 @@ pub fn broken_par_lanes(xs: &[f64]) -> f64 {
         i += 1;
     }
     lanes[0] + lanes[1] + lanes[2] + lanes[3]
-}
-
-#[cfg(not(feature = "parallel"))]
-pub fn broken_par_lanes(xs: &[f64]) -> f64 {
-    muaa_core::par::sum_f64(xs)
 }
 
 /// Clean: the accumulator resets inside the loop, so it is not

@@ -14,10 +14,11 @@
 //! buffer (pair-base memo, thread-local scratch, query output vectors),
 //! reset the region registry, run everything again, and require at
 //! least five distinct guarded hot regions to have executed with **zero
-//! allocations observed**. Everything is forced onto the calling thread
-//! (`par::with_sequential`) so the thread-local scratch warmed in pass
-//! one is the scratch measured in pass two; thread-count *equivalence*
-//! is `tests/thread_determinism.rs`'s job, not this test's.
+//! allocations observed**. Everything is pinned to the calling thread
+//! (`par::with_threads(1, ..)`) so the thread-local scratch warmed in
+//! pass one is the scratch measured in pass two; thread-count
+//! *equivalence* is `tests/thread_determinism.rs`'s job, not this
+//! test's.
 
 use muaa_algorithms::{BatchedRecon, Greedy, OfflineSolver, Recon, SolverContext};
 use muaa_core::{par, sanitize, Point, UtilityModel};
@@ -71,7 +72,7 @@ fn hot_regions_are_allocation_free_at_steady_state() {
         std::hint::black_box(model.similarity(cid, customer, vid, vendor));
     };
 
-    par::with_sequential(|| {
+    par::with_threads(1, || {
         // Pass 1: warm the memo, the thread-local pair-base scratch and
         // the query output buffers on *this* thread.
         exercise(&mut ids, &mut vids);
@@ -133,7 +134,7 @@ fn solver_pipeline_produces_only_finite_utilities() {
     let model = muaa_core::PearsonUtility::uniform(tags);
     let ctx = SolverContext::indexed(&inst, &model);
     let before = sanitize::thread_nonfinite_count();
-    par::with_sequential(|| {
+    par::with_threads(1, || {
         let _nan = sanitize::NanGuard::new("test.finite_pipeline");
         std::hint::black_box(Greedy.assign(&ctx));
         std::hint::black_box(Recon::new().assign(&ctx));
@@ -163,7 +164,7 @@ fn context_build_allocations_do_not_scale_with_customers() {
         assert_eq!(cfg.vendors, 500, "Table IV default vendor count");
         let inst = generate_synthetic(&cfg);
         let model = muaa_core::PearsonUtility::uniform(cfg.tags);
-        par::with_sequential(|| {
+        par::with_threads(1, || {
             let before = sanitize::thread_alloc_count();
             let ctx = SolverContext::indexed(&inst, &model);
             let allocs = sanitize::thread_alloc_count() - before;
@@ -196,7 +197,7 @@ fn recon_allocations_do_not_scale_with_customers() {
         assert_eq!(cfg.vendors, 500, "Table IV default vendor count");
         let inst = generate_synthetic(&cfg);
         let model = muaa_core::PearsonUtility::uniform(cfg.tags);
-        par::with_sequential(|| {
+        par::with_threads(1, || {
             let ctx = SolverContext::indexed(&inst, &model);
             let before = sanitize::thread_alloc_count();
             let set = Recon::new().assign(&ctx);
