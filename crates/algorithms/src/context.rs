@@ -35,11 +35,11 @@ const MEMO_MAX_PAIRS: usize = 1 << 23;
 /// the value [`SolverContext::with_pair_cache_cap`] starts from.
 pub const DEFAULT_PAIR_CACHE_CAP: usize = MEMO_MAX_PAIRS * std::mem::size_of::<AtomicU64>();
 
-/// Chunk floor of [`SolverContext::fill_memo`]: a context with at most
-/// this many customers fills inline, a larger one in at most one chunk
-/// per this many customers. So small live contexts (tag selection
-/// re-solves a 600-customer one per candidate) spawn no thread for a
-/// fill that is mostly hits.
+/// Chunk floor of [`SolverContext::fill_memo`]: a context fills in at
+/// most one chunk per this many customers, so one with fewer than twice
+/// this many fills inline. So small live contexts (tag selection
+/// re-solves a 600-customer one per candidate) wake no pool worker for
+/// a fill that is mostly hits.
 const FILL_MIN_CUSTOMERS: usize = 4096;
 
 /// Sentinel marking an unfilled memo slot. This is a NaN bit pattern;

@@ -207,33 +207,39 @@ impl<'a> BrokerSession<'a> {
 
     fn apply_all(&mut self, batch: &DeltaBatch, tags_changed: &mut bool) -> Result<(), CoreError> {
         for delta in batch {
-            match delta {
-                Delta::AddCustomer(_) => {
-                    self.ctx.apply(delta)?;
-                    self.state.on_customer_added();
-                    self.served.push(false);
-                }
-                Delta::RemoveCustomer(cid) => {
-                    if cid.index() < self.served.len() && self.state.customer_load(*cid) > 0 {
-                        return Err(CoreError::InvalidCustomer {
-                            id: *cid,
-                            reason: "cannot remove a customer with committed assignments"
-                                .to_string(),
-                        });
-                    }
-                    self.ctx.apply(delta)?;
-                    let rekeyed = self.state.on_customer_swap_removed(*cid);
-                    debug_assert!(rekeyed, "load checked before apply");
-                    self.served.swap_remove(cid.index());
-                }
-                Delta::VendorTags(..) => {
-                    self.ctx.apply(delta)?;
-                    *tags_changed = true;
-                }
-                _ => self.ctx.apply(delta)?,
-            }
+            *tags_changed |= self.apply_one(delta)?;
         }
         Ok(())
+    }
+
+    /// Apply one delta to the context and re-key the session state in
+    /// lockstep. Returns whether it changed a vendor's tags.
+    fn apply_one(&mut self, delta: &Delta) -> Result<bool, CoreError> {
+        match delta {
+            Delta::AddCustomer(_) => {
+                self.ctx.apply(delta)?;
+                self.state.on_customer_added();
+                self.served.push(false);
+            }
+            Delta::RemoveCustomer(cid) => {
+                if cid.index() < self.served.len() && self.state.customer_load(*cid) > 0 {
+                    return Err(CoreError::InvalidCustomer {
+                        id: *cid,
+                        reason: "cannot remove a customer with committed assignments".to_string(),
+                    });
+                }
+                self.ctx.apply(delta)?;
+                let rekeyed = self.state.on_customer_swap_removed(*cid);
+                debug_assert!(rekeyed, "load checked before apply");
+                self.served.swap_remove(cid.index());
+            }
+            Delta::VendorTags(..) => {
+                self.ctx.apply(delta)?;
+                return Ok(true);
+            }
+            _ => self.ctx.apply(delta)?,
+        }
+        Ok(false)
     }
 
     /// The threshold policy currently in force.
@@ -242,14 +248,15 @@ impl<'a> BrokerSession<'a> {
     }
 
     /// The O-AFA arrival path on deltas: register a brand-new customer
-    /// (one `AddCustomer` delta through the incremental engine) and
-    /// immediately serve them. Returns the id the customer received and
-    /// the committed ads.
+    /// (one `AddCustomer` delta through the incremental engine, with no
+    /// batch around it) and immediately serve them. Returns the id the
+    /// customer received and the committed ads.
     pub fn serve_arrival(
         &mut self,
         customer: Customer,
     ) -> Result<(CustomerId, Vec<Assignment>), CoreError> {
-        self.apply_delta(&DeltaBatch::new().add_customer(customer))?;
+        // An arrival changes no vendor's tags, so the threshold stands.
+        self.apply_one(&Delta::AddCustomer(customer))?;
         let cid = CustomerId::from(self.ctx.instance().num_customers() - 1);
         Ok((cid, self.serve(cid)))
     }
@@ -449,6 +456,42 @@ mod tests {
             .assignments()
             .check_feasibility(dynamic.context().instance(), &model);
         assert!(report.is_feasible());
+    }
+
+    /// `serve_arrival` applies its `AddCustomer` without a batch: over
+    /// an arrival stream it hands out the same ids and ads, and reaches
+    /// the same utility and epoch, as a one-delta `apply_delta`
+    /// followed by `serve`, for estimated and explicit thresholds.
+    #[test]
+    fn serve_arrival_matches_apply_delta_then_serve() {
+        let inst = instance(3);
+        let model = PearsonUtility::uniform(2);
+        for explicit in [None, Some(ThresholdFn::Disabled)] {
+            let open = || match explicit {
+                None => BrokerSession::start(&inst, &model),
+                Some(t) => BrokerSession::with_threshold(&inst, &model, t),
+            };
+            let (mut direct, mut batched) = (open(), open());
+            for i in 3..40 {
+                let (cid, ads) = direct.serve_arrival(arrival(i)).unwrap();
+                batched
+                    .apply_delta(&DeltaBatch::new().add_customer(arrival(i)))
+                    .unwrap();
+                let last = CustomerId::from(batched.context().instance().num_customers() - 1);
+                assert_eq!(cid, last);
+                assert_eq!(ads, batched.serve(last), "arrival {i}");
+            }
+            assert_eq!(direct.epoch(), batched.epoch());
+            assert_eq!(direct.threshold(), batched.threshold());
+            assert_eq!(
+                direct.total_utility().to_bits(),
+                batched.total_utility().to_bits()
+            );
+            assert_eq!(
+                direct.assignments().assignments(),
+                batched.assignments().assignments()
+            );
+        }
     }
 
     /// Mid-session world changes flow through the incremental engine
