@@ -35,12 +35,14 @@ const MEMO_MAX_PAIRS: usize = 1 << 23;
 /// the value [`SolverContext::with_pair_cache_cap`] starts from.
 pub const DEFAULT_PAIR_CACHE_CAP: usize = MEMO_MAX_PAIRS * std::mem::size_of::<AtomicU64>();
 
-/// Chunk floor of [`SolverContext::fill_memo`]: a context fills in at
-/// most one chunk per this many customers, so one with fewer than twice
-/// this many fills inline. So small live contexts (tag selection
-/// re-solves a 600-customer one per candidate) wake no pool worker for
-/// a fill that is mostly hits.
-const FILL_MIN_CUSTOMERS: usize = 4096;
+/// Chunk floor of the customer-major walk
+/// ([`SolverContext::walk_pairs`], behind GREEDY and
+/// [`SolverContext::fill_memo`]): it splits into at most one chunk per
+/// this many customers, so a context with fewer than twice this many
+/// walks inline. So small live contexts (tag selection re-solves GREEDY
+/// on a 600-customer one per candidate) wake no pool worker for a walk
+/// that mostly hits the memo.
+pub(crate) const FILL_MIN_CUSTOMERS: usize = 4096;
 
 /// Sentinel marking an unfilled memo slot. This is a NaN bit pattern;
 /// [`SolverContext::pair_base`] never returns NaN (non-finite distances
@@ -671,6 +673,17 @@ impl<'a> SolverContext<'a> {
         self.eligibility.c2v.slots.as_ref().map_or(0, Vec::len)
     }
 
+    /// `true` iff the c2v arena holds some customer's non-empty row
+    /// before a lower id's: deltas moved rows out of id order.
+    #[cfg(test)]
+    pub(crate) fn c2v_rows_out_of_id_order(&self) -> bool {
+        let starts: Vec<u32> = (self.eligibility.c2v.spans.iter())
+            .filter(|&&(_, len, _)| len > 0)
+            .map(|&(start, _, _)| start)
+            .collect();
+        starts.windows(2).any(|w| w[1] < w[0])
+    }
+
     /// `true` iff the fused-moment pair cache is active.
     pub fn has_pair_cache(&self) -> bool {
         self.cache.is_some()
@@ -972,40 +985,96 @@ impl<'a> SolverContext<'a> {
         }
     }
 
-    /// Fill every empty memo slot, customer by customer (DESIGN.md
-    /// §10): the c2v arena is walked in contiguous customer chunks, one
-    /// per thread, so each customer's moment row is read once for all
-    /// its covering vendors instead of once per vendor. GREEDY and RECON
-    /// call this before their vendor-major reads of every pair; a
-    /// context without a memo has nothing to fill.
-    pub(crate) fn fill_memo(&self) {
-        let (Some(cache), Some(slots)) = (&self.cache, &self.eligibility.c2v.slots) else {
-            return;
-        };
+    /// Walk every eligible pair customer-major (DESIGN.md §10):
+    /// customers in ascending id order, each one's vendors in ascending
+    /// id order (its c2v row), never in c2v arena order, which deltas
+    /// reorder. Each pair's base is read from its memo slot, filled
+    /// first if empty, and handed to `visit` with its chunk's state; a
+    /// context without a memo computes every base. Each customer's
+    /// moment row is read once for all its covering vendors instead of
+    /// once per vendor.
+    ///
+    /// The customers split into contiguous chunks, at most one per
+    /// [`FILL_MIN_CUSTOMERS`] and one per thread, so a small context
+    /// walks inline. Chunk `c` starts from `start(c, pairs)`, `pairs`
+    /// being its eligible pair count, and the states come back in chunk
+    /// order: chunk after chunk, a visitor that appends sees the
+    /// sequential walk's order at any thread count. Each slot is written
+    /// by the one chunk that owns its customer.
+    pub(crate) fn walk_pairs<S: Send>(
+        &self,
+        start: impl Fn(usize, usize) -> S + Sync,
+        visit: impl Fn(&mut S, CustomerId, VendorId, f64) + Sync,
+    ) -> Vec<S> {
         let spans = &self.eligibility.c2v.spans;
-        par::par_map(spans, FILL_MIN_CUSTOMERS, |i, &(start, len, _)| {
-            let run = start as usize..(start + len) as usize;
-            self.fill_row(cache, slots, CustomerId::from(i), run);
-        });
+        let n = spans.len();
+        let chunks = par::max_threads().min(n / FILL_MIN_CUSTOMERS).max(1);
+        // One item per chunk, so `par_map` gives each its own; one
+        // allocation per walk, outside the per-customer region.
+        // lint: allow(hot_call)
+        let chunk_ids: Vec<usize> = (0..chunks).collect();
+        par::par_map(&chunk_ids, 1, |_, &c| {
+            let customers = c * n / chunks..(c + 1) * n / chunks;
+            let rows = &spans[customers.clone()];
+            let pairs = rows.iter().map(|&(_, len, _)| len as usize).sum();
+            let mut state = start(c, pairs);
+            for (i, &(lo, len, _)) in customers.zip(rows) {
+                let cid = CustomerId::from(i);
+                let run = lo as usize..(lo + len) as usize;
+                self.walk_row(cid, run, |vid, base| visit(&mut state, cid, vid, base));
+            }
+            state
+        })
     }
 
-    /// [`fill_memo`](Self::fill_memo)'s per-customer body: fill the
-    /// empty slots of `cid`'s c2v run through the fused kernel.
+    /// [`walk_pairs`](Self::walk_pairs)'s per-customer body: hand every
+    /// pair of `cid`'s c2v run to `visit`, filling empty memo slots
+    /// through the fused kernel on the way.
     #[cfg_attr(any(), muaa::hot)]
-    fn fill_row(
+    fn walk_row(
         &self,
-        cache: &PairCache,
-        slots: &[AtomicU64],
         cid: CustomerId,
         run: std::ops::Range<usize>,
+        mut visit: impl FnMut(VendorId, f64),
     ) {
-        let _hot = muaa_core::sanitize::AllocGuard::strict("context.fill_memo");
-        let vids = &self.eligibility.c2v.ids[run.clone()];
-        for (slot, &vid) in slots[run].iter().zip(vids) {
-            if slot.load(Ordering::Relaxed) == MEMO_EMPTY {
-                let base = self.pair_base_fused(cache, cid, vid);
-                slot.store(base.to_bits(), Ordering::Relaxed);
+        let c2v = &self.eligibility.c2v;
+        let vids = &c2v.ids[run.clone()];
+        let Some(cache) = &self.cache else {
+            // The model's own calls, which may allocate: outside the
+            // zero-allocation region.
+            for &vid in vids {
+                visit(vid, self.pair_base_uncached(cid, vid));
             }
+            return;
+        };
+        let _hot = muaa_core::sanitize::AllocGuard::strict("context.fill_memo");
+        match &c2v.slots {
+            Some(slots) => {
+                for (slot, &vid) in slots[run].iter().zip(vids) {
+                    let mut bits = slot.load(Ordering::Relaxed);
+                    if bits == MEMO_EMPTY {
+                        bits = self.pair_base_fused(cache, cid, vid).to_bits();
+                        slot.store(bits, Ordering::Relaxed);
+                    }
+                    visit(vid, f64::from_bits(bits));
+                }
+            }
+            None => {
+                for &vid in vids {
+                    visit(vid, self.pair_base_fused(cache, cid, vid));
+                }
+            }
+        }
+    }
+
+    /// Fill every empty memo slot customer by customer: the
+    /// [`walk_pairs`](Self::walk_pairs) walk with nothing to visit.
+    /// RECON calls this before its vendor-major phase 1 reads every
+    /// pair, so those reads only hit; a context without a memo has
+    /// nothing to fill.
+    pub(crate) fn fill_memo(&self) {
+        if self.eligibility.c2v.slots.is_some() {
+            self.walk_pairs(|_, _| (), |_, _, _, _| {});
         }
     }
 
@@ -1230,22 +1299,7 @@ impl<'a> SolverContext<'a> {
         };
         self.instance.to_mut().apply(delta)?;
         match delta {
-            Delta::AddCustomer(_) => {
-                let cid = CustomerId::from(self.instance.num_customers() - 1);
-                let c = self.instance.customer(cid);
-                if let Some(grid) = &mut self.customer_grid {
-                    let local = grid.insert(c.location);
-                    debug_assert_eq!(local as usize, cid.index());
-                }
-                if let (Some(cache), Some(pearson)) = (&mut self.cache, self.pearson) {
-                    cache.push_customer(pearson, c);
-                }
-                let row = self.valid_vendors_scan(cid);
-                for &vid in &row {
-                    self.eligibility.v2c.insert_sorted(vid.index(), cid);
-                }
-                self.eligibility.c2v.push_row(&row);
-            }
+            Delta::AddCustomer(_) => self.index_last_customer(),
             Delta::RemoveCustomer(cid) => {
                 let (row_cid, row_last) = pre.expect("validated remove captures rows");
                 // Post-apply, `last` is the id the renamed customer held.
@@ -1335,6 +1389,39 @@ impl<'a> SolverContext<'a> {
         // The eligible pairs may have crossed the persisted cap.
         self.fit_memo();
         Ok(())
+    }
+
+    /// Add a customer, taking ownership: what
+    /// `apply(&Delta::AddCustomer(customer))` does, without copying the
+    /// customer into the instance. The arrival path of a streaming
+    /// layer (`BrokerSession::serve_arrival`) that owns its customer.
+    /// Returns the id the customer received; bumps the epoch once.
+    pub fn add_customer(&mut self, customer: Customer) -> Result<CustomerId, CoreError> {
+        let cid = self.instance.to_mut().add_customer(customer)?;
+        self.index_last_customer();
+        self.fit_memo();
+        Ok(cid)
+    }
+
+    /// Index the instance's last customer, just appended: grid point,
+    /// moments row, both CSR directions (its c2v row with empty memo
+    /// slots). The `AddCustomer` patch of [`apply`](Self::apply) and
+    /// [`add_customer`](Self::add_customer).
+    fn index_last_customer(&mut self) {
+        let cid = CustomerId::from(self.instance.num_customers() - 1);
+        let c = self.instance.customer(cid);
+        if let Some(grid) = &mut self.customer_grid {
+            let local = grid.insert(c.location);
+            debug_assert_eq!(local as usize, cid.index());
+        }
+        if let (Some(cache), Some(pearson)) = (&mut self.cache, self.pearson) {
+            cache.push_customer(pearson, c);
+        }
+        let row = self.valid_vendors_scan(cid);
+        for &vid in &row {
+            self.eligibility.v2c.insert_sorted(vid.index(), cid);
+        }
+        self.eligibility.c2v.push_row(&row);
     }
 }
 

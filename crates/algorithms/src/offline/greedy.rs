@@ -10,126 +10,131 @@
 //! reports for GREEDY; the experiment harness uses it when reproducing
 //! the paper's running-time figures and [`Greedy`] everywhere else (an
 //! efficiency ablation the benches quantify).
+//!
+//! Both collect their candidates in one customer-major walk over the
+//! eligible pairs (`SolverContext::walk_pairs`, which fills the memo
+//! on the way) and order them by an integer key (DESIGN.md §10).
 
 use crate::context::SolverContext;
 use crate::offline::OfflineSolver;
-use muaa_core::{AdTypeId, Assignment, AssignmentSet, CustomerId, ProblemInstance, VendorId};
+use muaa_core::{Assignment, AssignmentSet, ProblemInstance};
 
-/// One candidate triple with its static efficiency.
-#[derive(Clone, Copy, Debug)]
-pub(crate) struct Candidate {
-    pub(crate) customer: CustomerId,
-    pub(crate) vendor: VendorId,
-    pub(crate) ad_type: AdTypeId,
-    pub(crate) gamma: f64,
+/// The sort key of a candidate with efficiency `gamma` at walk rank
+/// `rank`. The high word maps γ so that ascending `u64` order is
+/// `f64::total_cmp` descending; the low word is the rank. The walk
+/// visits customers, vendors and ad types in ascending id order, so
+/// ascending keys are GREEDY's commit order: γ descending, ties by
+/// customer, vendor and ad type ascending. Ranks are unique, so the
+/// keys are too, and any sort lands on the one permutation.
+///
+/// `total_cmp`, not `<`, so that a pathological utility model producing
+/// NaN gammas still gets a total order: +NaN first, −NaN last. For the
+/// finite positive gammas of real models the two orders agree.
+fn candidate_key(gamma: f64, rank: u64) -> u128 {
+    let bits = gamma.to_bits();
+    // `total_cmp` order as unsigned order: a negative value flips every
+    // bit, a non-negative one sets the sign bit.
+    let ascending = if bits >> 63 == 1 {
+        !bits
+    } else {
+        bits | 1 << 63
+    };
+    (u128::from(!ascending) << 64) | u128::from(rank)
 }
 
-/// Collect every valid (customer, vendor, ad type) triple with positive
-/// utility. Vendors are scanned in parallel; per-vendor candidate lists
-/// are concatenated in vendor-id order, so the output is identical to
-/// the sequential scan.
-///
-/// Zero-allocation inner loop (DESIGN.md §11): each vendor's eligible
-/// customers come from its CSR row slice and their pair bases from one
-/// [`SolverContext::pair_base_block`] call into a thread-local scratch
-/// buffer reused across vendors. The memo is filled customer-major
-/// first, so those calls only read it (DESIGN.md §10).
+/// One walk chunk's candidates in walk order: a sort key per candidate
+/// and, at the same position, its triple. `rank_base` is the chunk
+/// index in the high half of a rank, the position its low half.
+struct Chunk {
+    rank_base: u64,
+    keys: Vec<u128>,
+    triples: Vec<Assignment>,
+}
+
+/// Emit every (customer, vendor, ad type) triple with positive utility
+/// in one customer-major walk over the eligible pairs (DESIGN.md §10),
+/// which fills the memo on the way. Zero-allocation inner loop
+/// (DESIGN.md §11): each chunk reserves one slot per eligible pair and
+/// ad type up front, so no push reallocates inside the walk's strict
+/// region.
 #[cfg_attr(any(), muaa::hot)]
-fn collect_candidates(ctx: &SolverContext<'_>) -> Vec<Candidate> {
-    ctx.fill_memo();
+fn walk_candidates(ctx: &SolverContext<'_>) -> Vec<Chunk> {
     // Naming the type lets muaa-lint's call graph resolve
-    // `inst.vendors()` to `ProblemInstance` alone, not to every
-    // `vendors` in the workspace.
+    // `inst.ad_types_enumerated()` to `ProblemInstance` alone.
     let inst: &ProblemInstance = ctx.instance();
-    use std::cell::RefCell;
-    thread_local! {
-        // Scratch reused across vendors. lint: allow(hot_alloc): one-time
-        // thread-local init, not per-vendor work.
-        static BASES: RefCell<Vec<f64>> = const { RefCell::new(Vec::new()) };
-    }
-    let per_vendor = muaa_core::par::par_map(inst.vendors(), 1, |j, _| {
-        let vid = VendorId::from(j);
-        let cids = ctx.eligible_customers(vid);
-        BASES.with(|scratch| {
-            let mut bases = scratch.borrow_mut();
-            ctx.pair_base_block(vid, cids, &mut bases);
-            // lint: allow(hot_alloc): par_map requires an owned
-            // per-vendor result list — the one §11-sanctioned
-            // allocation of this loop.
-            let mut out = Vec::new();
-            for (k, &cid) in cids.iter().enumerate() {
-                let base = bases[k];
-                if base <= 0.0 {
+    let types = inst.num_ad_types();
+    ctx.walk_pairs(
+        |c, pairs| {
+            let cap = pairs * types;
+            assert!(cap <= u32::MAX as usize, "candidate rank exceeds 32 bits");
+            Chunk {
+                rank_base: (c as u64) << 32,
+                keys: Vec::with_capacity(cap),
+                triples: Vec::with_capacity(cap),
+            }
+        },
+        |chunk, cid, vid, base| {
+            if base <= 0.0 {
+                return;
+            }
+            for (tid, t) in inst.ad_types_enumerated() {
+                let lambda = base * t.effectiveness;
+                if lambda <= 0.0 {
                     continue;
                 }
-                for (tid, t) in inst.ad_types_enumerated() {
-                    let lambda = base * t.effectiveness;
-                    if lambda <= 0.0 {
-                        continue;
-                    }
-                    // Into the owned per-vendor list justified
-                    // above. lint: allow(hot_alloc)
-                    out.push(Candidate {
-                        customer: cid,
-                        vendor: vid,
-                        ad_type: tid,
-                        gamma: lambda / t.cost.as_dollars(),
-                    });
-                }
+                let rank = chunk.rank_base | chunk.triples.len() as u64;
+                let key = candidate_key(lambda / t.cost.as_dollars(), rank);
+                // In-capacity: the chunk reserved a slot per pair and
+                // ad type. lint: allow(hot_alloc)
+                chunk.keys.push(key);
+                // Same reserve. lint: allow(hot_alloc)
+                chunk.triples.push(Assignment::new(cid, vid, tid));
             }
-            out
-        })
-    });
-    let mut out = Vec::with_capacity(per_vendor.iter().map(Vec::len).sum());
-    for list in per_vendor {
-        out.extend(list);
+        },
+    )
+}
+
+/// GREEDY's candidates: every chunk's keys in one array, and the
+/// triples left in their chunks, where a key's rank finds them.
+struct Candidates {
+    keys: Vec<u128>,
+    triples: Vec<Vec<Assignment>>,
+}
+
+impl Candidates {
+    /// Walk the pairs and gather the chunks' keys; one chunk's keys
+    /// are taken as they are.
+    fn gather(ctx: &SolverContext<'_>) -> Self {
+        let mut chunks = walk_candidates(ctx).into_iter();
+        let first = chunks.next().expect("a walk has at least one chunk");
+        let (mut keys, mut triples) = (first.keys, vec![first.triples]);
+        for chunk in chunks {
+            keys.extend_from_slice(&chunk.keys);
+            triples.push(chunk.triples);
+        }
+        Candidates { keys, triples }
     }
-    out
+
+    /// The triple a key stands for.
+    #[inline]
+    fn triple(&self, key: u128) -> Assignment {
+        let rank = key as u64;
+        self.triples[(rank >> 32) as usize][rank as u32 as usize]
+    }
 }
 
-/// Sort candidates into GREEDY's commit order: efficiency descending,
-/// ties by ids for determinism.
-///
-/// `total_cmp` (not `partial_cmp(..).unwrap_or(Equal)`) so that a
-/// pathological utility model producing NaN gammas still yields a
-/// strict weak order — `sort_by` may panic on an inconsistent
-/// comparator, and `Equal`-on-NaN breaks transitivity. For the finite
-/// positive gammas of real models the two orders agree exactly (total
-/// order matches `<` on same-sign finite floats).
-///
-/// An unstable sort is exact here: candidates are unique (customer,
-/// vendor, ad type) triples and the comparator ends on all three ids,
-/// so no two candidates compare `Equal` and the sorted permutation is
-/// the only one there is — the one a stable sort would produce.
-pub(crate) fn sort_candidates(candidates: &mut [Candidate]) {
-    candidates.sort_unstable_by(candidate_order);
-}
-
-/// GREEDY's commit order: γ descending, then customer, vendor and ad
-/// type ascending — a strict total order over distinct triples.
-fn candidate_order(a: &Candidate, b: &Candidate) -> std::cmp::Ordering {
-    b.gamma
-        .total_cmp(&a.gamma)
-        .then(a.customer.cmp(&b.customer))
-        .then(a.vendor.cmp(&b.vendor))
-        .then(a.ad_type.cmp(&b.ad_type))
-}
-
-/// The GREEDY body: collect candidates, sort into efficiency order,
-/// sweep into a feasible set.
+/// The GREEDY body: collect candidates, sort their keys into efficiency
+/// order, sweep into a feasible set.
 fn greedy_assign(ctx: &SolverContext<'_>) -> AssignmentSet {
     let inst = ctx.instance();
-    let mut candidates = collect_candidates(ctx);
-    sort_candidates(&mut candidates);
+    let mut candidates = Candidates::gather(ctx);
+    candidates.keys.sort_unstable();
     let mut set = AssignmentSet::new(inst);
-    for cand in candidates {
+    for &key in &candidates.keys {
         // Feasibility only ever degrades, so a one-pass sweep in
         // efficiency order is equivalent to re-selecting the best
         // feasible candidate each iteration.
-        set.try_push(
-            inst,
-            Assignment::new(cand.customer, cand.vendor, cand.ad_type),
-        );
+        set.try_push(inst, candidates.triple(key));
     }
     set
 }
@@ -149,39 +154,27 @@ impl OfflineSolver for Greedy {
 }
 
 /// Paper-faithful GREEDY: re-scan all remaining candidates on every
-/// iteration to find the "currently best" one. Identical output to
-/// [`Greedy`], quadratic cost profile.
+/// iteration to find the "currently best" one, the smallest key among
+/// the feasible candidates. Identical output to [`Greedy`], quadratic
+/// cost profile.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct NaiveGreedy;
 
 impl OfflineSolver for NaiveGreedy {
     fn assign(&self, ctx: &SolverContext<'_>) -> AssignmentSet {
-        let mut candidates = collect_candidates(ctx);
-        let mut set = AssignmentSet::new(ctx.instance());
+        let inst = ctx.instance();
+        let mut candidates = Candidates::gather(ctx);
+        let mut set = AssignmentSet::new(inst);
         loop {
-            // Scan for the best feasible candidate.
-            let mut best: Option<(usize, f64)> = None;
-            for (i, cand) in candidates.iter().enumerate() {
-                let a = Assignment::new(cand.customer, cand.vendor, cand.ad_type);
-                if set.fits(ctx.instance(), a) {
-                    let better = match best {
-                        None => true,
-                        Some((bi, bg)) => {
-                            cand.gamma > bg
-                                || (cand.gamma == bg && tie_break(cand, &candidates[bi]))
-                        }
-                    };
-                    if better {
-                        best = Some((i, cand.gamma));
-                    }
+            let mut best: Option<(usize, u128)> = None;
+            for (i, &key) in candidates.keys.iter().enumerate() {
+                if best.is_none_or(|(_, b)| key < b) && set.fits(inst, candidates.triple(key)) {
+                    best = Some((i, key));
                 }
             }
-            let Some((idx, _)) = best else { break };
-            let cand = candidates.swap_remove(idx);
-            set.push_unchecked(
-                ctx.instance(),
-                Assignment::new(cand.customer, cand.vendor, cand.ad_type),
-            );
+            let Some((i, key)) = best else { break };
+            candidates.keys.swap_remove(i);
+            set.push_unchecked(inst, candidates.triple(key));
         }
         set
     }
@@ -191,19 +184,15 @@ impl OfflineSolver for NaiveGreedy {
     }
 }
 
-/// Deterministic tie-break matching [`Greedy`]'s sort order.
-fn tie_break(a: &Candidate, b: &Candidate) -> bool {
-    (a.customer, a.vendor, a.ad_type) < (b.customer, b.vendor, b.ad_type)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::context::SolverContext;
+    use crate::context::{SolverContext, FILL_MIN_CUSTOMERS};
     use muaa_core::{
-        AdType, Customer, InstanceBuilder, Money, PearsonUtility, Point, ProblemInstance,
-        TagVector, Timestamp,
+        par, AdType, AdTypeId, Customer, CustomerId, DeltaBatch, InstanceBuilder, Money,
+        PearsonUtility, Point, ProblemInstance, TagVector, Timestamp, VendorId,
     };
+    use std::cmp::Ordering;
 
     fn instance(m: usize, n: usize, budget: f64) -> ProblemInstance {
         // Deterministic spread of customers/vendors on a line; all tags
@@ -293,10 +282,8 @@ mod tests {
 
     /// A utility model whose similarity is NaN for half the customers —
     /// NaN pair bases survive the `<= 0.0` filters (all comparisons
-    /// with NaN are false), so NaN gammas reach the sort. With the old
-    /// `partial_cmp(..).unwrap_or(Equal)` comparator that broke strict
-    /// weak ordering; `total_cmp` keeps the sort deterministic (and
-    /// panic-free).
+    /// with NaN are false), so NaN gammas reach the sort, where the
+    /// keys' `total_cmp` order keeps it deterministic.
     struct NanUtility;
 
     impl muaa_core::UtilityModel for NanUtility {
@@ -330,11 +317,12 @@ mod tests {
         let inst = instance(16, 3, 4.0);
         let model = NanUtility;
         let ctx = SolverContext::brute_force(&inst, &model);
-        // Must not panic (strict weak order holds under total_cmp), and
-        // repeated runs must agree assignment-for-assignment.
+        // Repeated runs must agree assignment-for-assignment, and the
+        // naive scan takes the same smallest key as the sort.
         let a = Greedy.assign(&ctx);
         let b = Greedy.assign(&ctx);
         assert_eq!(a.assignments(), b.assignments());
+        assert_eq!(NaiveGreedy.assign(&ctx).assignments(), a.assignments());
         // The NaN-free half of the instance still gets served.
         assert!(a
             .assignments()
@@ -342,12 +330,80 @@ mod tests {
             .any(|asg| asg.customer.index() % 2 == 1));
     }
 
-    /// Co-located, identical customers tie on γ for every vendor and ad
-    /// type, so only the id tie-breaks order them. The unstable sort
-    /// must still land on the stable sort's permutation, and no two
-    /// adjacent candidates may compare `Equal` (which is why it does).
+    /// GREEDY's commit order as a comparator, the reference the keys
+    /// must reproduce: γ descending under `total_cmp`, then customer,
+    /// vendor and ad type ascending.
+    fn candidate_order(a: &(f64, Assignment), b: &(f64, Assignment)) -> Ordering {
+        let (x, y) = (a.1, b.1);
+        b.0.total_cmp(&a.0)
+            .then(x.customer.cmp(&y.customer))
+            .then(x.vendor.cmp(&y.vendor))
+            .then(x.ad_type.cmp(&y.ad_type))
+    }
+
+    /// Sort `candidates`, given in walk order (ascending triples), by
+    /// their keys and by the reference comparator's stable sort; both
+    /// must give the same sequence, and the sorted keys must ascend
+    /// strictly.
+    fn assert_keys_match_comparator(candidates: &[(f64, Assignment)]) {
+        let mut keys: Vec<u128> = (candidates.iter().enumerate())
+            .map(|(rank, &(gamma, _))| candidate_key(gamma, rank as u64))
+            .collect();
+        keys.sort_unstable();
+        assert!(keys.windows(2).all(|w| w[0] < w[1]), "keys must be unique");
+        let mut reference = candidates.to_vec();
+        reference.sort_by(candidate_order);
+        let by_key = keys.iter().map(|&k| candidates[k as u64 as usize]);
+        let bits = |(gamma, a): (f64, Assignment)| (gamma.to_bits(), a);
+        assert!(
+            by_key.map(bits).eq(reference.into_iter().map(bits)),
+            "key order differs from the comparator's"
+        );
+    }
+
+    /// Ascending keys are the comparator's order, on every kind of γ
+    /// `total_cmp` distinguishes (NaN of both signs, ±0, ±∞, subnormals,
+    /// the extremes) and on equal γ over distinct triples; and on a
+    /// real context's candidates, where co-located identical customers
+    /// tie on γ for every vendor and ad type, so only ids order them.
     #[test]
-    fn candidate_sort_matches_stable_sort_under_gamma_ties() {
+    fn candidate_keys_sort_in_comparator_order() {
+        let specials = [
+            f64::NAN,
+            -f64::NAN,
+            f64::from_bits(0x7ff0_0000_0000_0001),
+            f64::from_bits(0xfff8_0000_0000_0001),
+            0.0,
+            -0.0,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::MAX,
+            f64::MIN,
+            f64::MIN_POSITIVE,
+            -f64::MIN_POSITIVE,
+            f64::from_bits(1),
+            -f64::from_bits(1),
+            f64::from_bits(0x000f_ffff_ffff_ffff),
+            1.0,
+            -1.0,
+            0.1,
+            0.1 + f64::EPSILON,
+            -2.5e-3,
+        ];
+        // Every γ on four distinct triples, scattered over walk order.
+        let n = specials.len() * 4;
+        let candidates: Vec<(f64, Assignment)> = (0..n)
+            .map(|k| {
+                let triple = Assignment::new(
+                    CustomerId::from(k / 4),
+                    VendorId::from(k / 2 % 2),
+                    AdTypeId::from(k % 2),
+                );
+                (specials[k * 7 % specials.len()], triple)
+            })
+            .collect();
+        assert_keys_match_comparator(&candidates);
+
         let twin = Customer {
             location: Point::new(0.5, 0.5),
             capacity: 2,
@@ -366,22 +422,96 @@ mod tests {
             .unwrap();
         let model = PearsonUtility::uniform(3);
         let ctx = SolverContext::indexed(&inst, &model);
-        let mut unstable = collect_candidates(&ctx);
+        let collected = Candidates::gather(&ctx);
+        assert_eq!(
+            collected.triples.len(),
+            1,
+            "300 customers walk in one chunk"
+        );
+        let candidates: Vec<(f64, Assignment)> = (collected.triples[0].iter())
+            .map(|&a| (ctx.efficiency(a.customer, a.vendor, a.ad_type), a))
+            .collect();
         let gammas: std::collections::BTreeSet<u64> =
-            unstable.iter().map(|c| c.gamma.to_bits()).collect();
+            candidates.iter().map(|c| c.0.to_bits()).collect();
         assert!(
-            gammas.len() * 100 < unstable.len(),
+            gammas.len() * 100 < candidates.len(),
             "{} distinct gammas over {} candidates: too few ties to test",
             gammas.len(),
-            unstable.len()
+            candidates.len()
         );
-        let mut stable = unstable.clone();
-        stable.sort_by(candidate_order);
-        sort_candidates(&mut unstable);
-        let key = |c: &Candidate| (c.gamma.to_bits(), c.customer, c.vendor, c.ad_type);
-        assert!(unstable.iter().map(key).eq(stable.iter().map(key)));
-        for w in unstable.windows(2) {
-            assert_eq!(candidate_order(&w[0], &w[1]), std::cmp::Ordering::Less);
+        assert!(
+            candidates.windows(2).all(|w| {
+                let key = |a: Assignment| (a.customer, a.vendor, a.ad_type);
+                key(w[0].1) < key(w[1].1)
+            }),
+            "the walk must visit triples in ascending id order"
+        );
+        assert_keys_match_comparator(&candidates);
+    }
+
+    /// Ties follow ids, not c2v arena positions. Co-located identical
+    /// customers tie on every γ; moves, arrivals and removals then
+    /// leave rows at the arena tail, so a walk in arena order would
+    /// rank a renamed customer after higher ids. GREEDY and NAIVE
+    /// GREEDY on the patched context must match GREEDY on a fresh
+    /// build, with the memo on and off, at 1, 2 and 8 threads, on
+    /// enough customers that the walk splits.
+    #[test]
+    fn greedy_ties_follow_ids_after_deltas() {
+        let twin = Customer {
+            location: Point::new(0.5, 0.5),
+            capacity: 2,
+            view_probability: 0.5,
+            interests: TagVector::new(vec![0.3, 0.5, 0.7]).unwrap(),
+            arrival: Timestamp::from_hours(9.0),
+        };
+        let inst = InstanceBuilder::new()
+            .ad_types([
+                AdType::new("TL", Money::from_dollars(1.0), 0.1),
+                AdType::new("PL", Money::from_dollars(2.0), 0.2),
+            ])
+            .customers(std::iter::repeat_n(
+                twin.clone(),
+                2 * FILL_MIN_CUSTOMERS + 64,
+            ))
+            .vendors((0..6).map(|j| Vendorish::at(j, 6, 4.0, 3)))
+            .build()
+            .unwrap();
+        let model = PearsonUtility::uniform(3);
+        let far = Point::new(0.5, 0.99);
+        let mut batch = DeltaBatch::new();
+        for i in [0usize, 7, 40] {
+            batch = batch.move_customer(CustomerId::from(i), far);
+        }
+        for _ in 0..16 {
+            batch = batch.add_customer(twin.clone());
+        }
+        for i in [3usize, 11, 12, 500] {
+            batch = batch.remove_customer(CustomerId::from(i));
+        }
+        for i in [0usize, 7] {
+            batch = batch.move_customer(CustomerId::from(i), twin.location);
+        }
+        for cap in [None, Some(0)] {
+            let mut patched = SolverContext::indexed(&inst, &model);
+            if let Some(bytes) = cap {
+                patched = patched.with_pair_cache_cap(bytes);
+            }
+            patched.apply_delta(&batch).unwrap();
+            patched.debug_validate();
+            assert!(patched.c2v_rows_out_of_id_order(), "cap {cap:?}");
+            let fresh = SolverContext::indexed(patched.instance(), &model);
+            let expect = par::with_threads(1, || Greedy.assign(&fresh));
+            assert!(expect.len() > 1, "budgets must pick among the ties");
+            for threads in [1, 2, 8] {
+                par::with_threads(threads, || {
+                    let what = format!("cap {cap:?}, {threads} threads");
+                    let fast = Greedy.assign(&patched);
+                    assert_eq!(fast.assignments(), expect.assignments(), "{what}");
+                    let naive = NaiveGreedy.assign(&patched);
+                    assert_eq!(naive.assignments(), expect.assignments(), "{what}");
+                });
+            }
         }
     }
 

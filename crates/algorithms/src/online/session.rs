@@ -16,7 +16,8 @@
 //! budget/radius updates, ad-type repricing — straight into the
 //! context's incremental engine ([`SolverContext::apply_delta`]), and
 //! [`BrokerSession::serve_arrival`] is the O-AFA arrival path on top of
-//! it: one `AddCustomer` delta plus one serve, never an index rebuild.
+//! it: the engine's `AddCustomer` patch on an owned customer plus one
+//! serve, never an index rebuild.
 
 use crate::context::SolverContext;
 use crate::online::estimate::estimate_gamma_bounds;
@@ -218,8 +219,7 @@ impl<'a> BrokerSession<'a> {
         match delta {
             Delta::AddCustomer(_) => {
                 self.ctx.apply(delta)?;
-                self.state.on_customer_added();
-                self.served.push(false);
+                self.track_new_customer();
             }
             Delta::RemoveCustomer(cid) => {
                 if cid.index() < self.served.len() && self.state.customer_load(*cid) > 0 {
@@ -242,22 +242,30 @@ impl<'a> BrokerSession<'a> {
         Ok(false)
     }
 
+    /// Session bookkeeping for a customer the context just appended:
+    /// no load, not served yet.
+    fn track_new_customer(&mut self) {
+        self.state.on_customer_added();
+        self.served.push(false);
+    }
+
     /// The threshold policy currently in force.
     pub fn threshold(&self) -> ThresholdFn {
         self.solver.threshold()
     }
 
     /// The O-AFA arrival path on deltas: register a brand-new customer
-    /// (one `AddCustomer` delta through the incremental engine, with no
-    /// batch around it) and immediately serve them. Returns the id the
-    /// customer received and the committed ads.
+    /// (the `AddCustomer` patch of the incremental engine, through
+    /// [`SolverContext::add_customer`], which moves the customer into
+    /// the instance instead of copying it) and immediately serve them.
+    /// Returns the id the customer received and the committed ads.
     pub fn serve_arrival(
         &mut self,
         customer: Customer,
     ) -> Result<(CustomerId, Vec<Assignment>), CoreError> {
         // An arrival changes no vendor's tags, so the threshold stands.
-        self.apply_one(&Delta::AddCustomer(customer))?;
-        let cid = CustomerId::from(self.ctx.instance().num_customers() - 1);
+        let cid = self.ctx.add_customer(customer)?;
+        self.track_new_customer();
         Ok((cid, self.serve(cid)))
     }
 
@@ -492,6 +500,24 @@ mod tests {
                 batched.assignments().assignments()
             );
         }
+    }
+
+    /// `serve_arrival` moves the arriving customer into the session's
+    /// instance: the interest vector the instance holds afterwards is
+    /// the buffer the caller handed in, not a copy.
+    #[test]
+    fn serve_arrival_moves_the_customer_into_the_instance() {
+        let inst = instance(3);
+        let model = PearsonUtility::uniform(2);
+        let mut session = BrokerSession::with_threshold(&inst, &model, ThresholdFn::Disabled);
+        for i in 3..6 {
+            let customer = arrival(i);
+            let buffer = customer.interests.as_slice().as_ptr();
+            let (cid, _) = session.serve_arrival(customer).unwrap();
+            let held = session.context().instance().customer(cid);
+            assert_eq!(held.interests.as_slice().as_ptr(), buffer, "arrival {i}");
+        }
+        assert_eq!(session.epoch(), 3);
     }
 
     /// Mid-session world changes flow through the incremental engine

@@ -88,18 +88,8 @@ impl ProblemInstance {
     /// leaves the instance untouched on error.
     pub fn apply(&mut self, delta: &Delta) -> Result<(), CoreError> {
         match delta {
-            Delta::AddCustomer(c) => {
-                let id = CustomerId::from(self.customers.len());
-                c.validate(id)?;
-                if c.interests.len() != self.tag_universe {
-                    return Err(CoreError::TagUniverseMismatch {
-                        entity: format!("customer {id}"),
-                        got: c.interests.len(),
-                        expected: self.tag_universe,
-                    });
-                }
-                self.customers.push(c.clone());
-            }
+            // The owning path bumps the epoch itself.
+            Delta::AddCustomer(c) => return self.add_customer(c.clone()).map(drop),
             Delta::RemoveCustomer(id) => {
                 self.check_customer(*id)?;
                 self.customers.swap_remove(id.index());
@@ -162,6 +152,25 @@ impl ProblemInstance {
         }
         self.epoch += 1;
         Ok(())
+    }
+
+    /// Validate and append a new customer, taking ownership: what
+    /// `apply(&Delta::AddCustomer(c))` does, without copying `c`.
+    /// Returns the id it received; bumps the epoch on success and
+    /// leaves the instance untouched on error.
+    pub fn add_customer(&mut self, c: Customer) -> Result<CustomerId, CoreError> {
+        let id = CustomerId::from(self.customers.len());
+        c.validate(id)?;
+        if c.interests.len() != self.tag_universe {
+            return Err(CoreError::TagUniverseMismatch {
+                entity: format!("customer {id}"),
+                got: c.interests.len(),
+                expected: self.tag_universe,
+            });
+        }
+        self.customers.push(c);
+        self.epoch += 1;
+        Ok(id)
     }
 
     /// Apply a batch front to back. Stops at the first invalid delta,

@@ -1,9 +1,9 @@
 //! Deterministic parallel primitives for the performance substrate.
 //!
-//! Every hot fan-out in the workspace (candidate collection, per-vendor
-//! MCKP solves, spatial bulk-builds, the memo fill, context
-//! construction) goes through this module rather than spawning threads
-//! ad hoc. Two guarantees:
+//! Every hot fan-out in the workspace (the customer-major pair walk
+//! behind GREEDY and the memo fill, per-vendor MCKP solves, spatial
+//! bulk-builds, context construction) goes through this module rather
+//! than spawning threads ad hoc. Two guarantees:
 //!
 //! 1. **Determinism** — [`par_map`] always returns results in input
 //!    order, and callers only ever merge per-chunk results in that

@@ -24,6 +24,17 @@ use muaa_algorithms::{BatchedRecon, Greedy, OfflineSolver, Recon, SolverContext}
 use muaa_core::{par, sanitize, Point, UtilityModel};
 use muaa_datagen::{generate_synthetic, Range, SyntheticConfig};
 use muaa_spatial::{GridIndex, VendorIndex};
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
+/// The region registry is process-wide, so a test that builds a context
+/// while `hot_regions_are_allocation_free_at_steady_state` measures
+/// would record its cold-path allocations there. Every test in this
+/// binary holds this lock for its whole body.
+static SERIAL: Mutex<()> = Mutex::new(());
+
+fn serial() -> MutexGuard<'static, ()> {
+    SERIAL.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// Regions that must be allocation-free at steady state. The counting
 /// regions get their zero from warmed caller-owned buffers; the strict
@@ -40,6 +51,7 @@ const MUST_BE_ZERO: [&str; 7] = [
 
 #[test]
 fn hot_regions_are_allocation_free_at_steady_state() {
+    let _serial = serial();
     let cfg = SyntheticConfig {
         customers: 400,
         vendors: 12,
@@ -121,6 +133,7 @@ fn hot_regions_are_allocation_free_at_steady_state() {
 /// `--features muaa-sanitize`.
 #[test]
 fn solver_pipeline_produces_only_finite_utilities() {
+    let _serial = serial();
     let cfg = SyntheticConfig {
         customers: 300,
         vendors: 10,
@@ -156,6 +169,7 @@ fn solver_pipeline_produces_only_finite_utilities() {
 /// counts read 0 and the check holds trivially.
 #[test]
 fn context_build_allocations_do_not_scale_with_customers() {
+    let _serial = serial();
     let build_allocs = |customers| {
         let cfg = SyntheticConfig {
             customers,
@@ -189,6 +203,7 @@ fn context_build_allocations_do_not_scale_with_customers() {
 /// `muaa-sanitize` both counts read 0 and the check holds trivially.
 #[test]
 fn recon_allocations_do_not_scale_with_customers() {
+    let _serial = serial();
     let plan_allocs = |customers| {
         let cfg = SyntheticConfig {
             customers,
@@ -210,6 +225,40 @@ fn recon_allocations_do_not_scale_with_customers() {
     assert!(
         large.saturating_sub(small) < 5_000,
         "10 000 more customers cost {} more allocations ({small} → {large})",
+        large.saturating_sub(small)
+    );
+}
+
+/// GREEDY allocates per walk chunk, not per vendor: its candidates come
+/// from one customer-major walk into buffers each chunk sizes once
+/// (DESIGN.md §10). On the Table IV synthetic fixture, doubling the
+/// vendors from 500 to 1 000 must add fewer than 100 allocations to a
+/// sequential GREEDY plan on a built context. Without `muaa-sanitize`
+/// both counts read 0 and the check holds trivially.
+#[test]
+fn greedy_allocations_do_not_scale_with_vendors() {
+    let _serial = serial();
+    let plan_allocs = |vendors| {
+        let cfg = SyntheticConfig {
+            vendors,
+            ..Default::default()
+        };
+        assert_eq!(cfg.customers, 10_000, "Table IV default customer count");
+        let inst = generate_synthetic(&cfg);
+        let model = muaa_core::PearsonUtility::uniform(cfg.tags);
+        par::with_threads(1, || {
+            let ctx = SolverContext::indexed(&inst, &model);
+            let before = sanitize::thread_alloc_count();
+            let set = Greedy.assign(&ctx);
+            let allocs = sanitize::thread_alloc_count() - before;
+            drop(set);
+            allocs
+        })
+    };
+    let (small, large) = (plan_allocs(500), plan_allocs(1_000));
+    assert!(
+        large.saturating_sub(small) < 100,
+        "500 more vendors cost {} more allocations ({small} → {large})",
         large.saturating_sub(small)
     );
 }
