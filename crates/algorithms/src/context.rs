@@ -284,9 +284,17 @@ impl<T: Copy + Ord + Default> CsrDir<T> {
 
     /// Insert `id` into sorted row `k` (no-op if already present). The
     /// row's other pairs keep their memo slots; the new one starts empty.
+    /// An id above the row's last one is appended without a search: an
+    /// arriving customer holds the largest id, so every v2c row it joins
+    /// takes it this way.
     fn insert_sorted(&mut self, k: usize, id: T) {
-        let Err(pos) = self.row(k).binary_search(&id) else {
-            return;
+        let row = self.row(k);
+        let pos = match row.last() {
+            Some(&last) if id <= last => match row.binary_search(&id) {
+                Ok(_) => return,
+                Err(pos) => pos,
+            },
+            _ => row.len(),
         };
         let len = self.spans[k].1 as usize;
         self.make_room(k, len + 1);
@@ -540,6 +548,10 @@ pub struct SolverContext<'a> {
     pearson: Option<&'a PearsonUtility>,
     cache: Option<PairCache>,
     eligibility: EligibilityIndex,
+    /// Scratch for the one c2v row an `AddCustomer` or `MoveCustomer`
+    /// delta scans ([`valid_vendors_scan_into`](Self::valid_vendors_scan_into)),
+    /// kept across deltas so an arrival reuses its capacity.
+    vendor_scan: Vec<VendorId>,
 }
 
 // Manual impl: `model` is a `&dyn UtilityModel`, which has no `Debug`
@@ -585,6 +597,7 @@ impl<'a> SolverContext<'a> {
             pearson,
             cache,
             eligibility: EligibilityIndex::default(),
+            vendor_scan: Vec::new(),
         };
         ctx.eligibility = ctx.build_eligibility();
         ctx.fit_memo();
@@ -605,6 +618,7 @@ impl<'a> SolverContext<'a> {
             pearson,
             cache: pearson.map(|p| PairCache::build(instance, p)),
             eligibility: EligibilityIndex::default(),
+            vendor_scan: Vec::new(),
         };
         ctx.eligibility = ctx.build_eligibility();
         ctx.fit_memo();
@@ -899,26 +913,30 @@ impl<'a> SolverContext<'a> {
         }
     }
 
-    /// Compute a customer's valid-vendor list from scratch, in
-    /// canonical ascending-id order: the one c2v row an `AddCustomer`
-    /// or `MoveCustomer` delta needs. Builds derive c2v as the
-    /// transpose of v2c instead; solvers read [`eligible_vendors`].
-    fn valid_vendors_scan(&self, cid: CustomerId) -> Vec<VendorId> {
+    /// Compute a customer's valid-vendor list from scratch into `out`
+    /// (cleared first), in canonical ascending-id order: the one c2v row
+    /// an `AddCustomer` or `MoveCustomer` delta needs. Builds derive c2v
+    /// as the transpose of v2c instead; solvers read
+    /// [`eligible_vendors`]. The deltas pass the context's reused
+    /// `vendor_scan` buffer, so a steady arrival stream scans without
+    /// allocating.
+    fn valid_vendors_scan_into(&self, cid: CustomerId, out: &mut Vec<VendorId>) {
         let c = self.instance.customer(cid);
         match &self.vendor_index {
             Some(index) => {
-                let mut pre = Vec::new();
-                index.covering_into(c.location, &mut pre);
-                pre.retain(|&vid| self.pair_valid(cid, vid));
-                pre.sort_unstable();
-                pre
+                index.covering_into(c.location, out);
+                out.retain(|&vid| self.pair_valid(cid, vid));
+                out.sort_unstable();
             }
-            None => self
-                .instance
-                .vendors_enumerated()
-                .map(|(vid, _)| vid)
-                .filter(|&vid| self.pair_valid(cid, vid))
-                .collect(),
+            None => {
+                out.clear();
+                out.extend(
+                    self.instance
+                        .vendors_enumerated()
+                        .map(|(vid, _)| vid)
+                        .filter(|&vid| self.pair_valid(cid, vid)),
+                );
+            }
         }
     }
 
@@ -1175,7 +1193,9 @@ impl<'a> SolverContext<'a> {
     /// The "best" ad type for a pair under a remaining budget: the
     /// affordable type with the highest budget efficiency (paper
     /// Alg. 2 line 4). Returns `(ad type, λ, γ)`; `None` when nothing
-    /// affordable has positive utility.
+    /// affordable has positive utility. A budget below the cheapest ad
+    /// type returns `None` before the pair base is computed, so an
+    /// exhausted vendor costs no kernel call and fills no memo slot.
     #[cfg_attr(any(), muaa::hot)]
     pub fn best_ad_type(
         &self,
@@ -1184,6 +1204,9 @@ impl<'a> SolverContext<'a> {
         remaining: Money,
     ) -> Option<(AdTypeId, f64, f64)> {
         let _hot = muaa_core::sanitize::AllocGuard::strict("context.best_ad_type");
+        if remaining < self.instance.min_ad_cost() {
+            return None;
+        }
         let base = self.pair_base(cid, vid);
         if base <= 0.0 {
             return None;
@@ -1211,7 +1234,8 @@ impl<'a> SolverContext<'a> {
 
     /// Like [`best_ad_type`](Self::best_ad_type) but maximizing utility
     /// `λ` instead of efficiency `γ` — what NEAREST uses once the
-    /// vendor is fixed.
+    /// vendor is fixed. The same early `None` below the cheapest ad
+    /// type skips the pair base.
     #[cfg_attr(any(), muaa::hot)]
     pub fn best_ad_type_by_utility(
         &self,
@@ -1219,6 +1243,9 @@ impl<'a> SolverContext<'a> {
         vid: VendorId,
         remaining: Money,
     ) -> Option<(AdTypeId, f64)> {
+        if remaining < self.instance.min_ad_cost() {
+            return None;
+        }
         let base = self.pair_base(cid, vid);
         if base <= 0.0 {
             return None;
@@ -1328,7 +1355,8 @@ impl<'a> SolverContext<'a> {
                 if let Some(grid) = &mut self.customer_grid {
                     grid.relocate(cid.index() as u32, *to);
                 }
-                let new_row = self.valid_vendors_scan(*cid);
+                let mut new_row = std::mem::take(&mut self.vendor_scan);
+                self.valid_vendors_scan_into(*cid, &mut new_row);
                 diff_sorted(&old_row, &new_row, |vid, gained| {
                     if gained {
                         self.eligibility.v2c.insert_sorted(vid.index(), *cid);
@@ -1340,6 +1368,7 @@ impl<'a> SolverContext<'a> {
                 // memoized pair base embeds the old distance: the new row
                 // comes with empty slots.
                 self.eligibility.c2v.set_row(cid.index(), &new_row);
+                self.vendor_scan = new_row;
             }
             Delta::VendorRadius(vid, radius) => {
                 let old_row = self.eligibility.v2c.row(vid.index()).to_vec();
@@ -1417,11 +1446,14 @@ impl<'a> SolverContext<'a> {
         if let (Some(cache), Some(pearson)) = (&mut self.cache, self.pearson) {
             cache.push_customer(pearson, c);
         }
-        let row = self.valid_vendors_scan(cid);
+        let mut row = std::mem::take(&mut self.vendor_scan);
+        self.valid_vendors_scan_into(cid, &mut row);
         for &vid in &row {
+            // `cid` is the largest id, so this appends to every row.
             self.eligibility.v2c.insert_sorted(vid.index(), cid);
         }
         self.eligibility.c2v.push_row(&row);
+        self.vendor_scan = row;
     }
 }
 
@@ -1651,12 +1683,11 @@ mod tests {
             ] {
                 assert_eq!(ctx.eligibility.c2v.spans.len(), inst.num_customers());
                 assert_eq!(ctx.eligibility.v2c.spans.len(), inst.num_vendors());
+                // One buffer across customers: each scan clears it first.
+                let mut scan = Vec::new();
                 for (cid, _) in inst.customers_enumerated() {
-                    assert_eq!(
-                        ctx.eligible_vendors(cid),
-                        ctx.valid_vendors_scan(cid),
-                        "customer {cid}"
-                    );
+                    ctx.valid_vendors_scan_into(cid, &mut scan);
+                    assert_eq!(ctx.eligible_vendors(cid), scan, "customer {cid}");
                 }
                 ctx.debug_validate();
             }
@@ -1997,6 +2028,129 @@ mod tests {
         );
         let fresh = SolverContext::indexed(ctx.instance(), &model);
         assert_rebuild_equivalent(&ctx, &fresh);
+    }
+
+    /// Row `k` of `dir` as `(id, memo bits)` pairs.
+    fn row_bits(dir: &CsrDir<u32>, k: usize) -> Vec<(u32, u64)> {
+        let slots = dir.slots.as_ref().expect("memo on");
+        let start = dir.spans[k].0 as usize;
+        let bits = |p: usize| slots[start + p].load(Ordering::Relaxed);
+        dir.row(k)
+            .iter()
+            .enumerate()
+            .map(|(p, &id)| (id, bits(p)))
+            .collect()
+    }
+
+    /// Both branches of `insert_sorted`. An id into an empty row or above
+    /// the row's last id (an arrival) is appended without a search; one
+    /// below the last id (a `RemoveCustomer` rename, a move, a radius
+    /// change) lands by binary search; a duplicate at the tail or
+    /// mid-row changes nothing. In every branch the row stays strictly
+    /// ascending, the arena passes `debug_validate`, the gained id's
+    /// memo slot starts empty (even when the cell it takes still holds a
+    /// removed pair's bits), and the other ids keep theirs.
+    #[test]
+    fn insert_sorted_appends_above_the_last_id_and_searches_below_it() {
+        let mut dir = CsrDir::from_lists(vec![Vec::new(), vec![2u32, 5, 9]]);
+        dir.fit_slots(usize::MAX);
+        let fill = |dir: &CsrDir<u32>, k: usize| {
+            for &id in dir.row(k) {
+                let slot = dir.slot(k, id).expect("id in row");
+                slot.store(u64::from(id), Ordering::Relaxed);
+            }
+        };
+        let check = |dir: &CsrDir<u32>, k: usize, want: &[(u32, u64)], case: &str| {
+            dir.debug_validate(case);
+            assert!(dir.row(k).windows(2).all(|w| w[0] < w[1]), "{case}");
+            assert_eq!(row_bits(dir, k), want, "{case}");
+        };
+        // Empty row: append into a zero-capacity run, which moves.
+        dir.insert_sorted(0, 4);
+        check(&dir, 0, &[(4, MEMO_EMPTY)], "empty row");
+        fill(&dir, 0);
+        // Full row: the append moves it to the arena tail, doubled.
+        dir.insert_sorted(0, 6);
+        check(&dir, 0, &[(4, 4), (6, MEMO_EMPTY)], "append, row moves");
+        // Append into slack that still holds the removed 9's bits.
+        fill(&dir, 1);
+        dir.remove_sorted(1, 9);
+        dir.insert_sorted(1, 12);
+        check(&dir, 1, &[(2, 2), (5, 5), (12, MEMO_EMPTY)], "append");
+        // Mid-row: the slack cell holding 12's bits rotates to 3's place.
+        fill(&dir, 1);
+        dir.remove_sorted(1, 12);
+        dir.insert_sorted(1, 3);
+        let settled = [(2, 2), (3, MEMO_EMPTY), (5, 5)];
+        check(&dir, 1, &settled, "mid-row");
+        // Duplicates at the tail, mid-row and head are no-ops.
+        let live = dir.live;
+        for id in [5, 3, 2] {
+            dir.insert_sorted(1, id);
+            check(&dir, 1, &settled, "duplicate");
+        }
+        assert_eq!(dir.live, live);
+        assert_eq!(row_bits(&dir, 0), [(4, 4), (6, MEMO_EMPTY)]);
+    }
+
+    /// The exhausted-vendor exit changes no answer. For every remaining
+    /// budget from $0 to one cent past the dearest ad type, both
+    /// best-ad-type queries equal a reference that computes the pair
+    /// base first. Below the cheapest type the pair's memo slot stays
+    /// empty: the kernel never ran.
+    #[test]
+    fn best_ad_type_skips_the_pair_base_only_when_nothing_is_affordable() {
+        let inst = make_instance();
+        let model = PearsonUtility::uniform(2);
+        type Best = (Option<(AdTypeId, f64, f64)>, Option<(AdTypeId, f64)>);
+        let reference = |ctx: &SolverContext<'_>, cid, vid, remaining| -> Best {
+            let base = ctx.pair_base(cid, vid);
+            if base <= 0.0 {
+                return (None, None);
+            }
+            let (mut by_gamma, mut by_lambda) = (None, None);
+            for (tid, t) in inst.ad_types_enumerated() {
+                let lambda = base * t.effectiveness;
+                if t.cost > remaining || lambda <= 0.0 {
+                    continue;
+                }
+                let gamma = lambda / t.cost.as_dollars();
+                if by_gamma.is_none_or(|(_, _, g)| gamma > g) {
+                    by_gamma = Some((tid, lambda, gamma));
+                }
+                if by_lambda.is_none_or(|(_, l)| lambda > l) {
+                    by_lambda = Some((tid, lambda));
+                }
+            }
+            (by_gamma, by_lambda)
+        };
+        let dearest = inst.ad_types().iter().map(|t| t.cost).max().unwrap();
+        let probe = SolverContext::indexed(&inst, &model);
+        let mut pairs = 0;
+        for (cid, _) in inst.customers_enumerated() {
+            for &vid in probe.eligible_vendors(cid) {
+                pairs += 1;
+                for cents in 0..=dearest.as_cents() + 1 {
+                    let remaining = Money::from_cents(cents);
+                    let ctx = SolverContext::indexed(&inst, &model);
+                    let got = (
+                        ctx.best_ad_type(cid, vid, remaining),
+                        ctx.best_ad_type_by_utility(cid, vid, remaining),
+                    );
+                    let slot = ctx
+                        .eligibility
+                        .c2v
+                        .slot(cid.index(), vid)
+                        .expect("memoized");
+                    let filled = slot.load(Ordering::Relaxed) != MEMO_EMPTY;
+                    let case = format!("({cid}, {vid}) at {cents} cents");
+                    assert_eq!(filled, remaining >= inst.min_ad_cost(), "{case}");
+                    assert_eq!(got, reference(&ctx, cid, vid, remaining), "{case}");
+                }
+            }
+        }
+        // Both the positive pair and the zero-similarity one.
+        assert_eq!(pairs, 2);
     }
 
     /// The persisted cap governs the memo as deltas grow and shrink the

@@ -47,15 +47,25 @@ use muaa_core::{AdTypeId, Assignment, AssignmentSet, CustomerId, VendorId};
 /// let outcome = run_online(&mut solver, &ctx);
 /// assert_eq!(outcome.assignments.len(), 1);
 /// ```
+///
+/// The solver keeps its candidate buffer across arrivals (emptied after
+/// each one, capacity kept), so [`process`](OnlineSolver::process)
+/// allocates only the `Vec` it returns, and only when a candidate
+/// survives; on a customer's first serve every survivor commits.
 #[derive(Clone, Debug)]
 pub struct OAfa {
     threshold: ThresholdFn,
+    /// Scratch for one arrival's threshold-passing candidates.
+    candidates: Vec<Candidate>,
 }
 
 impl OAfa {
     /// Build with an explicit threshold policy.
     pub fn new(threshold: ThresholdFn) -> Self {
-        OAfa { threshold }
+        OAfa {
+            threshold,
+            candidates: Vec::new(),
+        }
     }
 
     /// The threshold in use.
@@ -64,7 +74,8 @@ impl OAfa {
     }
 
     /// Replace the threshold policy in place. O-AFA keeps no other
-    /// state between arrivals, so swapping the policy is the entire
+    /// state between arrivals (its candidate buffer is empty between
+    /// them), so swapping the policy is the entire
     /// "γ-estimate memo" patch: the broker session calls this after a
     /// delta that reshapes the efficiency landscape (a vendor tag swap)
     /// instead of rebuilding the solver.
@@ -96,8 +107,10 @@ impl OnlineSolver for OAfa {
             return Vec::new();
         }
 
-        // Lines 2–6: gather threshold-passing candidates.
-        let mut candidates: Vec<Candidate> = Vec::new();
+        // Lines 2–6: gather threshold-passing candidates. A vendor whose
+        // remaining budget affords no ad type drops out in
+        // `best_ad_type` before its pair base is computed.
+        let candidates = &mut self.candidates;
         for &vid in ctx.eligible_vendors(customer) {
             let remaining = state.remaining_budget(inst, vid);
             let Some((tid, _lambda, gamma)) = ctx.best_ad_type(customer, vid, remaining) else {
@@ -118,9 +131,11 @@ impl OnlineSolver for OAfa {
         candidates.truncate(capacity);
 
         // Commit. Each vendor contributes at most one candidate, so the
-        // per-vendor budget checks done at candidate time still hold.
+        // per-vendor budget checks done at candidate time still hold: on
+        // a customer's first serve every survivor commits, and `made`
+        // allocates only when one does.
         let mut made = Vec::with_capacity(candidates.len());
-        for cand in candidates {
+        for cand in candidates.drain(..) {
             let a = Assignment::new(customer, cand.vendor, cand.ad_type);
             if state.try_push(inst, a) {
                 made.push(a);
@@ -259,6 +274,34 @@ mod tests {
         // (they only ever increase), so φ(δ_j) was non-decreasing.
         for (vid, v) in inst.vendors_enumerated() {
             assert!(state.vendor_spend(vid) <= v.budget);
+        }
+    }
+
+    /// The candidate buffer carries nothing from one arrival to the
+    /// next: one solver serving a stream commits exactly what a fresh
+    /// solver per arrival commits, with and without a filtering
+    /// threshold. Four vendors against capacity 2 leave candidates past
+    /// the cut, which a leaked buffer would serve to the next arrival.
+    #[test]
+    fn reused_solver_matches_a_fresh_one_per_arrival() {
+        let inst = instance(60, 3.0);
+        let model = PearsonUtility::uniform(3);
+        let ctx = SolverContext::indexed(&inst, &model);
+        let bounds = crate::online::estimate::estimate_gamma_bounds(&ctx, 300, 3).unwrap();
+        for threshold in [
+            ThresholdFn::Disabled,
+            ThresholdFn::adaptive(bounds.gamma_min, bounds.g),
+        ] {
+            let mut reused = OAfa::new(threshold);
+            let mut kept = AssignmentSet::new(&inst);
+            let mut fresh = AssignmentSet::new(&inst);
+            for (cid, _) in inst.customers_enumerated() {
+                let a = reused.process(&ctx, &mut kept, cid);
+                let b = OAfa::new(threshold).process(&ctx, &mut fresh, cid);
+                assert_eq!(a, b, "{threshold:?}, customer {cid}");
+            }
+            assert!(!kept.is_empty(), "{threshold:?} commits ads");
+            assert_eq!(kept.assignments(), fresh.assignments());
         }
     }
 

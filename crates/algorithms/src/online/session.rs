@@ -43,13 +43,21 @@ pub struct LatencyStats {
 }
 
 impl LatencyStats {
-    /// Mean service latency (zero when nothing was served).
+    /// Mean service latency (zero when nothing was served), rounded
+    /// down to the nanosecond. Divides in `u128` nanoseconds, so it
+    /// holds past 2³² arrivals, where `Duration / u32` would truncate
+    /// the count.
     pub fn mean(&self) -> Duration {
         if self.served == 0 {
-            Duration::ZERO
-        } else {
-            self.total / self.served as u32
+            return Duration::ZERO;
         }
+        const NANOS_PER_SEC: u128 = 1_000_000_000;
+        let nanos = self.total.as_nanos() / self.served as u128;
+        // `nanos` ≤ `total`'s, so the seconds fit `total`'s `u64`.
+        Duration::new(
+            (nanos / NANOS_PER_SEC) as u64,
+            (nanos % NANOS_PER_SEC) as u32,
+        )
     }
 
     fn record(&mut self, d: Duration) {
@@ -259,6 +267,16 @@ impl<'a> BrokerSession<'a> {
     /// [`SolverContext::add_customer`], which moves the customer into
     /// the instance instead of copying it) and immediately serve them.
     /// Returns the id the customer received and the committed ads.
+    ///
+    /// An arrival does only the work its result needs. Its id is the
+    /// largest, so it is appended to each covering vendor's row without
+    /// a search; the covering scan and O-AFA's candidates reuse buffers
+    /// the context and solver keep; and a vendor whose remaining budget
+    /// affords no ad type is skipped before the pair kernel. Past the
+    /// first arrival (which clones the instance) the returned `Vec` is
+    /// the only per-arrival allocation, apart from amortized growth of
+    /// the session's tables and the customer grid's per-cell overflow
+    /// lists.
     pub fn serve_arrival(
         &mut self,
         customer: Customer,
@@ -366,6 +384,28 @@ mod tests {
         assert_eq!(session.latency().served, 1);
         assert!(session.latency().max >= session.latency().mean());
         assert!(session.total_utility() > 0.0);
+    }
+
+    /// The mean divides by the full `served` count: at 2³² arrivals a
+    /// `u32` cast would make the divisor 0 (a panic), and just past it
+    /// 1, which returns the total.
+    #[test]
+    fn mean_latency_holds_past_u32_arrivals() {
+        for served in [1usize << 32, (1 << 32) + 1] {
+            let stats = LatencyStats {
+                served,
+                total: Duration::from_micros(served as u64),
+                max: Duration::from_millis(3),
+            };
+            assert_eq!(stats.mean(), Duration::from_micros(1), "{served} arrivals");
+        }
+        let odd = LatencyStats {
+            served: 3,
+            total: Duration::new(1, 2),
+            max: Duration::ZERO,
+        };
+        assert_eq!(odd.mean(), Duration::from_nanos(333_333_334));
+        assert_eq!(LatencyStats::default().mean(), Duration::ZERO);
     }
 
     #[test]

@@ -262,3 +262,66 @@ fn greedy_allocations_do_not_scale_with_vendors() {
         large.saturating_sub(small)
     );
 }
+
+/// A served arrival allocates only the `Vec` of ads it returns: its id
+/// is appended to the covering vendors' rows in place, the covering
+/// scan and O-AFA's candidates reuse buffers the context and solver
+/// keep, and exhausted vendors skip the pair kernel (DESIGN.md §3.3,
+/// §12). On a session over 1 000 synthetic customers and 2 000 vendors,
+/// after one warm-up arrival (whose first write clones the instance),
+/// 10 000 arrivals must make fewer than `arrivals / 2` allocations
+/// beyond one per non-empty return. What still allocates is amortized:
+/// `Vec` growth of the session's tables (instance, moments, CSR arena,
+/// served flags) and the customer grid's per-cell overflow lists
+/// (`GridIndex::attach_extra`, a `HashMap<u32, Vec<u32>>`). Without
+/// `muaa-sanitize` the count reads 0 and the check holds trivially.
+#[test]
+fn serve_arrivals_allocate_only_their_returns() {
+    use muaa_algorithms::online::session::BrokerSession;
+    use muaa_core::InstanceBuilder;
+
+    const START: usize = 1_000;
+    const ARRIVALS: usize = 10_000;
+    let _serial = serial();
+    let base = SyntheticConfig::default();
+    let people = generate_synthetic(&SyntheticConfig {
+        customers: START + 1 + ARRIVALS,
+        vendors: 0,
+        ..base.clone()
+    });
+    let market = generate_synthetic(&SyntheticConfig {
+        customers: 0,
+        vendors: 2_000,
+        ..base.clone()
+    });
+    let (head, tail) = people.customers().split_at(START);
+    let snapshot = InstanceBuilder::new()
+        .customers(head.iter().cloned())
+        .vendors(market.vendors().iter().cloned())
+        .ad_types(market.ad_types().iter().cloned())
+        .build()
+        .expect("customers and vendors share the tag universe");
+    let model = muaa_core::PearsonUtility::uniform(base.tags);
+    // Cloned before the count starts; a clone inside it would allocate.
+    let arrivals = tail.to_vec();
+    par::with_threads(1, || {
+        let mut arrivals = arrivals.into_iter();
+        let mut session = BrokerSession::start(&snapshot, &model);
+        session.serve_remaining();
+        let warm_up = arrivals.next().expect("one warm-up arrival");
+        session.serve_arrival(warm_up).expect("valid arrival");
+        let (mut returns, mut ads) = (0u64, 0usize);
+        let before = sanitize::thread_alloc_count();
+        for customer in arrivals {
+            let (_, made) = session.serve_arrival(customer).expect("valid arrival");
+            returns += u64::from(!made.is_empty());
+            ads += made.len();
+        }
+        let extra = (sanitize::thread_alloc_count() - before).saturating_sub(returns);
+        assert!(ads > 0, "the stream must commit ads");
+        assert!(
+            extra < ARRIVALS as u64 / 2,
+            "{ARRIVALS} arrivals made {extra} allocations beyond their {returns} non-empty returns"
+        );
+    });
+}
