@@ -552,6 +552,12 @@ pub struct SolverContext<'a> {
     /// delta scans ([`valid_vendors_scan_into`](Self::valid_vendors_scan_into)),
     /// kept across deltas so an arrival reuses its capacity.
     vendor_scan: Vec<VendorId>,
+    /// Scratch for the one v2c row a `VendorRadius` or `VendorTags`
+    /// delta rescans, and for the grid hits it filters
+    /// ([`valid_customers_scan_into`](Self::valid_customers_scan_into)),
+    /// kept across deltas like `vendor_scan`.
+    customer_scan: Vec<CustomerId>,
+    grid_hits: Vec<u32>,
 }
 
 // Manual impl: `model` is a `&dyn UtilityModel`, which has no `Debug`
@@ -598,6 +604,8 @@ impl<'a> SolverContext<'a> {
             cache,
             eligibility: EligibilityIndex::default(),
             vendor_scan: Vec::new(),
+            customer_scan: Vec::new(),
+            grid_hits: Vec::new(),
         };
         ctx.eligibility = ctx.build_eligibility();
         ctx.fit_memo();
@@ -619,6 +627,8 @@ impl<'a> SolverContext<'a> {
             cache: pearson.map(|p| PairCache::build(instance, p)),
             eligibility: EligibilityIndex::default(),
             vendor_scan: Vec::new(),
+            customer_scan: Vec::new(),
+            grid_hits: Vec::new(),
         };
         ctx.eligibility = ctx.build_eligibility();
         ctx.fit_memo();
@@ -632,7 +642,9 @@ impl<'a> SolverContext<'a> {
     /// identical candidate sequences regardless of grid geometry.
     fn build_eligibility(&self) -> EligibilityIndex {
         let per_vendor = par::par_map(self.instance.vendors(), 4, |j, _| {
-            self.valid_customers_scan(VendorId::from(j))
+            let mut row = Vec::new();
+            self.valid_customers_scan_into(VendorId::from(j), &mut row, &mut Vec::new());
+            row
         });
         EligibilityIndex::from_v2c(
             CsrDir::from_lists(per_vendor),
@@ -884,32 +896,39 @@ impl<'a> SolverContext<'a> {
     }
 
     /// Compute a vendor's valid-customer list from scratch (spatial
-    /// pre-filter + exact check), in canonical ascending-id order. Used
-    /// per vendor to build the eligibility CSR (both directions) and to
-    /// recompute rows touched by vendor deltas; solvers read
+    /// pre-filter into `hits` + exact check) into `out`, both cleared
+    /// first, in canonical ascending-id order. Used per vendor to build
+    /// the eligibility CSR (both directions) and to recompute the row a
+    /// vendor delta touches; the deltas pass the context's reused
+    /// `customer_scan` and `grid_hits` buffers. Solvers read
     /// [`eligible_customers`] instead.
-    fn valid_customers_scan(&self, vid: VendorId) -> Vec<CustomerId> {
+    fn valid_customers_scan_into(
+        &self,
+        vid: VendorId,
+        out: &mut Vec<CustomerId>,
+        hits: &mut Vec<u32>,
+    ) {
         let v = self.instance.vendor(vid);
+        out.clear();
         match &self.customer_grid {
             Some(grid) => {
-                let mut pre = Vec::new();
-                grid.range_query_into(v.location, v.radius, &mut pre);
-                let mut out: Vec<CustomerId> = pre
-                    .into_iter()
-                    .map(CustomerId::from)
-                    .filter(|&cid| self.pair_valid(cid, vid))
-                    .collect();
+                grid.range_query_into(v.location, v.radius, hits);
+                out.reserve(hits.len());
+                out.extend(
+                    (hits.iter())
+                        .map(|&i| CustomerId::from(i))
+                        .filter(|&cid| self.pair_valid(cid, vid)),
+                );
                 // Grid emission order depends on cell geometry; sorting
                 // makes the row canonical (and thus delta-invariant).
                 out.sort_unstable();
-                out
             }
-            None => self
-                .instance
-                .customers_enumerated()
-                .map(|(cid, _)| cid)
-                .filter(|&cid| self.pair_valid(cid, vid))
-                .collect(),
+            None => out.extend(
+                self.instance
+                    .customers_enumerated()
+                    .map(|(cid, _)| cid)
+                    .filter(|&cid| self.pair_valid(cid, vid)),
+            ),
         }
     }
 
@@ -1310,25 +1329,13 @@ impl<'a> SolverContext<'a> {
     /// one-delta batch; streaming layers that must interleave their own
     /// per-delta bookkeeping (e.g. `BrokerSession`) call this directly.
     pub fn apply(&mut self, delta: &Delta) -> Result<(), CoreError> {
-        // Pre-state the patching needs: CSR rows about to be renamed.
-        let pre = match delta {
-            Delta::RemoveCustomer(cid) if cid.index() < self.instance.num_customers() => {
-                let last = self.instance.num_customers() - 1;
-                Some((
-                    self.eligibility.c2v.row(cid.index()).to_vec(),
-                    self.eligibility.c2v.row(last).to_vec(),
-                ))
-            }
-            Delta::MoveCustomer(cid, _) if cid.index() < self.instance.num_customers() => {
-                Some((self.eligibility.c2v.row(cid.index()).to_vec(), Vec::new()))
-            }
-            _ => None,
-        };
         self.instance.to_mut().apply(delta)?;
+        // The CSR rows a delta renames or diffs against are still the
+        // pre-delta ones here: nothing below reads the instance's old
+        // state, so no row is copied first.
         match delta {
             Delta::AddCustomer(_) => self.index_last_customer(),
             Delta::RemoveCustomer(cid) => {
-                let (row_cid, row_last) = pre.expect("validated remove captures rows");
                 // Post-apply, `last` is the id the renamed customer held.
                 let last = self.instance.num_customers();
                 if let Some(grid) = &mut self.customer_grid {
@@ -1337,56 +1344,48 @@ impl<'a> SolverContext<'a> {
                 if let Some(cache) = &mut self.cache {
                     cache.swap_remove_customer(cid.index());
                 }
-                for &vid in &row_cid {
-                    self.eligibility.v2c.remove_sorted(vid.index(), *cid);
+                let EligibilityIndex { v2c, c2v } = &mut self.eligibility;
+                for &vid in c2v.row(cid.index()) {
+                    v2c.remove_sorted(vid.index(), *cid);
                 }
                 if cid.index() != last {
                     // The former last customer now answers to `cid`.
                     let old_id = CustomerId::from(last);
-                    for &vid in &row_last {
-                        self.eligibility.v2c.remove_sorted(vid.index(), old_id);
-                        self.eligibility.v2c.insert_sorted(vid.index(), *cid);
+                    for &vid in c2v.row(last) {
+                        v2c.remove_sorted(vid.index(), old_id);
+                        v2c.insert_sorted(vid.index(), *cid);
                     }
                 }
-                self.eligibility.c2v.swap_remove_row(cid.index());
+                c2v.swap_remove_row(cid.index());
             }
             Delta::MoveCustomer(cid, to) => {
-                let (old_row, _) = pre.expect("validated move captures row");
                 if let Some(grid) = &mut self.customer_grid {
                     grid.relocate(cid.index() as u32, *to);
                 }
                 let mut new_row = std::mem::take(&mut self.vendor_scan);
                 self.valid_vendors_scan_into(*cid, &mut new_row);
-                diff_sorted(&old_row, &new_row, |vid, gained| {
+                let EligibilityIndex { v2c, c2v } = &mut self.eligibility;
+                diff_sorted(c2v.row(cid.index()), &new_row, |vid, gained| {
                     if gained {
-                        self.eligibility.v2c.insert_sorted(vid.index(), *cid);
+                        v2c.insert_sorted(vid.index(), *cid);
                     } else {
-                        self.eligibility.v2c.remove_sorted(vid.index(), *cid);
+                        v2c.remove_sorted(vid.index(), *cid);
                     }
                 });
                 // Moments depend only on interests and arrival, but every
                 // memoized pair base embeds the old distance: the new row
                 // comes with empty slots.
-                self.eligibility.c2v.set_row(cid.index(), &new_row);
+                c2v.set_row(cid.index(), &new_row);
                 self.vendor_scan = new_row;
             }
             Delta::VendorRadius(vid, radius) => {
-                let old_row = self.eligibility.v2c.row(vid.index()).to_vec();
                 if let Some(index) = &mut self.vendor_index {
                     index.set_radius(*vid, *radius);
                 }
                 // Pair bases exclude the radius, so memoized values stay:
                 // surviving pairs keep their slots through the c2v
-                // patches below, gained pairs start empty.
-                let new_row = self.valid_customers_scan(*vid);
-                diff_sorted(&old_row, &new_row, |cid, gained| {
-                    if gained {
-                        self.eligibility.c2v.insert_sorted(cid.index(), *vid);
-                    } else {
-                        self.eligibility.c2v.remove_sorted(cid.index(), *vid);
-                    }
-                });
-                self.eligibility.v2c.set_row(vid.index(), &new_row);
+                // patches, gained pairs start empty.
+                self.rescan_vendor(*vid);
             }
             Delta::VendorTags(vid, _) => {
                 // Every memoized pair base of the vendor embeds the
@@ -1399,16 +1398,7 @@ impl<'a> SolverContext<'a> {
                 // `distance` receives the whole vendor through the trait
                 // object, so re-derive the row instead of assuming
                 // tag-blindness; for Euclidean models the diff is empty.
-                let old_row = self.eligibility.v2c.row(vid.index()).to_vec();
-                let new_row = self.valid_customers_scan(*vid);
-                diff_sorted(&old_row, &new_row, |cid, gained| {
-                    if gained {
-                        self.eligibility.c2v.insert_sorted(cid.index(), *vid);
-                    } else {
-                        self.eligibility.c2v.remove_sorted(cid.index(), *vid);
-                    }
-                });
-                self.eligibility.v2c.set_row(vid.index(), &new_row);
+                self.rescan_vendor(*vid);
             }
             // Budgets and ad types sit outside every index: eligibility
             // is geometric, pair bases exclude the ad factor, and both
@@ -1418,6 +1408,27 @@ impl<'a> SolverContext<'a> {
         // The eligible pairs may have crossed the persisted cap.
         self.fit_memo();
         Ok(())
+    }
+
+    /// Re-derive vendor `vid`'s v2c row into the reused scan buffers and
+    /// patch c2v by the difference: customers gained get an empty memo
+    /// slot, customers kept keep theirs. The `VendorRadius` and
+    /// `VendorTags` patch of [`apply`](Self::apply).
+    fn rescan_vendor(&mut self, vid: VendorId) {
+        let mut new_row = std::mem::take(&mut self.customer_scan);
+        let mut hits = std::mem::take(&mut self.grid_hits);
+        self.valid_customers_scan_into(vid, &mut new_row, &mut hits);
+        let EligibilityIndex { v2c, c2v } = &mut self.eligibility;
+        diff_sorted(v2c.row(vid.index()), &new_row, |cid, gained| {
+            if gained {
+                c2v.insert_sorted(cid.index(), vid);
+            } else {
+                c2v.remove_sorted(cid.index(), vid);
+            }
+        });
+        v2c.set_row(vid.index(), &new_row);
+        self.customer_scan = new_row;
+        self.grid_hits = hits;
     }
 
     /// Add a customer, taking ownership: what

@@ -17,20 +17,17 @@
 
 use crate::context::SolverContext;
 use crate::offline::OfflineSolver;
-use muaa_core::{Assignment, AssignmentSet, ProblemInstance};
+use muaa_core::{
+    AdTypeId, Assignment, AssignmentSet, CustomerId, Money, ProblemInstance, VendorId,
+};
 
-/// The sort key of a candidate with efficiency `gamma` at walk rank
-/// `rank`. The high word maps γ so that ascending `u64` order is
-/// `f64::total_cmp` descending; the low word is the rank. The walk
-/// visits customers, vendors and ad types in ascending id order, so
-/// ascending keys are GREEDY's commit order: γ descending, ties by
-/// customer, vendor and ad type ascending. Ranks are unique, so the
-/// keys are too, and any sort lands on the one permutation.
+/// `gamma`'s bits mapped so that ascending `u64` order is
+/// `f64::total_cmp` descending.
 ///
 /// `total_cmp`, not `<`, so that a pathological utility model producing
 /// NaN gammas still gets a total order: +NaN first, −NaN last. For the
 /// finite positive gammas of real models the two orders agree.
-fn candidate_key(gamma: f64, rank: u64) -> u128 {
+fn descending(gamma: f64) -> u64 {
     let bits = gamma.to_bits();
     // `total_cmp` order as unsigned order: a negative value flips every
     // bit, a non-negative one sets the sign bit.
@@ -39,41 +36,87 @@ fn candidate_key(gamma: f64, rank: u64) -> u128 {
     } else {
         bits | 1 << 63
     };
-    (u128::from(!ascending) << 64) | u128::from(rank)
+    !ascending
 }
 
-/// One walk chunk's candidates in walk order: a sort key per candidate
-/// and, at the same position, its triple. `rank_base` is the chunk
-/// index in the high half of a rank, the position its low half.
-struct Chunk {
-    rank_base: u64,
-    keys: Vec<u128>,
-    triples: Vec<Assignment>,
+/// How a candidate's `u128` sort key carries it. The high word is its
+/// γ, [`descending`]; the low word packs its triple, customer id above
+/// vendor id above ad-type id, each field as wide as the instance's
+/// largest id of its kind needs. Ascending keys are therefore GREEDY's
+/// commit order: γ descending, ties by customer, vendor and ad type
+/// ascending. Triples are unique, so the keys are too, and any sort
+/// lands on the one permutation.
+#[derive(Clone, Copy, Debug)]
+struct TripleCodec {
+    /// Width of the vendor field.
+    vendor_bits: u32,
+    /// Width of the ad-type field.
+    type_bits: u32,
 }
 
-/// Emit every (customer, vendor, ad type) triple with positive utility
-/// in one customer-major walk over the eligible pairs (DESIGN.md §10),
-/// which fills the memo on the way. Zero-allocation inner loop
-/// (DESIGN.md §11): each chunk reserves one slot per eligible pair and
-/// ad type up front, so no push reallocates inside the walk's strict
-/// region.
+impl TripleCodec {
+    /// The codec for ids below `customers`, `vendors` and `ad_types`.
+    /// Panics if the three fields need more than 64 bits together.
+    fn new(customers: usize, vendors: usize, ad_types: usize) -> Self {
+        // Bits to hold every id below `n`: none for one id or none.
+        let bits = |n: usize| usize::BITS - n.saturating_sub(1).leading_zeros();
+        let (c, v, t) = (bits(customers), bits(vendors), bits(ad_types));
+        assert!(c + v + t <= 64, "candidate triples need {} bits", c + v + t);
+        TripleCodec {
+            vendor_bits: v,
+            type_bits: t,
+        }
+    }
+
+    /// The codec for `inst`'s ids.
+    fn for_instance(inst: &ProblemInstance) -> Self {
+        TripleCodec::new(
+            inst.num_customers(),
+            inst.num_vendors(),
+            inst.num_ad_types(),
+        )
+    }
+
+    /// The sort key of candidate `a` with efficiency `gamma`. Shifts go
+    /// up to 64 (one customer), so the fields are placed in `u128`.
+    #[inline]
+    fn key(self, gamma: f64, a: Assignment) -> u128 {
+        let (v, t) = (self.vendor_bits, self.type_bits);
+        (u128::from(descending(gamma)) << 64)
+            | (u128::from(a.customer.0) << (v + t))
+            | (u128::from(a.vendor.0) << t)
+            | u128::from(a.ad_type.0)
+    }
+
+    /// The triple `key` carries.
+    #[inline]
+    fn triple(self, key: u128) -> Assignment {
+        let (v, t) = (self.vendor_bits, self.type_bits);
+        let low = key & u128::from(u64::MAX);
+        let field = |shift: u32, bits: u32| ((low >> shift) & ((1 << bits) - 1)) as u32;
+        Assignment::new(
+            CustomerId::new((low >> (v + t)) as u32),
+            VendorId::new(field(t, v)),
+            AdTypeId::new(field(0, t)),
+        )
+    }
+}
+
+/// Emit the sort key of every (customer, vendor, ad type) triple with
+/// positive utility in one customer-major walk over the eligible pairs
+/// (DESIGN.md §10), which fills the memo on the way; one key buffer per
+/// walk chunk, in walk order. Zero-allocation inner loop (DESIGN.md
+/// §11): each chunk reserves one slot per eligible pair and ad type up
+/// front, so no push reallocates inside the walk's strict region.
 #[cfg_attr(any(), muaa::hot)]
-fn walk_candidates(ctx: &SolverContext<'_>) -> Vec<Chunk> {
+fn walk_candidates(ctx: &SolverContext<'_>, codec: TripleCodec) -> Vec<Vec<u128>> {
     // Naming the type lets muaa-lint's call graph resolve
     // `inst.ad_types_enumerated()` to `ProblemInstance` alone.
     let inst: &ProblemInstance = ctx.instance();
     let types = inst.num_ad_types();
     ctx.walk_pairs(
-        |c, pairs| {
-            let cap = pairs * types;
-            assert!(cap <= u32::MAX as usize, "candidate rank exceeds 32 bits");
-            Chunk {
-                rank_base: (c as u64) << 32,
-                keys: Vec::with_capacity(cap),
-                triples: Vec::with_capacity(cap),
-            }
-        },
-        |chunk, cid, vid, base| {
+        |_, pairs| Vec::with_capacity(pairs * types),
+        |keys, cid, vid, base| {
             if base <= 0.0 {
                 return;
             }
@@ -82,44 +125,33 @@ fn walk_candidates(ctx: &SolverContext<'_>) -> Vec<Chunk> {
                 if lambda <= 0.0 {
                     continue;
                 }
-                let rank = chunk.rank_base | chunk.triples.len() as u64;
-                let key = candidate_key(lambda / t.cost.as_dollars(), rank);
+                let key = codec.key(lambda / t.cost.as_dollars(), Assignment::new(cid, vid, tid));
                 // In-capacity: the chunk reserved a slot per pair and
                 // ad type. lint: allow(hot_alloc)
-                chunk.keys.push(key);
-                // Same reserve. lint: allow(hot_alloc)
-                chunk.triples.push(Assignment::new(cid, vid, tid));
+                keys.push(key);
             }
         },
     )
 }
 
-/// GREEDY's candidates: every chunk's keys in one array, and the
-/// triples left in their chunks, where a key's rank finds them.
+/// GREEDY's candidates: every chunk's keys in one array, each carrying
+/// its triple.
 struct Candidates {
     keys: Vec<u128>,
-    triples: Vec<Vec<Assignment>>,
+    codec: TripleCodec,
 }
 
 impl Candidates {
     /// Walk the pairs and gather the chunks' keys; one chunk's keys
     /// are taken as they are.
     fn gather(ctx: &SolverContext<'_>) -> Self {
-        let mut chunks = walk_candidates(ctx).into_iter();
-        let first = chunks.next().expect("a walk has at least one chunk");
-        let (mut keys, mut triples) = (first.keys, vec![first.triples]);
+        let codec = TripleCodec::for_instance(ctx.instance());
+        let mut chunks = walk_candidates(ctx, codec).into_iter();
+        let mut keys = chunks.next().expect("a walk has at least one chunk");
         for chunk in chunks {
-            keys.extend_from_slice(&chunk.keys);
-            triples.push(chunk.triples);
+            keys.extend_from_slice(&chunk);
         }
-        Candidates { keys, triples }
-    }
-
-    /// The triple a key stands for.
-    #[inline]
-    fn triple(&self, key: u128) -> Assignment {
-        let rank = key as u64;
-        self.triples[(rank >> 32) as usize][rank as u32 as usize]
+        Candidates { keys, codec }
     }
 }
 
@@ -129,12 +161,27 @@ fn greedy_assign(ctx: &SolverContext<'_>) -> AssignmentSet {
     let inst = ctx.instance();
     let mut candidates = Candidates::gather(ctx);
     candidates.keys.sort_unstable();
+    // `AssignmentSet::fits`'s capacity and budget tests on dense
+    // per-solve arrays: most candidates fail one of them, and these
+    // reads stay in cache where the instance's customer and vendor
+    // records would not. The pair test still asks the set.
+    let costs: Vec<Money> = inst.ad_types().iter().map(|t| t.cost).collect();
+    let mut room: Vec<u32> = inst.customers().iter().map(|c| c.capacity).collect();
+    let mut budget: Vec<Money> = inst.vendors().iter().map(|v| v.budget).collect();
     let mut set = AssignmentSet::new(inst);
     for &key in &candidates.keys {
         // Feasibility only ever degrades, so a one-pass sweep in
         // efficiency order is equivalent to re-selecting the best
         // feasible candidate each iteration.
-        set.try_push(inst, candidates.triple(key));
+        let a = candidates.codec.triple(key);
+        let (c, v) = (a.customer.index(), a.vendor.index());
+        let cost = costs[a.ad_type.index()];
+        if room[c] == 0 || budget[v] < cost || set.pair_used(a.customer, a.vendor) {
+            continue;
+        }
+        room[c] -= 1;
+        budget[v] -= cost;
+        set.push_unchecked(inst, a);
     }
     set
 }
@@ -168,13 +215,14 @@ impl OfflineSolver for NaiveGreedy {
         loop {
             let mut best: Option<(usize, u128)> = None;
             for (i, &key) in candidates.keys.iter().enumerate() {
-                if best.is_none_or(|(_, b)| key < b) && set.fits(inst, candidates.triple(key)) {
+                if best.is_none_or(|(_, b)| key < b) && set.fits(inst, candidates.codec.triple(key))
+                {
                     best = Some((i, key));
                 }
             }
             let Some((i, key)) = best else { break };
             candidates.keys.swap_remove(i);
-            set.push_unchecked(inst, candidates.triple(key));
+            set.push_unchecked(inst, candidates.codec.triple(key));
         }
         set
     }
@@ -341,57 +389,85 @@ mod tests {
             .then(x.ad_type.cmp(&y.ad_type))
     }
 
-    /// Sort `candidates`, given in walk order (ascending triples), by
-    /// their keys and by the reference comparator's stable sort; both
-    /// must give the same sequence, and the sorted keys must ascend
-    /// strictly.
-    fn assert_keys_match_comparator(candidates: &[(f64, Assignment)]) {
-        let mut keys: Vec<u128> = (candidates.iter().enumerate())
-            .map(|(rank, &(gamma, _))| candidate_key(gamma, rank as u64))
+    /// Key `candidates` (distinct triples) with `codec`: every key must
+    /// give back its triple, and the keys sorted must give the sequence
+    /// the reference comparator's stable sort gives.
+    fn assert_keys_match_comparator(codec: TripleCodec, candidates: &[(f64, Assignment)]) {
+        let mut keys: Vec<u128> = (candidates.iter())
+            .map(|&(gamma, a)| codec.key(gamma, a))
             .collect();
+        for (&key, &(_, a)) in keys.iter().zip(candidates) {
+            assert_eq!(codec.triple(key), a, "{codec:?} does not round-trip {a}");
+        }
         keys.sort_unstable();
-        assert!(keys.windows(2).all(|w| w[0] < w[1]), "keys must be unique");
         let mut reference = candidates.to_vec();
         reference.sort_by(candidate_order);
-        let by_key = keys.iter().map(|&k| candidates[k as u64 as usize]);
-        let bits = |(gamma, a): (f64, Assignment)| (gamma.to_bits(), a);
         assert!(
-            by_key.map(bits).eq(reference.into_iter().map(bits)),
-            "key order differs from the comparator's"
+            keys.iter()
+                .map(|&k| codec.triple(k))
+                .eq(reference.iter().map(|c| c.1)),
+            "{codec:?}: key order differs from the comparator's"
         );
     }
 
-    /// Ascending keys are the comparator's order, on every kind of γ
-    /// `total_cmp` distinguishes (NaN of both signs, ±0, ±∞, subnormals,
-    /// the extremes) and on equal γ over distinct triples; and on a
-    /// real context's candidates, where co-located identical customers
-    /// tie on γ for every vendor and ad type, so only ids order them.
+    /// The γ kinds `total_cmp` distinguishes: NaN of both signs, ±0,
+    /// ±∞, subnormals, the extremes, and near-equal values.
+    const SPECIAL_GAMMAS: [f64; 20] = [
+        f64::NAN,
+        -f64::NAN,
+        f64::from_bits(0x7ff0_0000_0000_0001),
+        f64::from_bits(0xfff8_0000_0000_0001),
+        0.0,
+        -0.0,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        f64::MAX,
+        f64::MIN,
+        f64::MIN_POSITIVE,
+        -f64::MIN_POSITIVE,
+        f64::from_bits(1),
+        -f64::from_bits(1),
+        f64::from_bits(0x000f_ffff_ffff_ffff),
+        1.0,
+        -1.0,
+        0.1,
+        0.1 + f64::EPSILON,
+        -2.5e-3,
+    ];
+
+    /// Every triple over ids 0, 1 and the largest below each count, the
+    /// special γs dealt out two triples apiece.
+    fn edge_candidates(customers: usize, vendors: usize, types: usize) -> Vec<(f64, Assignment)> {
+        let ids = |n: usize| {
+            let mut ids = vec![0, 1.min(n - 1), n - 1];
+            ids.dedup();
+            ids
+        };
+        let mut candidates = Vec::new();
+        for c in ids(customers) {
+            for v in ids(vendors) {
+                for t in ids(types) {
+                    let gamma = SPECIAL_GAMMAS[candidates.len() / 2 * 7 % SPECIAL_GAMMAS.len()];
+                    let triple =
+                        Assignment::new(CustomerId::from(c), VendorId::from(v), AdTypeId::from(t));
+                    candidates.push((gamma, triple));
+                }
+            }
+        }
+        candidates
+    }
+
+    /// Ascending keys are the comparator's order, and every key gives
+    /// back its triple: on every kind of γ `total_cmp` distinguishes,
+    /// on equal γ over distinct triples, at field widths from one id
+    /// (no bits) to widths that fill all 64 bits of the low word,
+    /// including a customer or vendor field shifted by the full 64 or
+    /// 32; and on a real context's candidates, where co-located
+    /// identical customers tie on γ for every vendor and ad type, so
+    /// only ids order them.
     #[test]
     fn candidate_keys_sort_in_comparator_order() {
-        let specials = [
-            f64::NAN,
-            -f64::NAN,
-            f64::from_bits(0x7ff0_0000_0000_0001),
-            f64::from_bits(0xfff8_0000_0000_0001),
-            0.0,
-            -0.0,
-            f64::INFINITY,
-            f64::NEG_INFINITY,
-            f64::MAX,
-            f64::MIN,
-            f64::MIN_POSITIVE,
-            -f64::MIN_POSITIVE,
-            f64::from_bits(1),
-            -f64::from_bits(1),
-            f64::from_bits(0x000f_ffff_ffff_ffff),
-            1.0,
-            -1.0,
-            0.1,
-            0.1 + f64::EPSILON,
-            -2.5e-3,
-        ];
-        // Every γ on four distinct triples, scattered over walk order.
-        let n = specials.len() * 4;
+        let n = SPECIAL_GAMMAS.len() * 4;
         let candidates: Vec<(f64, Assignment)> = (0..n)
             .map(|k| {
                 let triple = Assignment::new(
@@ -399,10 +475,23 @@ mod tests {
                     VendorId::from(k / 2 % 2),
                     AdTypeId::from(k % 2),
                 );
-                (specials[k * 7 % specials.len()], triple)
+                (SPECIAL_GAMMAS[k * 7 % SPECIAL_GAMMAS.len()], triple)
             })
             .collect();
-        assert_keys_match_comparator(&candidates);
+        assert_keys_match_comparator(TripleCodec::new(n / 4, 2, 2), &candidates);
+        let full = 1usize << 32;
+        for (customers, vendors, types) in [
+            (1, 1, 1),
+            (3, 5, 2),
+            (full, 1 << 30, 4),
+            (1, full, full),
+            (full, 1, full),
+            (full, full, 1),
+            (1, 1, full),
+        ] {
+            let codec = TripleCodec::new(customers, vendors, types);
+            assert_keys_match_comparator(codec, &edge_candidates(customers, vendors, types));
+        }
 
         let twin = Customer {
             location: Point::new(0.5, 0.5),
@@ -422,14 +511,20 @@ mod tests {
             .unwrap();
         let model = PearsonUtility::uniform(3);
         let ctx = SolverContext::indexed(&inst, &model);
-        let collected = Candidates::gather(&ctx);
+        let codec = TripleCodec::for_instance(&inst);
         assert_eq!(
-            collected.triples.len(),
+            walk_candidates(&ctx, codec).len(),
             1,
             "300 customers walk in one chunk"
         );
-        let candidates: Vec<(f64, Assignment)> = (collected.triples[0].iter())
-            .map(|&a| (ctx.efficiency(a.customer, a.vendor, a.ad_type), a))
+        let collected = Candidates::gather(&ctx);
+        let candidates: Vec<(f64, Assignment)> = (collected.keys.iter())
+            .map(|&key| {
+                let a = collected.codec.triple(key);
+                let gamma = ctx.efficiency(a.customer, a.vendor, a.ad_type);
+                assert_eq!(key, codec.key(gamma, a), "the walk keyed {a} off its γ");
+                (gamma, a)
+            })
             .collect();
         let gammas: std::collections::BTreeSet<u64> =
             candidates.iter().map(|c| c.0.to_bits()).collect();
@@ -446,7 +541,14 @@ mod tests {
             }),
             "the walk must visit triples in ascending id order"
         );
-        assert_keys_match_comparator(&candidates);
+        assert_keys_match_comparator(codec, &candidates);
+    }
+
+    /// Three fields wider than 64 bits together cannot be keyed.
+    #[test]
+    #[should_panic(expected = "candidate triples need 65 bits")]
+    fn triples_wider_than_the_low_word_are_refused() {
+        TripleCodec::new(1 << 32, 1 << 32, 2);
     }
 
     /// Ties follow ids, not c2v arena positions. Co-located identical

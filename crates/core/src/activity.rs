@@ -54,12 +54,13 @@ impl Timestamp {
 
 /// Per-tag, per-hour activity levels `α_x(φ) ∈ [0, 1]`.
 ///
-/// Stored as a dense `tags × 24` matrix of hourly levels; lookups
-/// linearly interpolate between hour slots so that activity varies
-/// smoothly over the day.
+/// Stored as a dense `24 × tags` matrix of hourly levels, one row per
+/// hour, so [`levels_at_slice`](Self::levels_at_slice) reads every tag
+/// at a time from two contiguous rows; lookups linearly interpolate
+/// between hour slots so that activity varies smoothly over the day.
 #[derive(Clone, Debug)]
 pub struct ActivityProfile {
-    /// `levels[tag * 24 + hour]`.
+    /// `levels[hour * tags + tag]`.
     levels: Vec<f64>,
     tags: usize,
 }
@@ -79,7 +80,8 @@ impl ActivityProfile {
     /// Build from explicit per-tag hourly curves. Each inner slice must
     /// have exactly 24 entries in `[0, 1]`.
     pub fn from_hourly(curves: &[Vec<f64>]) -> Result<Self, CoreError> {
-        let mut levels = Vec::with_capacity(curves.len() * 24);
+        let tags = curves.len();
+        let mut levels = vec![0.0; tags * 24];
         for (tag, curve) in curves.iter().enumerate() {
             if curve.len() != 24 {
                 return Err(CoreError::InvalidActivityCurve {
@@ -87,20 +89,23 @@ impl ActivityProfile {
                     reason: format!("expected 24 hourly levels, got {}", curve.len()),
                 });
             }
-            for &lvl in curve {
+            for (hour, &lvl) in curve.iter().enumerate() {
                 if !lvl.is_finite() || !(0.0..=1.0).contains(&lvl) {
                     return Err(CoreError::InvalidActivityCurve {
                         tag,
                         reason: format!("activity level {lvl} outside [0,1]"),
                     });
                 }
-                levels.push(lvl);
+                levels[hour * tags + tag] = lvl;
             }
         }
-        Ok(ActivityProfile {
-            levels,
-            tags: curves.len(),
-        })
+        Ok(ActivityProfile { levels, tags })
+    }
+
+    /// The levels of every tag at `hour`.
+    #[inline]
+    fn hour_row(&self, hour: usize) -> &[f64] {
+        &self.levels[hour * self.tags..(hour + 1) * self.tags]
     }
 
     /// Number of tags covered.
@@ -117,8 +122,8 @@ impl ActivityProfile {
         let lo = h.floor() as usize % 24;
         let hi = (lo + 1) % 24;
         let frac = h - h.floor();
-        let a = self.levels[tag * 24 + lo];
-        let b = self.levels[tag * 24 + hi];
+        let a = self.levels[lo * self.tags + tag];
+        let b = self.levels[hi * self.tags + tag];
         a + (b - a) * frac
     }
 
@@ -134,8 +139,9 @@ impl ActivityProfile {
     /// per-tag activity levels at time `at` into a caller-owned buffer
     /// (stack array or reusable `Vec`) of length exactly
     /// [`tags`](Self::tags). The interpolation factors are hoisted out
-    /// of the per-tag loop, and each written value is bit-identical to
-    /// the corresponding [`level`](Self::level) call.
+    /// of the per-tag loop, the two hour rows are read front to back,
+    /// and each written value is bit-identical to the corresponding
+    /// [`level`](Self::level) call.
     pub fn levels_at_slice(&self, at: Timestamp, out: &mut [f64]) {
         assert_eq!(
             out.len(),
@@ -146,9 +152,8 @@ impl ActivityProfile {
         let lo = h.floor() as usize % 24;
         let hi = (lo + 1) % 24;
         let frac = h - h.floor();
-        for (tag, slot) in out.iter_mut().enumerate() {
-            let a = self.levels[tag * 24 + lo];
-            let b = self.levels[tag * 24 + hi];
+        let rows = self.hour_row(lo).iter().zip(self.hour_row(hi));
+        for (slot, (&a, &b)) in out.iter_mut().zip(rows) {
             *slot = a + (b - a) * frac;
         }
     }
@@ -225,6 +230,13 @@ mod tests {
             })
             .collect();
         let p = ActivityProfile::from_hourly(&curves).unwrap();
+        // On the hour, every tag reads its own curve back.
+        for (tag, curve) in curves.iter().enumerate() {
+            for (hour, &lvl) in curve.iter().enumerate() {
+                let at = Timestamp::from_hours(hour as f64);
+                assert_eq!(p.level(tag, at).to_bits(), lvl.to_bits());
+            }
+        }
         let mut buf = [0.0; 5];
         for at in [0.0, 6.25, 13.37, 23.75] {
             let ts = Timestamp::from_hours(at);

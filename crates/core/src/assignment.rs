@@ -1,12 +1,14 @@
 //! Ad assignment instances and assignment sets (paper Definition 4),
 //! with full feasibility validation against Definition 5.
 
+use crate::hash::IdHasher;
 use crate::ids::{AdTypeId, CustomerId, VendorId};
 use crate::instance::ProblemInstance;
 use crate::money::Money;
 use crate::utility::UtilityModel;
 use std::collections::HashSet;
 use std::fmt;
+use std::hash::BuildHasherDefault;
 
 /// One ad assignment instance `⟨u_i, v_j, τ_k⟩`: vendor `v_j` sends
 /// customer `u_i` one ad of type `τ_k`.
@@ -143,8 +145,9 @@ pub struct AssignmentSet {
     vendor_spend: Vec<Money>,
     /// Ads received per customer, indexed by `CustomerId`.
     customer_load: Vec<u32>,
-    /// Occupied (customer, vendor) pairs, for constraint 4.
-    pairs: HashSet<(u32, u32)>,
+    /// Occupied (customer, vendor) pairs, for constraint 4. Only probed,
+    /// never iterated, so the id hasher cannot reach an output.
+    pairs: HashSet<(u32, u32), BuildHasherDefault<IdHasher>>,
 }
 
 impl AssignmentSet {
@@ -154,7 +157,7 @@ impl AssignmentSet {
             assignments: Vec::new(),
             vendor_spend: vec![Money::ZERO; instance.num_vendors()],
             customer_load: vec![0; instance.num_customers()],
-            pairs: HashSet::new(),
+            pairs: HashSet::default(),
         }
     }
 
@@ -324,7 +327,11 @@ impl AssignmentSet {
         model: &dyn UtilityModel,
     ) -> FeasibilityReport {
         let mut report = FeasibilityReport::default();
-        let mut seen_pairs: HashSet<(u32, u32)> = HashSet::with_capacity(self.assignments.len());
+        let mut seen_pairs: HashSet<(u32, u32), BuildHasherDefault<IdHasher>> =
+            HashSet::with_capacity_and_hasher(
+                self.assignments.len(),
+                BuildHasherDefault::default(),
+            );
         let mut load = vec![0u32; instance.num_customers()];
         let mut spend = vec![Money::ZERO; instance.num_vendors()];
 

@@ -138,7 +138,8 @@ impl ProblemInstance {
                         });
                     }
                 }
-                self.vendors[id.index()].tags = tags.clone();
+                // In place: the vendor's buffer has the universe's length.
+                self.vendors[id.index()].tags.clone_from(tags);
             }
             Delta::AdType(id, t) => {
                 if id.index() >= self.ad_types.len() {

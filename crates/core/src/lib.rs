@@ -51,6 +51,7 @@ pub mod delta;
 pub mod entities;
 pub mod error;
 pub mod geo;
+pub mod hash;
 pub mod ids;
 pub mod instance;
 pub mod io;

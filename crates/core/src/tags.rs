@@ -9,9 +9,24 @@ use crate::error::CoreError;
 use std::ops::Index;
 
 /// A per-tag score vector with entries in `[0, 1]`.
-#[derive(Clone, PartialEq, Debug, Default)]
+#[derive(PartialEq, Debug, Default)]
 pub struct TagVector {
     scores: Vec<f64>,
+}
+
+impl Clone for TagVector {
+    fn clone(&self) -> Self {
+        TagVector {
+            scores: self.scores.clone(),
+        }
+    }
+
+    /// Copy `source`'s scores into this vector's buffer, which a
+    /// `Delta::VendorTags` over a fixed tag universe always fits: the
+    /// derive would allocate a fresh one.
+    fn clone_from(&mut self, source: &Self) {
+        self.scores.clone_from(&source.scores);
+    }
 }
 
 impl TagVector {

@@ -45,17 +45,21 @@ pub(crate) fn hull_into<'s>(
     items: &[MckpItem],
     scratch: &'s mut HullScratch,
 ) -> &'s [(u64, f64, usize)] {
-    // Sort by (cost asc, profit desc, index asc).
+    // Sort by (cost asc, profit desc, index asc). Strictly ascending
+    // costs are that order already: a RECON class whose instance lists
+    // its ad types by ascending cost, as the built-in tables do.
     let order = &mut scratch.order;
     order.clear();
     order.extend(0..items.len());
-    order.sort_by(|&a, &b| {
-        items[a]
-            .cost
-            .cmp(&items[b].cost)
-            .then(items[b].profit.total_cmp(&items[a].profit))
-            .then(a.cmp(&b))
-    });
+    if !items.windows(2).all(|w| w[0].cost < w[1].cost) {
+        order.sort_by(|&a, &b| {
+            items[a]
+                .cost
+                .cmp(&items[b].cost)
+                .then(items[b].profit.total_cmp(&items[a].profit))
+                .then(a.cmp(&b))
+        });
+    }
 
     // Monotone chain over (cost, profit), starting at the virtual
     // (0, 0) point. Keep only strictly-improving profits, then enforce

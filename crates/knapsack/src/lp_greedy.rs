@@ -9,6 +9,16 @@
 //! that fits, which guarantees a profit of at least half the LP optimum
 //! (hence ≥ ½ · OPT) — in practice far closer, because MUAA increments
 //! are tiny relative to the budget.
+//!
+//! The walk stops at the first increment that does not fit, so it can
+//! only reach a short prefix of the efficiency order: every zero-cost
+//! increment, at most `capacity / cheapest positive increment` that
+//! fit, and the one that stops it. In RECON, with the paper's $1–3 ad
+//! types, a $10–20 budget reaches at most 21 of a vendor's increments
+//! (about 100 on average on Foursquare-sim, up to ~1,700). So
+//! [`MckpLpGreedy::solve_detailed`] orders just that prefix, by one
+//! integer key per increment, and visits the sequence a full stable
+//! sort by efficiency would give.
 
 use crate::dominance::{hull_into, HullScratch};
 use crate::problem::{MckpProblem, MckpSolution, MckpSolver};
@@ -80,16 +90,28 @@ impl MckpLpGreedy {
             }
         }
 
-        // Sort by efficiency descending. Within a class efficiencies
-        // strictly decrease along the hull, so a stable sort preserves
-        // the prerequisite order for equal efficiencies across classes;
-        // intra-class ties cannot occur.
-        increments.sort_by(|a, b| {
-            let ea = eff(a);
-            let eb = eff(b);
-            eb.total_cmp(&ea)
-        });
-
+        // Efficiency descending, ties by insertion index: the order of
+        // a stable sort. Within a class efficiencies strictly decrease
+        // along the hull, so for equal efficiencies across classes the
+        // index keeps each class's increments in prerequisite order;
+        // intra-class ties cannot occur. Keys are unique, so ordering
+        // only the reachable prefix (module docs) with unstable
+        // selection and sort gives that order's first `reach` entries.
+        let mut keys: Vec<u128> = (increments.iter().enumerate())
+            .map(|(i, inc)| u128::from(descending(eff(inc))) << 64 | i as u128)
+            .collect();
+        let zero_cost = increments.iter().filter(|i| i.delta_cost == 0).count();
+        let cheapest = (increments.iter().map(|i| i.delta_cost))
+            .filter(|&c| c > 0)
+            .min();
+        let positive = cheapest.map_or(0, |c| problem.capacity() / c);
+        let reach = usize::try_from(positive)
+            .map_or(usize::MAX, |p| p.saturating_add(zero_cost + 1))
+            .min(keys.len());
+        if reach < keys.len() {
+            keys.select_nth_unstable(reach);
+        }
+        keys[..reach].sort_unstable();
         let mut remaining = problem.capacity();
         let mut current: Vec<Option<usize>> = vec![None; problem.num_classes()];
         let mut profit = 0.0f64;
@@ -98,7 +120,8 @@ impl MckpLpGreedy {
         let mut lp_budget = problem.capacity();
         let mut lp_open = true;
 
-        for inc in &increments {
+        for &key in &keys[..reach] {
+            let inc = &increments[key as u64 as usize];
             // LP bound bookkeeping: fill fractionally.
             if lp_open {
                 if inc.delta_cost <= lp_budget {
@@ -162,6 +185,20 @@ impl MckpLpGreedy {
             solution,
         }
     }
+}
+
+/// `x`'s bits mapped so that ascending `u64` order is `f64::total_cmp`
+/// descending (the map GREEDY's candidate keys use): a negative value
+/// flips every bit, a non-negative one sets the sign bit, and the result
+/// is inverted.
+fn descending(x: f64) -> u64 {
+    let bits = x.to_bits();
+    let ascending = if bits >> 63 == 1 {
+        !bits
+    } else {
+        bits | 1 << 63
+    };
+    !ascending
 }
 
 #[inline]

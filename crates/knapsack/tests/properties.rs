@@ -2,9 +2,10 @@
 //! guarantee bounds, and structural invariants under arbitrary inputs.
 
 use muaa_knapsack::{
-    hull_indices, zero_one, MckpExactDp, MckpFptas, MckpItem, MckpLpGreedy, MckpProblem, MckpSolver,
+    hull_indices, zero_one, MckpExactDp, MckpFptas, MckpItem, MckpLpGreedy, MckpProblem,
+    MckpSolution, MckpSolver,
 };
-use muaa_testkit::{f64_in, for_all, u64_in, vec_of, DetRng};
+use muaa_testkit::{f64_in, for_all, pick, u64_in, vec_of, DetRng};
 
 const CASES: u32 = 128;
 
@@ -59,6 +60,123 @@ fn check_lp_greedy(p: &MckpProblem) {
     assert!(detail.solution.validate(p));
     assert!(detail.solution.profit >= 0.5 * exact.profit - 1e-9);
     assert!(detail.lp_bound >= exact.profit - 1e-9);
+}
+
+/// Problems that stress the LP greedy's ordering: costs on a coarse
+/// grid that includes zero, and priced items whose profit is the cost
+/// at one of three rates, so increments of different classes tie on
+/// efficiency; capacity 0, between 0 and the total cost, or above it.
+fn gen_tied_problem(rng: &mut DetRng) -> MckpProblem {
+    let classes = vec_of(rng, 0..9, |r| {
+        vec_of(r, 1..5, |r| {
+            let cost = 50 * u64_in(r, 0..6);
+            let profit = if cost == 0 {
+                f64_in(r, 0.0..2.0)
+            } else {
+                cost as f64 * [0.005, 0.01, 0.02][pick(r, &[1, 1, 1])]
+            };
+            MckpItem::new(cost, profit)
+        })
+    });
+    let total: u64 = classes.iter().flatten().map(|i| i.cost).sum();
+    let capacity = match pick(rng, &[1, 2, 1]) {
+        0 => 0,
+        1 => u64_in(rng, 0..total + 1),
+        _ => total + u64_in(rng, 0..100),
+    };
+    let mut p = MckpProblem::new(capacity);
+    for class in classes {
+        p.add_class(class);
+    }
+    p
+}
+
+/// The LP greedy with every hull increment stable-sorted by efficiency
+/// (the order it orders only a prefix of): the solution and LP bound
+/// the solver must reproduce bit for bit.
+fn full_sort_lp_greedy(p: &MckpProblem) -> (MckpSolution, f64) {
+    struct Increment {
+        class: usize,
+        item: usize,
+        cost: u64,
+        profit: f64,
+    }
+    let mut increments = Vec::new();
+    let mut best_single: Option<(usize, usize, f64)> = None;
+    for (ci, class) in p.classes().enumerate() {
+        let (mut cost, mut profit) = (0u64, 0.0f64);
+        for ii in hull_indices(class) {
+            let item = class[ii];
+            increments.push(Increment {
+                class: ci,
+                item: ii,
+                cost: item.cost - cost,
+                profit: item.profit - profit,
+            });
+            (cost, profit) = (item.cost, item.profit);
+        }
+        for (ii, item) in class.iter().enumerate() {
+            if item.cost <= p.capacity() && item.profit > best_single.map_or(0.0, |b| b.2) {
+                best_single = Some((ci, ii, item.profit));
+            }
+        }
+    }
+    let eff = |i: &Increment| {
+        if i.cost == 0 {
+            f64::INFINITY
+        } else {
+            i.profit / i.cost as f64
+        }
+    };
+    increments.sort_by(|a, b| eff(b).total_cmp(&eff(a)));
+    let mut solution = MckpSolution::empty(p);
+    let (mut remaining, mut lp_bound) = (p.capacity(), 0.0f64);
+    for inc in &increments {
+        if inc.cost > remaining {
+            lp_bound += inc.profit * remaining as f64 / inc.cost as f64;
+            break;
+        }
+        lp_bound += inc.profit;
+        remaining -= inc.cost;
+        solution.choices[inc.class] = Some(inc.item);
+        solution.profit += inc.profit;
+        solution.cost += inc.cost;
+    }
+    if let Some((ci, ii, profit)) = best_single {
+        if profit > solution.profit {
+            solution = MckpSolution::empty(p);
+            solution.choices[ci] = Some(ii);
+            solution.profit = profit;
+            solution.cost = p.class(ci)[ii].cost;
+        }
+    }
+    let lp_bound = lp_bound.max(solution.profit);
+    (solution, lp_bound)
+}
+
+#[test]
+fn lp_greedy_prefix_order_matches_a_full_sort() {
+    for_all(
+        "lp_greedy_prefix_order_matches_a_full_sort",
+        CASES * 4,
+        |r: &mut DetRng| {
+            if pick(r, &[1, 1]) == 0 {
+                gen_tied_problem(r)
+            } else {
+                gen_problem(r)
+            }
+        },
+        check_prefix_order,
+    );
+}
+
+fn check_prefix_order(p: &MckpProblem) {
+    let got = MckpLpGreedy.solve_detailed(p);
+    let (solution, lp_bound) = full_sort_lp_greedy(p);
+    assert_eq!(got.solution.choices, solution.choices);
+    assert_eq!(got.solution.cost, solution.cost);
+    assert_eq!(got.solution.profit.to_bits(), solution.profit.to_bits());
+    assert_eq!(got.lp_bound.to_bits(), lp_bound.to_bits());
 }
 
 #[test]

@@ -377,6 +377,16 @@ mod tests {
         assert_eq!((v[0].rule, v[0].line), ("D2", 4));
     }
 
+    /// A table on a custom hasher (`muaa_core::hash::IdHasher`) is found
+    /// by its `HashSet` token like any other.
+    #[test]
+    fn d2_flags_iteration_over_tables_on_a_custom_hasher() {
+        let src = "use std::collections::HashSet;\nuse std::hash::BuildHasherDefault;\nstruct S { pairs: HashSet<(u32, u32), BuildHasherDefault<IdHasher>> }\nimpl S {\n    fn f(&self) -> usize { self.pairs.iter().count() }\n    fn g(&self) -> bool { self.pairs.contains(&(1, 2)) }\n}";
+        let v = violations("crates/core/src/a.rs", src);
+        assert_eq!(v.len(), 1);
+        assert_eq!((v[0].rule, v[0].line), ("D2", 5));
+    }
+
     #[test]
     fn d2_flags_for_loops_over_hash_sets() {
         let src = "use std::collections::HashSet;\nfn f(s: HashSet<u32>) -> u32 {\n    let mut t = 0;\n    for x in &s { t += x; }\n    t\n}";

@@ -31,8 +31,10 @@
 //! geometry would differ) rebuilds the CSR arrays from the live points,
 //! byte-identical to a from-scratch construction.
 
+use muaa_core::hash::IdHasher;
 use muaa_core::Point;
 use std::collections::HashMap;
+use std::hash::BuildHasherDefault;
 
 /// Sentinel in `slot_of` for ids living in an overflow list (or dead).
 const NO_SLOT: u32 = u32::MAX;
@@ -81,8 +83,9 @@ pub struct GridIndex {
     /// Tombstoned base slots (skipped by queries).
     dead: Vec<bool>,
     dead_count: usize,
-    /// Per-cell overflow ids, each list sorted ascending.
-    extra: HashMap<u32, Vec<u32>>,
+    /// Per-cell overflow ids, each list sorted ascending. Keyed by cell
+    /// index on the id hasher: queries only probe it.
+    extra: HashMap<u32, Vec<u32>, BuildHasherDefault<IdHasher>>,
     extra_count: usize,
     /// Bounds of the live points, as [`bounds`] would report them.
     live_bounds: (f64, f64, f64, f64),
@@ -125,7 +128,7 @@ impl GridIndex {
             slot_of,
             dead: vec![false; n],
             dead_count: 0,
-            extra: HashMap::new(),
+            extra: HashMap::default(),
             extra_count: 0,
             live_bounds,
             extreme_counts,

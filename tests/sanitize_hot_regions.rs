@@ -263,6 +263,59 @@ fn greedy_allocations_do_not_scale_with_vendors() {
     );
 }
 
+/// A warm stream of `Delta::VendorTags`, the update path of vendor tag
+/// selection, allocates nothing: the instance copies each tag vector
+/// into the vendor's own buffer, the context rescans the vendor's row
+/// into buffers it keeps, and the memo column reset and the row patches
+/// work in place (DESIGN.md §17.1). On a context over 2 000 synthetic
+/// customers and 40 vendors covering ~60–250 customers each, one pass
+/// over 120 deltas warms the buffers (its first write clones the
+/// instance) and a second pass must allocate nothing. Without
+/// `muaa-sanitize` the count reads 0 and the check holds trivially.
+#[test]
+fn vendor_tag_deltas_allocate_nothing_when_warm() {
+    use muaa_core::{Delta, TagVector};
+
+    let _serial = serial();
+    let cfg = SyntheticConfig {
+        customers: 2_000,
+        vendors: 40,
+        radius: Range::new(0.1, 0.2),
+        seed: 0x7A65,
+        ..Default::default()
+    };
+    let inst = generate_synthetic(&cfg);
+    let model = muaa_core::PearsonUtility::uniform(cfg.tags);
+    // Built before the count starts; each delta owns its tag vector.
+    let deltas: Vec<Delta> = (inst.vendors_enumerated())
+        .flat_map(|(vid, _)| {
+            (0..3).map(move |k| {
+                let tag = (vid.index() + k) % cfg.tags;
+                let tags = TagVector::one_hot(cfg.tags, tag).expect("tag in range");
+                Delta::VendorTags(vid, tags)
+            })
+        })
+        .collect();
+    par::with_threads(1, || {
+        let mut ctx = SolverContext::indexed(&inst, &model);
+        let mut stream = || {
+            for delta in &deltas {
+                ctx.apply(delta).expect("valid delta");
+            }
+        };
+        stream();
+        let before = sanitize::thread_alloc_count();
+        stream();
+        let allocs = sanitize::thread_alloc_count() - before;
+        assert_eq!(
+            allocs,
+            0,
+            "{} warm VendorTags deltas allocated {allocs} times",
+            deltas.len()
+        );
+    });
+}
+
 /// A served arrival allocates only the `Vec` of ads it returns: its id
 /// is appended to the covering vendors' rows in place, the covering
 /// scan and O-AFA's candidates reuse buffers the context and solver
