@@ -17,7 +17,7 @@
 //! stored in *canonical ascending-id order*.
 
 use muaa_core::{
-    par, AdType, AdTypeId, CoreError, Customer, CustomerId, Delta, DeltaBatch, Money,
+    par, simd, AdType, AdTypeId, CoreError, Customer, CustomerId, Delta, DeltaBatch, Money,
     PearsonUtility, ProblemInstance, UtilityModel, Vendor, VendorId,
 };
 use muaa_spatial::{GridIndex, VendorIndex};
@@ -36,10 +36,9 @@ const MEMO_MAX_PAIRS: usize = 1 << 23;
 pub const DEFAULT_PAIR_CACHE_CAP: usize = MEMO_MAX_PAIRS * std::mem::size_of::<AtomicU64>();
 
 /// Chunk floor of the customer-major walk
-/// ([`SolverContext::walk_pairs`], behind GREEDY and
-/// [`SolverContext::fill_memo`]): it splits into at most one chunk per
-/// this many customers, so a context with fewer than twice this many
-/// walks inline. So small live contexts (tag selection re-solves GREEDY
+/// ([`SolverContext::walk_pairs`], behind GREEDY and RECON's phase 1):
+/// it splits into at most one chunk per this many customers, so a
+/// context with fewer than twice this many walks inline. So small live contexts (tag selection re-solves GREEDY
 /// on a 600-customer one per candidate) wake no pool worker for a walk
 /// that mostly hits the memo.
 pub(crate) const FILL_MIN_CUSTOMERS: usize = 4096;
@@ -50,9 +49,9 @@ pub(crate) const FILL_MIN_CUSTOMERS: usize = 4096;
 /// collides with it.
 const MEMO_EMPTY: u64 = u64::MAX;
 
-/// Precomputed per-customer Pearson moments, plus the cap of the
-/// pair-base memo whose slots ride along the c2v eligibility arena
-/// ([`CsrDir::slots`]).
+/// Precomputed per-customer Pearson moments, each vendor's mask of
+/// non-zero tag blocks, plus the cap of the pair-base memo whose slots
+/// ride along the c2v eligibility arena ([`CsrDir::slots`]).
 ///
 /// Moments are stored as flat structure-of-arrays (DESIGN.md §11):
 /// `weights` holds the customers × tags activity-weight matrix
@@ -70,6 +69,10 @@ struct PairCache {
     swx: Vec<f64>,
     /// `Σ_x w_x · ψ_i[x]²` per customer.
     swxx: Vec<f64>,
+    /// Per vendor, the 4-lane blocks of `ψ_j` that hold a non-zero
+    /// ([`simd::nonzero_blocks`]): the only blocks the pair kernel
+    /// visits (DESIGN.md §16.1).
+    blocks: Vec<u64>,
     /// Cap (in live eligible pairs) the memo must fit under; persisted
     /// so deltas that grow or shrink the eligible set re-evaluate the
     /// allocation decision against the *configured* cap, not the
@@ -79,8 +82,9 @@ struct PairCache {
 
 impl PairCache {
     /// Compute every customer's moments straight into its row of the
-    /// flat arrays, sequentially: [`SolverContext::indexed`] already
-    /// runs this beside the spatial index builds.
+    /// flat arrays, and every vendor's block mask, sequentially:
+    /// [`SolverContext::indexed`] already runs this beside the spatial
+    /// index builds and the eligibility scan.
     fn build(instance: &ProblemInstance, pearson: &PearsonUtility) -> Self {
         let (n, tags) = (instance.num_customers(), pearson.activity().tags());
         let mut cache = PairCache {
@@ -89,6 +93,9 @@ impl PairCache {
             sw: Vec::with_capacity(n),
             swx: Vec::with_capacity(n),
             swxx: Vec::with_capacity(n),
+            blocks: (instance.vendors().iter())
+                .map(|v| simd::nonzero_blocks(v.tags.as_slice()))
+                .collect(),
             cap_pairs: MEMO_MAX_PAIRS,
         };
         for c in instance.customers() {
@@ -167,18 +174,6 @@ struct CsrDir<T> {
     slots: Option<Vec<AtomicU64>>,
 }
 
-impl<T> Default for CsrDir<T> {
-    fn default() -> Self {
-        CsrDir {
-            spans: Vec::new(),
-            ids: Vec::new(),
-            live: 0,
-            reserved: 0,
-            slots: None,
-        }
-    }
-}
-
 /// `n` empty memo slots.
 fn empty_slots(n: usize) -> impl Iterator<Item = AtomicU64> {
     (0..n).map(|_| AtomicU64::new(MEMO_EMPTY))
@@ -196,6 +191,7 @@ fn extend_slots_from_within(slots: &mut Vec<AtomicU64>, range: std::ops::Range<u
 
 impl<T: Copy + Ord + Default> CsrDir<T> {
     /// Build from per-row lists, densely packed (cap = len).
+    #[cfg(test)]
     fn from_lists(lists: Vec<Vec<T>>) -> Self {
         let total: usize = lists.iter().map(Vec::len).sum();
         assert!(
@@ -457,7 +453,6 @@ impl<T: Copy + Ord + Default> CsrDir<T> {
 /// Bidirectional vendor ↔ customer eligibility adjacency: one [`CsrDir`]
 /// per direction, rows sorted ascending by id. The c2v direction also
 /// carries the pair-base memo.
-#[derive(Default)]
 struct EligibilityIndex {
     /// Vendor → eligible customers.
     v2c: CsrDir<CustomerId>,
@@ -466,40 +461,55 @@ struct EligibilityIndex {
 }
 
 impl EligibilityIndex {
-    /// Pair a freshly packed v2c with its transpose over `customers`
-    /// rows, by counting sort: count each customer's vendors, lay the
-    /// rows out densely by prefix sum, then scatter vendor ids. Vendors
-    /// are visited in ascending order, so every c2v row comes out
-    /// canonical without a sort.
-    fn from_v2c(v2c: CsrDir<CustomerId>, customers: usize) -> Self {
-        // Count into each span's cap, then lay the runs out back to
-        // back; the scatter below grows each len up to its cap.
-        let mut spans = vec![(0u32, 0u32, 0u32); customers];
-        for v in 0..v2c.spans.len() {
-            for &cid in v2c.row(v) {
-                spans[cid.index()].2 += 1;
+    /// Scan every vendor's valid customers and pack both directions
+    /// (DESIGN.md §11). The vendors split into contiguous chunks, at
+    /// most one per thread and one per 4 vendors, and each chunk scans
+    /// into one id buffer and one grid-hit buffer of its own, leaving
+    /// each row in grid order. c2v is the rows' transpose, vendors
+    /// visited in ascending order, and v2c is c2v's, customers visited
+    /// in ascending order, so both come out canonical without a sort.
+    fn build(
+        instance: &ProblemInstance,
+        model: &dyn UtilityModel,
+        grid: Option<&GridIndex>,
+    ) -> Self {
+        let vendors = instance.num_vendors();
+        let chunks = par::max_threads().min(vendors / 4).max(1);
+        // One item per chunk, so `par_map` gives each its own buffers.
+        let chunk_ids: Vec<usize> = (0..chunks).collect();
+        let scans = par::par_map(&chunk_ids, 1, |_, &c| {
+            let range = c * vendors / chunks..(c + 1) * vendors / chunks;
+            let mut lens = Vec::with_capacity(range.len());
+            let (mut ids, mut hits) = (Vec::new(), Vec::new());
+            for j in range {
+                let start = ids.len();
+                scan_customers(
+                    instance,
+                    model,
+                    grid,
+                    VendorId::from(j),
+                    &mut hits,
+                    &mut ids,
+                );
+                lens.push(ids.len() - start);
             }
+            (lens, ids)
+        });
+        let rows = scans.iter().flat_map(|(lens, ids)| {
+            lens.iter().scan(0, move |at: &mut usize, &len| {
+                *at += len;
+                Some(&ids[*at - len..*at])
+            })
+        });
+        let mut counts = vec![0usize; instance.num_customers()];
+        for &cid in scans.iter().flat_map(|(_, ids)| ids) {
+            counts[cid.index()] += 1;
         }
-        let mut start = 0u32;
-        for span in &mut spans {
-            span.0 = start;
-            start += span.2;
-        }
-        let mut ids = vec![VendorId::default(); v2c.live];
-        for v in 0..v2c.spans.len() {
-            for &cid in v2c.row(v) {
-                let span = &mut spans[cid.index()];
-                ids[(span.0 + span.1) as usize] = VendorId::from(v);
-                span.1 += 1;
-            }
-        }
-        let c2v = CsrDir {
-            spans,
-            ids,
-            live: v2c.live,
-            reserved: v2c.live,
-            slots: None,
-        };
+        let c2v = transpose(rows, counts.into_iter(), CustomerId::index, VendorId::from);
+        // A vendor's v2c row holds the customers its scan found.
+        let lens = scans.iter().flat_map(|(lens, _)| lens.iter().copied());
+        let c2v_rows = (0..c2v.spans.len()).map(|i| c2v.row(i));
+        let v2c = transpose(c2v_rows, lens, VendorId::index, CustomerId::from);
         EligibilityIndex { v2c, c2v }
     }
 
@@ -554,8 +564,8 @@ pub struct SolverContext<'a> {
     vendor_scan: Vec<VendorId>,
     /// Scratch for the one v2c row a `VendorRadius` or `VendorTags`
     /// delta rescans, and for the grid hits it filters
-    /// ([`valid_customers_scan_into`](Self::valid_customers_scan_into)),
-    /// kept across deltas like `vendor_scan`.
+    /// ([`rescan_vendor`](Self::rescan_vendor)), kept across deltas like
+    /// `vendor_scan`.
     customer_scan: Vec<CustomerId>,
     grid_hits: Vec<u32>,
 }
@@ -578,12 +588,13 @@ impl<'a> SolverContext<'a> {
     /// Build a context with spatial indexes (Euclidean models only; see
     /// the type docs). For Pearson models this also precomputes the
     /// per-customer similarity moments and allocates the pair-base memo
-    /// (see DESIGN.md §10); the spatial indexes and the cache are built
-    /// concurrently, then the eligibility CSR is filled from the grids
-    /// and the memo sized to its pairs.
+    /// (see DESIGN.md §10). One `par::join` arm builds the spatial
+    /// indexes and fills the eligibility CSR from the customer grid,
+    /// the other computes the cache; the memo is then sized to the
+    /// eligible pairs.
     pub fn indexed(instance: &'a ProblemInstance, model: &'a dyn UtilityModel) -> Self {
         let pearson = model.as_pearson();
-        let (indexes, cache) = par::join(
+        let ((customer_grid, vendor_index, eligibility), cache) = par::join(
             || {
                 let customer_points = instance.customers().iter().map(|c| c.location).collect();
                 // No vendors means a mean radius of 0, for which the grid
@@ -591,23 +602,23 @@ impl<'a> SolverContext<'a> {
                 let mean_radius = instance.stats().mean_radius;
                 let customer_grid = GridIndex::new(customer_points, mean_radius);
                 let vendor_index = VendorIndex::new(instance.vendors());
-                (customer_grid, vendor_index)
+                let eligibility = EligibilityIndex::build(instance, model, Some(&customer_grid));
+                (customer_grid, vendor_index, eligibility)
             },
             || pearson.map(|p| PairCache::build(instance, p)),
         );
         let mut ctx = SolverContext {
             instance: Cow::Borrowed(instance),
             model,
-            customer_grid: Some(indexes.0),
-            vendor_index: Some(indexes.1),
+            customer_grid: Some(customer_grid),
+            vendor_index: Some(vendor_index),
             pearson,
             cache,
-            eligibility: EligibilityIndex::default(),
+            eligibility,
             vendor_scan: Vec::new(),
             customer_scan: Vec::new(),
             grid_hits: Vec::new(),
         };
-        ctx.eligibility = ctx.build_eligibility();
         ctx.fit_memo();
         ctx
     }
@@ -625,31 +636,13 @@ impl<'a> SolverContext<'a> {
             vendor_index: None,
             pearson,
             cache: pearson.map(|p| PairCache::build(instance, p)),
-            eligibility: EligibilityIndex::default(),
+            eligibility: EligibilityIndex::build(instance, model, None),
             vendor_scan: Vec::new(),
             customer_scan: Vec::new(),
             grid_hits: Vec::new(),
         };
-        ctx.eligibility = ctx.build_eligibility();
         ctx.fit_memo();
         ctx
-    }
-
-    /// Run the per-vendor validity scans once, in parallel, and pack
-    /// them into the span-arena [`EligibilityIndex`], c2v as their
-    /// transpose. Every row comes out in canonical ascending-id order,
-    /// so incrementally patched contexts and from-scratch builds expose
-    /// identical candidate sequences regardless of grid geometry.
-    fn build_eligibility(&self) -> EligibilityIndex {
-        let per_vendor = par::par_map(self.instance.vendors(), 4, |j, _| {
-            let mut row = Vec::new();
-            self.valid_customers_scan_into(VendorId::from(j), &mut row, &mut Vec::new());
-            row
-        });
-        EligibilityIndex::from_v2c(
-            CsrDir::from_lists(per_vendor),
-            self.instance.num_customers(),
-        )
     }
 
     /// Drop the pair cache (moments and memo), forcing every pair-base
@@ -819,10 +812,12 @@ impl<'a> SolverContext<'a> {
         }
         // Row/column invalidation bookkeeping (DESIGN.md §17): the pair
         // cache's flat arrays must track the instance shape, the stored
-        // moments must equal a fresh per-customer recompute bit for bit,
-        // and every *filled* memo slot must equal a fresh fused
+        // moments and block masks must equal a fresh recompute bit for
+        // bit, and every *filled* memo slot must equal a fresh fused
         // evaluation — a stale value surviving a row or column reset
         // (e.g. a missed `invalidate_vendor` on a tag change) fails here.
+        // The fused evaluation reads the stored mask, so only the
+        // recompute catches a stale one.
         let c2v = &self.eligibility.c2v;
         let Some(cache) = &self.cache else {
             assert!(c2v.slots.is_none(), "memo slots without a pair cache");
@@ -841,6 +836,14 @@ impl<'a> SolverContext<'a> {
             n_c,
             "swxx must have one entry per customer"
         );
+        assert_eq!(cache.blocks.len(), n_v, "one block mask per vendor");
+        for (j, v) in self.instance.vendors().iter().enumerate() {
+            assert_eq!(
+                cache.blocks[j],
+                simd::nonzero_blocks(v.tags.as_slice()),
+                "vendor {j}: stored block mask drifted from its tags"
+            );
+        }
         if let Some(pearson) = self.pearson {
             for (i, c) in self.instance.customers().iter().enumerate() {
                 let m = pearson.customer_moments(c);
@@ -893,43 +896,6 @@ impl<'a> SolverContext<'a> {
     /// Prefer the slice accessor.
     pub fn valid_vendors(&self, cid: CustomerId) -> Vec<VendorId> {
         self.eligible_vendors(cid).to_vec()
-    }
-
-    /// Compute a vendor's valid-customer list from scratch (spatial
-    /// pre-filter into `hits` + exact check) into `out`, both cleared
-    /// first, in canonical ascending-id order. Used per vendor to build
-    /// the eligibility CSR (both directions) and to recompute the row a
-    /// vendor delta touches; the deltas pass the context's reused
-    /// `customer_scan` and `grid_hits` buffers. Solvers read
-    /// [`eligible_customers`] instead.
-    fn valid_customers_scan_into(
-        &self,
-        vid: VendorId,
-        out: &mut Vec<CustomerId>,
-        hits: &mut Vec<u32>,
-    ) {
-        let v = self.instance.vendor(vid);
-        out.clear();
-        match &self.customer_grid {
-            Some(grid) => {
-                grid.range_query_into(v.location, v.radius, hits);
-                out.reserve(hits.len());
-                out.extend(
-                    (hits.iter())
-                        .map(|&i| CustomerId::from(i))
-                        .filter(|&cid| self.pair_valid(cid, vid)),
-                );
-                // Grid emission order depends on cell geometry; sorting
-                // makes the row canonical (and thus delta-invariant).
-                out.sort_unstable();
-            }
-            None => out.extend(
-                self.instance
-                    .customers_enumerated()
-                    .map(|(cid, _)| cid)
-                    .filter(|&cid| self.pair_valid(cid, vid)),
-            ),
-        }
     }
 
     /// Compute a customer's valid-vendor list from scratch into `out`
@@ -1033,14 +999,14 @@ impl<'a> SolverContext<'a> {
     ///
     /// The customers split into contiguous chunks, at most one per
     /// [`FILL_MIN_CUSTOMERS`] and one per thread, so a small context
-    /// walks inline. Chunk `c` starts from `start(c, pairs)`, `pairs`
-    /// being its eligible pair count, and the states come back in chunk
-    /// order: chunk after chunk, a visitor that appends sees the
-    /// sequential walk's order at any thread count. Each slot is written
-    /// by the one chunk that owns its customer.
+    /// walks inline. A chunk starts from `start(customers, pairs)`, its
+    /// customer id range and eligible pair count, and the states come
+    /// back in chunk order: chunk after chunk, a visitor that appends
+    /// sees the sequential walk's order at any thread count. Each slot
+    /// is written by the one chunk that owns its customer.
     pub(crate) fn walk_pairs<S: Send>(
         &self,
-        start: impl Fn(usize, usize) -> S + Sync,
+        start: impl Fn(std::ops::Range<usize>, usize) -> S + Sync,
         visit: impl Fn(&mut S, CustomerId, VendorId, f64) + Sync,
     ) -> Vec<S> {
         let spans = &self.eligibility.c2v.spans;
@@ -1054,7 +1020,7 @@ impl<'a> SolverContext<'a> {
             let customers = c * n / chunks..(c + 1) * n / chunks;
             let rows = &spans[customers.clone()];
             let pairs = rows.iter().map(|&(_, len, _)| len as usize).sum();
-            let mut state = start(c, pairs);
+            let mut state = start(customers.clone(), pairs);
             for (i, &(lo, len, _)) in customers.zip(rows) {
                 let cid = CustomerId::from(i);
                 let run = lo as usize..(lo + len) as usize;
@@ -1084,7 +1050,7 @@ impl<'a> SolverContext<'a> {
             }
             return;
         };
-        let _hot = muaa_core::sanitize::AllocGuard::strict("context.fill_memo");
+        let _hot = muaa_core::sanitize::AllocGuard::strict("context.walk_pairs");
         match &c2v.slots {
             Some(slots) => {
                 for (slot, &vid) in slots[run].iter().zip(vids) {
@@ -1101,17 +1067,6 @@ impl<'a> SolverContext<'a> {
                     visit(vid, self.pair_base_fused(cache, cid, vid));
                 }
             }
-        }
-    }
-
-    /// Fill every empty memo slot customer by customer: the
-    /// [`walk_pairs`](Self::walk_pairs) walk with nothing to visit.
-    /// RECON calls this before its vendor-major phase 1 reads every
-    /// pair, so those reads only hit; a context without a memo has
-    /// nothing to fill.
-    pub(crate) fn fill_memo(&self) {
-        if self.eligibility.c2v.slots.is_some() {
-            self.walk_pairs(|_, _| (), |_, _, _, _| {});
         }
     }
 
@@ -1162,6 +1117,7 @@ impl<'a> SolverContext<'a> {
             cache.swx[i],
             cache.swxx[i],
             v.tags.as_slice(),
+            cache.blocks[vid.index()],
         );
         let base = c.view_probability * s / d;
         muaa_core::sanitize::note_f64(base);
@@ -1387,12 +1343,16 @@ impl<'a> SolverContext<'a> {
                 // patches, gained pairs start empty.
                 self.rescan_vendor(*vid);
             }
-            Delta::VendorTags(vid, _) => {
+            Delta::VendorTags(vid, tags) => {
                 // Every memoized pair base of the vendor embeds the
                 // similarity against the old tag vector — reset its
-                // eligible slots. The per-customer moments depend only
-                // on customer state and stay valid, so each refill is
-                // one fused pass through the batched kernel.
+                // eligible slots, and recompute which of its tag blocks
+                // the kernel visits. The per-customer moments depend
+                // only on customer state and stay valid, so each refill
+                // is one fused pass through the batched kernel.
+                if let Some(cache) = &mut self.cache {
+                    cache.blocks[vid.index()] = simd::nonzero_blocks(tags.as_slice());
+                }
                 self.eligibility.invalidate_vendor(*vid);
                 // Eligibility is geometric for the built-in models, but
                 // `distance` receives the whole vendor through the trait
@@ -1417,7 +1377,19 @@ impl<'a> SolverContext<'a> {
     fn rescan_vendor(&mut self, vid: VendorId) {
         let mut new_row = std::mem::take(&mut self.customer_scan);
         let mut hits = std::mem::take(&mut self.grid_hits);
-        self.valid_customers_scan_into(vid, &mut new_row, &mut hits);
+        new_row.clear();
+        let grid = self.customer_grid.as_ref();
+        scan_customers(
+            &self.instance,
+            self.model,
+            grid,
+            vid,
+            &mut hits,
+            &mut new_row,
+        );
+        // The grid emits hits in cell order; sorting makes the row
+        // canonical, as the build's transposes do.
+        new_row.sort_unstable();
         let EligibilityIndex { v2c, c2v } = &mut self.eligibility;
         diff_sorted(v2c.row(vid.index()), &new_row, |cid, gained| {
             if gained {
@@ -1465,6 +1437,78 @@ impl<'a> SolverContext<'a> {
         }
         self.eligibility.c2v.push_row(&row);
         self.vendor_scan = row;
+    }
+}
+
+/// The transpose of `rows`, densely packed, by counting sort: lay the
+/// columns out back to back from their entry `counts`, then scatter
+/// every row's index into the columns it names. Rows are visited in
+/// order, so each transposed row comes out ascending without a sort.
+fn transpose<'r, A: Copy + 'r, B: Copy + Default>(
+    rows: impl Iterator<Item = &'r [A]>,
+    counts: impl Iterator<Item = usize>,
+    col: impl Fn(A) -> usize,
+    id: impl Fn(usize) -> B,
+) -> CsrDir<B> {
+    // Each span's cap is its count; the scatter grows its len up to it.
+    let mut total = 0usize;
+    let mut spans: Vec<(u32, u32, u32)> = counts
+        .map(|n| {
+            let span = (total as u32, 0, n as u32);
+            total += n;
+            span
+        })
+        .collect();
+    assert!(
+        total <= u32::MAX as usize,
+        "eligibility index exceeds u32 offset range"
+    );
+    let mut ids = vec![B::default(); total];
+    for (k, row) in rows.enumerate() {
+        for &a in row {
+            let span = &mut spans[col(a)];
+            ids[(span.0 + span.1) as usize] = id(k);
+            span.1 += 1;
+        }
+    }
+    CsrDir {
+        spans,
+        ids,
+        live: total,
+        reserved: total,
+        slots: None,
+    }
+}
+
+/// Append vendor `vid`'s valid customers to `out`: the grid's range
+/// hits (written into `hits`) that pass the model's distance test, in
+/// grid order, or without a grid every customer that passes it, in id
+/// order. The eligibility build and the one-row rescan of a vendor
+/// delta (which sorts its row) share it.
+fn scan_customers(
+    instance: &ProblemInstance,
+    model: &dyn UtilityModel,
+    grid: Option<&GridIndex>,
+    vid: VendorId,
+    hits: &mut Vec<u32>,
+    out: &mut Vec<CustomerId>,
+) {
+    let v = instance.vendor(vid);
+    let valid = |cid: CustomerId| model.distance(cid, instance.customer(cid), vid, v) <= v.radius;
+    match grid {
+        Some(grid) => {
+            grid.range_query_into(v.location, v.radius, hits);
+            out.extend(
+                hits.iter()
+                    .map(|&i| CustomerId::from(i))
+                    .filter(|&c| valid(c)),
+            );
+        }
+        None => out.extend(
+            (instance.customers_enumerated())
+                .map(|(cid, _)| cid)
+                .filter(|&c| valid(c)),
+        ),
     }
 }
 
@@ -2247,13 +2291,24 @@ mod tests {
         }
     }
 
-    /// `fill_memo` fills every eligible pair with the bits the lazy
-    /// vendor-major fill stores, at every thread count: the instance
-    /// has more than twice the per-thread customer floor, so 2, 4 and 8
-    /// threads really split it. After a tag change, a move and an
-    /// arrival, a second fill matches a fresh build.
+    /// Walk every pair of `ctx` and return what the visitor saw, as
+    /// `(customer, vendor, base bits)` in visit order, chunk after chunk.
+    fn walked(ctx: &SolverContext<'_>) -> Vec<(usize, usize, u64)> {
+        let seen = ctx.walk_pairs(
+            |_, pairs| Vec::with_capacity(pairs),
+            |seen, cid, vid, base| seen.push((cid.index(), vid.index(), base.to_bits())),
+        );
+        seen.concat()
+    }
+
+    /// `walk_pairs` fills every eligible pair with the bits the lazy
+    /// vendor-major fill stores and hands the visitor each pair once,
+    /// customer-major with those bits, at every thread count: the
+    /// instance has more than twice the per-thread customer floor, so
+    /// 2, 4 and 8 threads really split it. After a tag change, a move
+    /// and an arrival, a second walk matches a fresh build.
     #[test]
-    fn fill_memo_matches_the_lazy_fill_at_every_thread_count() {
+    fn walk_pairs_matches_the_lazy_fill_at_every_thread_count() {
         let inst = synthetic_instance(2 * FILL_MIN_CUSTOMERS + 808, 40);
         assert!(inst.num_customers() / FILL_MIN_CUSTOMERS >= 2);
         let model = PearsonUtility::uniform(4);
@@ -2278,26 +2333,27 @@ mod tests {
         }
         let fresh = SolverContext::indexed(&post, &model);
         fill_vendor_major(&fresh);
+        let after = slot_bits(&fresh);
         for threads in [1, 2, 4, 8] {
             let mut ctx = SolverContext::indexed(&inst, &model);
-            par::with_threads(threads, || ctx.fill_memo());
-            assert_eq!(
-                filled_slots(&ctx),
-                eligible_pairs(&ctx),
-                "{threads} threads"
-            );
+            let seen = par::with_threads(threads, || walked(&ctx));
+            assert!(seen == expect, "{threads} threads: visited bases differ");
             assert!(
                 slot_bits(&ctx) == expect,
                 "{threads} threads: slot bits differ"
             );
+            // Without a memo the walk computes the same bases.
+            let capless = SolverContext::indexed(&inst, &model).with_pair_cache_cap(0);
+            let seen = par::with_threads(threads, || walked(&capless));
+            assert!(seen == expect, "{threads} threads: memo-less walk differs");
             for delta in &deltas {
                 ctx.apply(delta).unwrap();
             }
             assert!(filled_slots(&ctx).len() < eligible_pairs(&ctx).len());
-            par::with_threads(threads, || ctx.fill_memo());
+            let seen = par::with_threads(threads, || walked(&ctx));
             assert!(
-                slot_bits(&ctx) == slot_bits(&fresh),
-                "{threads} threads: slots after deltas differ from a fresh build"
+                seen == after && slot_bits(&ctx) == after,
+                "{threads} threads: walk after deltas differs from a fresh build"
             );
             ctx.debug_validate();
         }

@@ -17,6 +17,7 @@ use muaa_core::{
     AdTypeId, Assignment, AssignmentSet, CustomerId, DetRng, Money, ProblemInstance, VendorId,
 };
 use muaa_knapsack::{MckpExactDp, MckpFptas, MckpItem, MckpLpGreedy, MckpProblem, MckpSolver};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Which single-vendor MCKP solver RECON uses (DESIGN.md §9's backend
 /// ablation).
@@ -226,17 +227,50 @@ impl ReconState<'_, '_> {
     }
 }
 
+/// Every eligible pair's base in vendor-major class lists, from one
+/// customer-major walk that fills the memo on the way (DESIGN.md §10).
+/// Vendor `j`'s list is `bases[offsets[j]..offsets[j + 1]]`, in the
+/// order of its v2c row, so class `k` is customer
+/// `eligible_customers(j)[k]`. The walk visits customers in ascending
+/// id order, so a chunk whose customers start at `lo` writes vendor
+/// `j`'s bases on from the number of `j`'s customers below `lo`.
+fn class_bases(ctx: &SolverContext<'_>) -> (Vec<usize>, Vec<f64>) {
+    let row = |j: usize| ctx.eligible_customers(VendorId::from(j));
+    let vendors = ctx.instance().num_vendors();
+    let mut offsets = Vec::with_capacity(vendors + 1);
+    offsets.push(0);
+    for j in 0..vendors {
+        offsets.push(offsets[j] + row(j).len());
+    }
+    // Chunks write disjoint slots, and the walk returns only once every
+    // chunk has finished, so relaxed stores suffice: a slot publishes no
+    // other data.
+    let slots: Vec<AtomicU64> = (0..offsets[vendors]).map(|_| AtomicU64::new(0)).collect();
+    ctx.walk_pairs(
+        |customers, _| {
+            let lo = CustomerId::from(customers.start);
+            let below = |j: usize| row(j).partition_point(|&cid| cid < lo);
+            (0..vendors)
+                .map(|j| offsets[j] + below(j))
+                .collect::<Vec<_>>()
+        },
+        |next, _, vid, base| {
+            let at = &mut next[vid.index()];
+            slots[*at].store(base.to_bits(), Ordering::Relaxed);
+            *at += 1;
+        },
+    );
+    let bases = (slots.into_iter())
+        .map(|slot| f64::from_bits(slot.into_inner()))
+        .collect();
+    (offsets, bases)
+}
+
 /// The full RECON pipeline: phase-1 per-vendor MCKPs, phase-2
 /// reconciliation, final materialisation.
 fn recon_assign(ctx: &SolverContext<'_>, backend: MckpBackend, seed: u64) -> AssignmentSet {
     let inst = ctx.instance();
-    use std::cell::RefCell;
-    thread_local! {
-        static BASES: RefCell<Vec<f64>> = const { RefCell::new(Vec::new()) };
-    }
-    // Phase 1 reads every eligible pair vendor by vendor; fill the memo
-    // customer by customer first (DESIGN.md §10).
-    ctx.fill_memo();
+    let (offsets, bases) = class_bases(ctx);
     let n_vendors = inst.num_vendors();
     let mut per_vendor: Vec<Vec<(CustomerId, AdTypeId, f64)>> = Vec::with_capacity(n_vendors);
     let mut picks_of: Vec<Vec<(u32, f64)>> = vec![Vec::new(); inst.num_customers()];
@@ -248,33 +282,28 @@ fn recon_assign(ctx: &SolverContext<'_>, backend: MckpBackend, seed: u64) -> Ass
     // parallel; the load/spend bookkeeping is merged sequentially in
     // vendor-id order, giving the same state as the sequential loop.
     // Eligible customers come from the CSR row slice and pair bases
-    // from one batched-kernel call into a thread-local scratch
-    // (DESIGN.md §11) — nothing per-vendor is allocated beyond the MCKP
-    // problem itself.
+    // from the vendor's class list (DESIGN.md §11) — nothing
+    // per-vendor is allocated beyond the MCKP problem itself.
     let phase1 = muaa_core::par::par_map(inst.vendors(), 1, |j, vendor| {
-        let vid = VendorId::from(j);
-        let valid = ctx.eligible_customers(vid);
+        let valid = ctx.eligible_customers(VendorId::from(j));
+        let bases = &bases[offsets[j]..offsets[j + 1]];
         let mut problem = MckpProblem::new(vendor.budget.as_cents());
-        BASES.with(|scratch| {
-            let bases = &mut *scratch.borrow_mut();
-            ctx.pair_base_block(vid, valid, bases);
-            // Class order ↔ valid-customer order.
-            for &base in bases.iter() {
-                problem.add_class(ad_type_items(inst, base));
+        // Class order ↔ valid-customer order.
+        for &base in bases {
+            problem.add_class(ad_type_items(inst, base));
+        }
+        let solution = backend.solve(&problem);
+        let mut picked = Vec::new();
+        for (class, item) in solution.picks() {
+            let cid = valid[class];
+            let tid = AdTypeId::from(item);
+            let lambda = bases[class] * inst.ad_type(tid).effectiveness;
+            if lambda <= 0.0 {
+                continue;
             }
-            let solution = backend.solve(&problem);
-            let mut picked = Vec::new();
-            for (class, item) in solution.picks() {
-                let cid = valid[class];
-                let tid = AdTypeId::from(item);
-                let lambda = bases[class] * inst.ad_type(tid).effectiveness;
-                if lambda <= 0.0 {
-                    continue;
-                }
-                picked.push((cid, tid, lambda));
-            }
-            picked
-        })
+            picked.push((cid, tid, lambda));
+        }
+        picked
     });
     for (j, picked) in phase1.into_iter().enumerate() {
         for &(cid, tid, lambda) in &picked {

@@ -4,15 +4,32 @@
 //! same utilities bit for bit (0 ULP), for every solver.
 
 use muaa_algorithms::{BatchedRecon, Greedy, NearestAssign, OfflineSolver, Recon, SolverContext};
-use muaa_core::{par, PearsonUtility, ProblemInstance};
-use muaa_testkit::{customer, diurnal_profile, for_all, instance, vec_of, vendor, DetRng};
+use muaa_core::{par, PearsonUtility, ProblemInstance, TagVector, Vendor};
+use muaa_testkit::{
+    customer, diurnal_profile, for_all, instance, sparse_scores, vec_of, vendor, DetRng,
+};
 
 const TAGS: usize = 4;
 const CASES: u32 = 64;
 
+/// The tag universe of the sparse-vendor instances: three full 4-lane
+/// blocks and a ragged tail of one.
+const WIDE_TAGS: usize = 13;
+
 fn gen_instance(rng: &mut DetRng) -> ProblemInstance {
     let customers = vec_of(rng, 0..10, |r| customer(r, TAGS, 0.0..1.0));
     let vendors = vec_of(rng, 0..6, |r| vendor(r, TAGS, 0.0..1.5, 0..700));
+    instance(customers, vendors)
+}
+
+/// Customers with dense interests and vendors with random whole tag
+/// blocks zeroed, over [`WIDE_TAGS`] tags.
+fn gen_sparse_instance(rng: &mut DetRng) -> ProblemInstance {
+    let customers = vec_of(rng, 0..10, |r| customer(r, WIDE_TAGS, 0.0..1.0));
+    let vendors = vec_of(rng, 0..6, |r| Vendor {
+        tags: TagVector::new(sparse_scores(r, WIDE_TAGS)).expect("scores in [0, 1)"),
+        ..vendor(r, WIDE_TAGS, 0.0..1.5, 0..700)
+    });
     instance(customers, vendors)
 }
 
@@ -228,6 +245,56 @@ fn solvers_invariant_to_cache_cap() {
                 assert_eq!(
                     a.assignments(),
                     b.assignments(),
+                    "{} diverged",
+                    solver.name()
+                );
+            }
+        },
+    );
+}
+
+/// Vendors whose tags hold zero blocks, which the cached kernel skips:
+/// every pair base (memo fill, memo hit and batched block alike) is
+/// bit-identical to the uncached evaluation, which visits every block,
+/// and every solver's output matches an uncached sequential run.
+#[test]
+fn sparse_vendor_tags_are_zero_ulp() {
+    for_all(
+        "sparse_vendor_tags_are_zero_ulp",
+        CASES,
+        gen_sparse_instance,
+        |instance| {
+            let model = PearsonUtility::new(diurnal_profile(WIDE_TAGS, 5));
+            let cached = SolverContext::indexed(instance, &model);
+            let uncached = SolverContext::indexed(instance, &model).without_pair_cache();
+            let mut block = Vec::new();
+            for (vid, _) in instance.vendors_enumerated() {
+                let cids = cached.eligible_customers(vid).to_vec();
+                cached.pair_base_block(vid, &cids, &mut block);
+                for (k, &cid) in cids.iter().enumerate() {
+                    let reference = uncached.pair_base(cid, vid).to_bits();
+                    assert_eq!(block[k].to_bits(), reference, "block ({cid}, {vid})");
+                }
+            }
+            for (cid, _) in instance.customers_enumerated() {
+                for (vid, _) in instance.vendors_enumerated() {
+                    let reference = uncached.pair_base(cid, vid).to_bits();
+                    assert_eq!(cached.pair_base(cid, vid).to_bits(), reference);
+                }
+            }
+            let solvers: Vec<Box<dyn OfflineSolver>> = vec![
+                Box::new(Greedy),
+                Box::new(Recon::new()),
+                Box::new(NearestAssign),
+                Box::new(BatchedRecon::new(3)),
+            ];
+            for solver in &solvers {
+                let fresh = SolverContext::indexed(instance, &model);
+                let fast = solver.assign(&fresh);
+                let slow = par::with_threads(1, || solver.assign(&uncached));
+                assert_eq!(
+                    fast.assignments(),
+                    slow.assignments(),
                     "{} diverged",
                     solver.name()
                 );

@@ -14,14 +14,18 @@ use muaa_algorithms::{
     run_online, BatchedRecon, Greedy, NearestAssign, OAfa, OfflineSolver, Recon, SolverContext,
     ThresholdFn,
 };
-use muaa_core::{DeltaBatch, PearsonUtility, ProblemInstance};
+use muaa_core::{Delta, DeltaBatch, PearsonUtility, ProblemInstance, TagVector, Vendor, VendorId};
 use muaa_testkit::{
-    customer, delta_spec, diurnal_profile, f64_in, for_all, instance, pick, resolve, usize_in,
-    vec_of, vendor, DeltaSpec, DetRng, InvalidSpec,
+    customer, delta_spec, diurnal_profile, f64_in, floats, for_all, instance, pick, resolve,
+    sparse_scores, usize_in, vec_of, vendor, DeltaSpec, DetRng, InvalidSpec,
 };
 
 const TAGS: usize = 4;
 const CASES: u32 = 48;
+
+/// The tag universe of the block-mask property: three full 4-lane
+/// blocks and a ragged tail of one.
+const WIDE_TAGS: usize = 13;
 
 fn gen_instance(rng: &mut DetRng) -> ProblemInstance {
     let customers = vec_of(rng, 0..10, |r| customer(r, TAGS, 0.0..1.0));
@@ -203,6 +207,70 @@ fn oafa_matches_fresh_rebuild() {
             let b = run_online(&mut OAfa::new(threshold), &fresh);
             assert_eq!(a.assignments.assignments(), b.assignments.assignments());
             assert_eq!(a.total_utility.to_bits(), b.total_utility.to_bits());
+        },
+    );
+}
+
+/// `VendorTags` deltas that take a vendor built with sparse tags
+/// (random whole 4-lane blocks zeroed) to dense tags, back to sparse
+/// and to dense again leave the patched context equal to a fresh build
+/// after each step: its block masks (which `debug_validate`
+/// recomputes), every pair base, and the GREEDY and RECON plans. The
+/// memo is warm before each delta, so the vendor's slots are reset and
+/// refilled through the refreshed mask; a mask left as it was would
+/// skip blocks that hold scores again.
+#[test]
+fn vendor_tag_blocks_follow_tag_deltas() {
+    let gen = |r: &mut DetRng| {
+        let customers = vec_of(r, 1..12, |r| customer(r, WIDE_TAGS, 0.0..1.0));
+        let vendors = vec_of(r, 1..6, |r| Vendor {
+            tags: TagVector::new(sparse_scores(r, WIDE_TAGS)).expect("scores in [0, 1)"),
+            ..vendor(r, WIDE_TAGS, 0.0..1.5, 0..700)
+        });
+        let j = usize_in(r, 0..vendors.len());
+        let steps = [
+            floats(r, WIDE_TAGS, 0.0..1.0),
+            sparse_scores(r, WIDE_TAGS),
+            floats(r, WIDE_TAGS, 0.0..1.0),
+        ];
+        (instance(customers, vendors), j, steps)
+    };
+    for_all(
+        "vendor_tag_blocks_follow_tag_deltas",
+        CASES,
+        gen,
+        |(instance, j, steps)| {
+            let model = PearsonUtility::new(diurnal_profile(WIDE_TAGS, 5));
+            let mut patched = SolverContext::indexed(instance, &model);
+            let mut shadow = instance.clone();
+            let solvers: [&dyn OfflineSolver; 2] = [&Greedy, &Recon::new()];
+            for scores in steps {
+                // GREEDY's walk fills every memo slot.
+                Greedy.assign(&patched);
+                let tags = TagVector::new(scores.clone()).expect("scores in [0, 1)");
+                let delta = Delta::VendorTags(VendorId::from(*j), tags);
+                patched.apply(&delta).expect("valid delta");
+                shadow.apply(&delta).expect("valid delta");
+                let fresh = SolverContext::indexed(&shadow, &model);
+                patched.debug_validate();
+                for (cid, _) in shadow.customers_enumerated() {
+                    for (vid, _) in shadow.vendors_enumerated() {
+                        assert_eq!(
+                            patched.pair_base(cid, vid).to_bits(),
+                            fresh.pair_base(cid, vid).to_bits(),
+                            "pair ({cid}, {vid})"
+                        );
+                    }
+                }
+                for solver in solvers {
+                    assert_eq!(
+                        solver.assign(&patched).assignments(),
+                        solver.assign(&fresh).assignments(),
+                        "{} diverged",
+                        solver.name()
+                    );
+                }
+            }
         },
     );
 }

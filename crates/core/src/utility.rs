@@ -232,6 +232,7 @@ impl PearsonUtility {
             moments.swx,
             moments.swxx,
             vendor.tags.as_slice(),
+            u64::MAX,
         )
     }
 
@@ -240,7 +241,9 @@ impl PearsonUtility {
     /// flat structure-of-arrays storage (DESIGN.md §11) rather than in
     /// [`CustomerMoments`] values. `weights`/`xs` are the customer's
     /// activity weights and interest vector, `sw`/`swx`/`swxx` their
-    /// precomputed moments, `ys` the vendor tags. Bit-identical to the
+    /// precomputed moments, `ys` the vendor tags and `blocks` the mask of
+    /// their non-zero 4-lane blocks ([`crate::simd::nonzero_blocks`]), or
+    /// `u64::MAX` to visit every block. Bit-identical to the
     /// struct-based path — `similarity_with_moments` is a thin wrapper
     /// over this function. The pair-side moments go through
     /// [`crate::simd::pair_moments`] (the canonical lane schedule).
@@ -253,11 +256,12 @@ impl PearsonUtility {
         swx: f64,
         swxx: f64,
         ys: &[f64],
+        blocks: u64,
     ) -> f64 {
         let _hot = crate::sanitize::AllocGuard::strict("utility.similarity_from_parts");
         debug_assert_eq!(xs.len(), weights.len());
         debug_assert_eq!(ys.len(), weights.len());
-        let (swy, swyy, swxy) = crate::simd::pair_moments(weights, xs, ys);
+        let (swy, swyy, swxy) = crate::simd::pair_moments(weights, xs, ys, blocks);
         pearson_from_moments(sw, swx, swxx, swy, swyy, swxy).clamp(0.0, 1.0)
     }
 }
@@ -644,6 +648,7 @@ mod tests {
                 m.swx(),
                 m.swxx(),
                 &ys,
+                u64::MAX,
             );
             assert_eq!(via_struct.to_bits(), via_parts.to_bits());
         }

@@ -3,10 +3,12 @@
 //! invariants, and instance I/O round-trips.
 
 use muaa_core::{
-    io, ActivityProfile, AdTypeId, Assignment, AssignmentSet, CustomerId, Money, PearsonUtility,
-    ProblemInstance, Timestamp, UtilityModel, VendorId,
+    io, simd, ActivityProfile, AdTypeId, Assignment, AssignmentSet, CustomerId, Money,
+    PearsonUtility, ProblemInstance, Timestamp, UtilityModel, VendorId,
 };
-use muaa_testkit::{customer, f64_in, floats, for_all, instance, usize_in, vec_of, vendor, DetRng};
+use muaa_testkit::{
+    customer, f64_in, floats, for_all, instance, sparse_scores, usize_in, vec_of, vendor, DetRng,
+};
 
 const CASES: u32 = 96;
 
@@ -149,12 +151,53 @@ fn oracle_pearson_matches_chunked_kernel_within_1e12() {
             let xs: Vec<f64> = (0..len).map(|_| next()).collect();
             let ys: Vec<f64> = (0..len).map(|_| next()).collect();
             let oracle = PearsonUtility::weighted_pearson(&xs, &ys, &weights).clamp(0.0, 1.0);
-            let (sw, swx, swxx) = muaa_core::simd::weight_moments(&weights, &xs);
-            let kernel = PearsonUtility::similarity_from_parts(&weights, &xs, sw, swx, swxx, &ys);
+            let (sw, swx, swxx) = simd::weight_moments(&weights, &xs);
+            let kernel =
+                PearsonUtility::similarity_from_parts(&weights, &xs, sw, swx, swxx, &ys, u64::MAX);
             assert!(
                 (oracle - kernel).abs() < 1e-12,
                 "len {len}: oracle {oracle} vs chunked kernel {kernel}"
             );
+        },
+    );
+}
+
+/// The pair kernel visiting only the blocks `nonzero_blocks` names is
+/// bit-identical to the kernel visiting every block (DESIGN.md §16.1):
+/// widths 0–300 cover every ragged tail and more than 64 blocks; the
+/// vendor side has random whole blocks zeroed (as `+0.0` or `−0.0`), or
+/// is all zero, or one-hot.
+#[test]
+fn masked_pair_kernel_matches_all_blocks_bit_for_bit() {
+    let gen = |r: &mut DetRng| {
+        let n = usize_in(r, 0..301);
+        let weights = floats(r, n, 0.0..1.0);
+        let xs = floats(r, n, 0.0..1.0);
+        let mut ys = match usize_in(r, 0..4) {
+            0 => vec![0.0; n],
+            1 => {
+                let mut ys = vec![0.0; n];
+                if n > 0 {
+                    ys[usize_in(r, 0..n)] = f64_in(r, 0.0..1.0);
+                }
+                ys
+            }
+            _ => sparse_scores(r, n),
+        };
+        if r.gen_bool(0.5) {
+            ys.iter_mut().filter(|y| **y == 0.0).for_each(|y| *y = -0.0);
+        }
+        (weights, xs, ys)
+    };
+    for_all(
+        "masked_pair_kernel_matches_all_blocks_bit_for_bit",
+        CASES * 4,
+        gen,
+        |(weights, xs, ys)| {
+            let bits = |(a, b, c): (f64, f64, f64)| [a.to_bits(), b.to_bits(), c.to_bits()];
+            let all = simd::pair_moments(weights, xs, ys, u64::MAX);
+            let masked = simd::pair_moments(weights, xs, ys, simd::nonzero_blocks(ys));
+            assert_eq!(bits(masked), bits(all), "width {}", ys.len());
         },
     );
 }

@@ -91,6 +91,20 @@ pub fn vec_of<T>(
     (0..n).map(|_| elem(rng)).collect()
 }
 
+/// `tags` scores in `[0, 1)` with each block of
+/// [`LANES`](muaa_core::simd::LANES) scores, the ragged last one
+/// included, zeroed with probability 1/2: the sparse tag vectors of
+/// category-coded vendors, whose zero blocks the pair kernel skips.
+pub fn sparse_scores(rng: &mut DetRng, tags: usize) -> Vec<f64> {
+    let mut scores = floats(rng, tags, 0.0..1.0);
+    for block in scores.chunks_mut(muaa_core::simd::LANES) {
+        if rng.gen_bool(0.5) {
+            block.fill(0.0);
+        }
+    }
+    scores
+}
+
 /// An index into `weights`, drawn with probability proportional to its
 /// weight.
 pub fn pick(rng: &mut DetRng, weights: &[u32]) -> usize {
@@ -199,7 +213,9 @@ pub enum InvalidSpec {
 /// A valid spec, its seven arms equally likely: an added customer
 /// (view probability in `[0, 1)`), indices in `0..32`, budgets of
 /// 0–699 cents, radii in `[0, 1.5)`, a repricing of either ad type to
-/// 1–499 cents with β in `[0.05, 0.95)`, and `tags` fresh tag scores.
+/// 1–499 cents with β in `[0.05, 0.95)`, and `tags` fresh tag scores,
+/// dense or [`sparse_scores`] with equal odds, so a vendor's zero
+/// blocks change in both directions.
 pub fn delta_spec(rng: &mut DetRng, tags: usize) -> DeltaSpec {
     match usize_in(rng, 0..7) {
         0 => DeltaSpec::Add(customer(rng, tags, 0.0..1.0)),
@@ -212,7 +228,15 @@ pub fn delta_spec(rng: &mut DetRng, tags: usize) -> DeltaSpec {
             u64_in(rng, 1..500),
             f64_in(rng, 0.05..0.95),
         ),
-        _ => DeltaSpec::Tags(usize_in(rng, 0..32), floats(rng, tags, 0.0..1.0)),
+        _ => {
+            let j = usize_in(rng, 0..32);
+            let scores = if rng.gen_bool(0.5) {
+                sparse_scores(rng, tags)
+            } else {
+                floats(rng, tags, 0.0..1.0)
+            };
+            DeltaSpec::Tags(j, scores)
+        }
     }
 }
 
@@ -354,6 +378,22 @@ mod tests {
             seen[pick(&mut rng, &[1, 0, 2])] += 1;
         }
         assert_eq!(seen[1], 0, "zero weight is never picked");
+        let (mut zero, mut kept) = (0, 0);
+        for _ in 0..200 {
+            let scores = sparse_scores(&mut rng, 10);
+            assert_eq!(scores.len(), 10);
+            for block in scores.chunks(4) {
+                let zeros = block.iter().filter(|&&s| s == 0.0).count();
+                assert!(zeros == block.len() || zeros == 0, "{block:?}");
+                assert!(block.iter().all(|s| (0.0..1.0).contains(s)));
+                if zeros > 0 {
+                    zero += 1;
+                } else {
+                    kept += 1;
+                }
+            }
+        }
+        assert!(zero > 200 && kept > 200, "{zero} zeroed, {kept} kept");
         assert!(seen[2] > seen[0] * 3 / 2, "weights bias the pick: {seen:?}");
     }
 

@@ -41,7 +41,7 @@ fn serial() -> MutexGuard<'static, ()> {
 /// ones would have panicked on drop already if they ever allocated.
 const MUST_BE_ZERO: [&str; 7] = [
     "context.pair_base_block",
-    "context.fill_memo",
+    "context.walk_pairs",
     "context.best_ad_type",
     "grid.visit_candidates",
     "grid.range_query_into",
@@ -192,6 +192,40 @@ fn context_build_allocations_do_not_scale_with_customers() {
         "10 000 more customers cost {} more allocations ({small} → {large})",
         large.saturating_sub(small)
     );
+}
+
+/// The eligibility scan allocates per fan-out chunk, not per vendor:
+/// each chunk scans every vendor of its range into one id buffer and
+/// one grid-hit buffer, and both CSR directions are transposes of the
+/// scans (DESIGN.md §11). A one-thread context build over the
+/// Foursquare-sim defaults (10 000 check-ins × 500 venues) must make
+/// fewer than 2 allocations per vendor, indexes and moments included.
+/// Without `muaa-sanitize` the count reads 0 and the check holds
+/// trivially.
+#[test]
+fn context_build_allocates_less_than_twice_per_vendor() {
+    use muaa_datagen::{FoursquareConfig, FoursquareSim};
+
+    let _serial = serial();
+    let cfg = FoursquareConfig::default();
+    assert_eq!(
+        (cfg.checkins, cfg.venues),
+        (10_000, 500),
+        "Foursquare-sim defaults"
+    );
+    let sim = FoursquareSim::generate(&cfg);
+    let vendors = sim.instance.num_vendors() as u64;
+    assert_eq!(vendors, 500);
+    par::with_threads(1, || {
+        let before = sanitize::thread_alloc_count();
+        let ctx = SolverContext::indexed(&sim.instance, &sim.model);
+        let allocs = sanitize::thread_alloc_count() - before;
+        drop(ctx);
+        assert!(
+            allocs < 2 * vendors,
+            "a build over {vendors} vendors made {allocs} allocations"
+        );
+    });
 }
 
 /// RECON's phase 1 allocates per vendor, not per MCKP class: each
