@@ -646,8 +646,8 @@ impl<'a> SolverContext<'a> {
     }
 
     /// Drop the pair cache (moments and memo), forcing every pair-base
-    /// evaluation through the uncached [`UtilityModel`] calls. Intended
-    /// for tests and benchmarks that compare the two paths.
+    /// evaluation through the uncached [`UtilityModel`] calls. Only
+    /// tests use it, to compare the two paths.
     pub fn without_pair_cache(mut self) -> Self {
         self.cache = None;
         self.pearson = None;
@@ -2357,6 +2357,31 @@ mod tests {
             );
             ctx.debug_validate();
         }
+    }
+
+    /// A filled slot is served as stored: with one slot overwritten by
+    /// a marker, `pair_base`, `pair_base_block` and `walk_pairs` each
+    /// return the marker for that pair, so no read path recomputes a
+    /// memoized base.
+    #[test]
+    fn every_read_path_serves_the_filled_slot() {
+        let inst = synthetic_instance(400, 12);
+        let model = PearsonUtility::uniform(4);
+        let ctx = SolverContext::indexed(&inst, &model);
+        fill_vendor_major(&ctx);
+        let pairs = slot_bits(&ctx);
+        let (i, j, bits) = pairs[pairs.len() / 2];
+        let (cid, vid) = (CustomerId::from(i), VendorId::from(j));
+        let marker = (f64::from_bits(bits) + 1.0).to_bits();
+        let slot = ctx.eligibility.c2v.slot(i, vid).expect("filled slot");
+        slot.store(marker, Ordering::Relaxed);
+        assert_eq!(ctx.pair_base(cid, vid).to_bits(), marker);
+        let cids = ctx.eligible_customers(vid);
+        let mut block = Vec::new();
+        ctx.pair_base_block(vid, cids, &mut block);
+        let k = cids.binary_search(&cid).expect("eligible pair");
+        assert_eq!(block[k].to_bits(), marker);
+        assert!(walked(&ctx).contains(&(i, j, marker)));
     }
 
     /// Warm-memo retention per delta kind (DESIGN.md §12): afterwards

@@ -19,11 +19,6 @@
 //!   AdWords-statistics-like triple.
 //! * [`dist`] — the truncated-Gaussian and Zipf samplers the above are
 //!   built on.
-//! * [`StreamConfig`] / [`generate_streamed`] — a constant-memory
-//!   streaming generator for large fixtures (the tag-selection report
-//!   builds its fixture with it): records are randomly addressable, use
-//!   no `rand` and no libm, and their first bits are pinned by smoke
-//!   tests.
 
 #![warn(missing_docs)]
 #![warn(clippy::all)]
@@ -32,10 +27,8 @@ pub mod activity_estimation;
 pub mod adtypes;
 pub mod dist;
 pub mod foursquare;
-pub mod stream;
 pub mod synthetic;
 
 pub use activity_estimation::{estimate_activity, ActivityEstimation};
 pub use foursquare::{FoursquareConfig, FoursquareSim};
-pub use stream::{generate_streamed, SplitMix64, StreamConfig};
 pub use synthetic::{generate_synthetic, Range, SyntheticConfig};

@@ -76,7 +76,7 @@ fn tag_selection_csv_matches_committed_bytes() {
     if cfg!(debug_assertions) {
         // The outer selection loop at the default 600x30 scale re-solves
         // O(vendors * k * pool) times; debug builds would take minutes.
-        // CI's `tagselect` job runs this test under --release.
+        // CI's `sanitize` job runs this test under --release.
         eprintln!("skipping tag-selection golden diff in debug build (release-only)");
         return;
     }

@@ -45,11 +45,6 @@ const D12_SANCTIONED_FILES: &[&str] = &[
     "crates/core/src/par.rs",
 ];
 
-/// Path prefixes sanctioned for D12 wholesale: the bench harness is a
-/// timing shell — wall-clock reads are its job, and nothing on a
-/// solver path calls into it.
-const D12_SANCTIONED_PREFIXES: &[&str] = &["crates/bench/"];
-
 /// Entry-point names D12 roots at inside the solver crates: solver
 /// drivers, online session surfaces, and Delta application paths.
 const D12_ROOT_NAMES: &[&str] = &[
@@ -821,7 +816,6 @@ impl CallGraph {
 
 fn d12_sanctioned(path: &str) -> bool {
     D12_SANCTIONED_FILES.contains(&path)
-        || D12_SANCTIONED_PREFIXES.iter().any(|p| path.starts_with(p))
 }
 
 fn d13_sanctioned(path: &str) -> bool {
@@ -1522,7 +1516,7 @@ mod tests {
         // sums are not reachable from a parallel region.
         let pinned = "fn main() {\n    let t = par::with_threads(1, || solve());\n    \
                       let s = [t, 2.0].iter().sum::<f64>();\n    report(s);\n}";
-        let (files, g) = ws(&[("crates/bench/src/bin/r.rs", pinned)]);
+        let (files, g) = ws(&[("src/main.rs", pinned)]);
         assert!(g.d14_reduction_taint(&files).is_empty());
     }
 
