@@ -16,6 +16,7 @@
 //! To make that invariant geometry-independent, eligibility rows are
 //! stored in *canonical ascending-id order*.
 
+use muaa_core::csr::{CsrDir, MEMO_EMPTY};
 use muaa_core::{
     par, simd, AdType, AdTypeId, CoreError, Customer, CustomerId, Delta, DeltaBatch, Money,
     PearsonUtility, ProblemInstance, UtilityModel, Vendor, VendorId,
@@ -43,15 +44,10 @@ pub const DEFAULT_PAIR_CACHE_CAP: usize = MEMO_MAX_PAIRS * std::mem::size_of::<A
 /// that mostly hits the memo.
 pub(crate) const FILL_MIN_CUSTOMERS: usize = 4096;
 
-/// Sentinel marking an unfilled memo slot. This is a NaN bit pattern;
-/// [`SolverContext::pair_base`] never returns NaN (non-finite distances
-/// are mapped to 0 and similarities are clamped), so no real value
-/// collides with it.
-const MEMO_EMPTY: u64 = u64::MAX;
-
 /// Precomputed per-customer Pearson moments, each vendor's mask of
 /// non-zero tag blocks, plus the cap of the pair-base memo whose slots
-/// ride along the c2v eligibility arena ([`CsrDir::slots`]).
+/// ride along the c2v eligibility arena ([`CsrDir::slots`]; an empty
+/// slot holds [`MEMO_EMPTY`], a NaN pattern no pair base takes).
 ///
 /// Moments are stored as flat structure-of-arrays (DESIGN.md §11):
 /// `weights` holds the customers × tags activity-weight matrix
@@ -136,320 +132,6 @@ impl PairCache {
     }
 }
 
-/// One direction of the eligibility adjacency as a *span-arena* CSR
-/// (DESIGN.md §12): `spans[k] = (start, len, cap)` gives row `k` its
-/// own run of `cap` cells in the shared `ids` arena. The first `len`
-/// hold the row's ids sorted ascending (the canonical order —
-/// geometry-independent, so incrementally patched rows match
-/// from-scratch builds element for element); the rest are the row's
-/// slack.
-///
-/// Unlike classic offset-array CSR, rows are independently resizable.
-/// An insertion shifts within the run while slack lasts; a full row
-/// first moves to the arena tail with its capacity doubled, so a row
-/// that grows to n ids is copied O(log n) times (amortized O(1) per
-/// insert). A removal shifts in place and leaves the freed cell as
-/// slack. Runs left behind by moves are garbage: compaction repacks
-/// every row dense (cap = len) once [`within_bound`](Self::within_bound)
-/// fails, which keeps the arena within 4 × live + 192 ids. Spans are
-/// `u32`: 4 G ids ≈ 32 GiB — beyond any in-memory instance.
-#[derive(Debug)]
-struct CsrDir<T> {
-    /// `(start, len, cap)` into `ids`, one per row.
-    spans: Vec<(u32, u32, u32)>,
-    ids: Vec<T>,
-    /// Total live elements (Σ span lens).
-    live: usize,
-    /// Total reserved cells (Σ span caps): live ids plus slack.
-    reserved: usize,
-    /// The pair-base memo (DESIGN.md §10), on the c2v direction of a
-    /// memoized context only: `slots[p]` holds the `f64` bits of pair
-    /// `(row, ids[p])`, or [`MEMO_EMPTY`]. Every operation below moves a
-    /// slot together with its id, so a value follows its pair through
-    /// row moves, swap-removes and compaction. A pair added to a row
-    /// starts empty, including one that lands in slack, which can still
-    /// hold a removed pair's bits. Relaxed atomics: every thread that
-    /// fills a slot computes the same deterministic value, so racing
-    /// writers are benign, and a slot publishes no other data.
-    slots: Option<Vec<AtomicU64>>,
-}
-
-/// `n` empty memo slots.
-fn empty_slots(n: usize) -> impl Iterator<Item = AtomicU64> {
-    (0..n).map(|_| AtomicU64::new(MEMO_EMPTY))
-}
-
-/// Append copies of `slots[range]` to `slots`: the slot twin of
-/// `Vec::extend_from_within`, which atomics (not `Clone`) cannot use.
-fn extend_slots_from_within(slots: &mut Vec<AtomicU64>, range: std::ops::Range<usize>) {
-    slots.reserve(range.len());
-    for p in range {
-        let bits = slots[p].load(Ordering::Relaxed);
-        slots.push(AtomicU64::new(bits));
-    }
-}
-
-impl<T: Copy + Ord + Default> CsrDir<T> {
-    /// Build from per-row lists, densely packed (cap = len).
-    #[cfg(test)]
-    fn from_lists(lists: Vec<Vec<T>>) -> Self {
-        let total: usize = lists.iter().map(Vec::len).sum();
-        assert!(
-            total <= u32::MAX as usize,
-            "eligibility index exceeds u32 offset range"
-        );
-        let mut spans = Vec::with_capacity(lists.len());
-        let mut ids = Vec::with_capacity(total);
-        for list in &lists {
-            spans.push((ids.len() as u32, list.len() as u32, list.len() as u32));
-            ids.extend_from_slice(list);
-        }
-        CsrDir {
-            spans,
-            ids,
-            live: total,
-            reserved: total,
-            slots: None,
-        }
-    }
-
-    #[inline]
-    fn row(&self, k: usize) -> &[T] {
-        let (start, len, _) = self.spans[k];
-        &self.ids[start as usize..(start + len) as usize]
-    }
-
-    /// Give row `k` a run of at least `need` cells. A run that is too
-    /// small moves to the arena tail with its capacity at least
-    /// doubled, taking its ids and their memo slots along; the old run
-    /// becomes garbage. The caller compacts once it is done with `k`.
-    fn make_room(&mut self, k: usize, need: usize) {
-        let (start, len, cap) = self.spans[k];
-        if need <= cap as usize {
-            return;
-        }
-        let new_cap = need.max(2 * cap as usize);
-        let (lo, hi) = (start as usize, (start + len) as usize);
-        let tail = self.ids.len();
-        assert!(
-            tail + new_cap <= u32::MAX as usize,
-            "eligibility index exceeds u32 offset range"
-        );
-        self.ids.extend_from_within(lo..hi);
-        self.ids.resize(tail + new_cap, T::default());
-        if let Some(slots) = &mut self.slots {
-            extend_slots_from_within(slots, lo..hi);
-            slots.extend(empty_slots(new_cap - len as usize));
-        }
-        self.spans[k] = (tail as u32, len, new_cap as u32);
-        self.reserved += new_cap - cap as usize;
-    }
-
-    /// Replace row `k` with `new` (sorted), every pair with an empty
-    /// memo slot: in place when it fits the row's run.
-    fn set_row(&mut self, k: usize, new: &[T]) {
-        self.make_room(k, new.len());
-        let (start, len, _) = self.spans[k];
-        let run = start as usize..start as usize + new.len();
-        self.ids[run.clone()].copy_from_slice(new);
-        if let Some(slots) = &self.slots {
-            for slot in &slots[run] {
-                slot.store(MEMO_EMPTY, Ordering::Relaxed);
-            }
-        }
-        self.spans[k].1 = new.len() as u32;
-        self.live = self.live - len as usize + new.len();
-        self.maybe_compact();
-    }
-
-    /// Append a new row holding `new` (sorted), densely, with empty memo
-    /// slots.
-    fn push_row(&mut self, new: &[T]) {
-        self.spans.push((self.ids.len() as u32, 0, 0));
-        self.set_row(self.spans.len() - 1, new);
-    }
-
-    /// Swap-remove row `k`: the last row takes index `k`, keeping its
-    /// span and therefore its memo slots.
-    fn swap_remove_row(&mut self, k: usize) {
-        let (_, len, cap) = self.spans.swap_remove(k);
-        self.live -= len as usize;
-        self.reserved -= cap as usize;
-        self.maybe_compact();
-    }
-
-    /// Insert `id` into sorted row `k` (no-op if already present). The
-    /// row's other pairs keep their memo slots; the new one starts empty.
-    /// An id above the row's last one is appended without a search: an
-    /// arriving customer holds the largest id, so every v2c row it joins
-    /// takes it this way.
-    fn insert_sorted(&mut self, k: usize, id: T) {
-        let row = self.row(k);
-        let pos = match row.last() {
-            Some(&last) if id <= last => match row.binary_search(&id) {
-                Ok(_) => return,
-                Err(pos) => pos,
-            },
-            _ => row.len(),
-        };
-        let len = self.spans[k].1 as usize;
-        self.make_room(k, len + 1);
-        let lo = self.spans[k].0 as usize;
-        self.ids.copy_within(lo + pos..lo + len, lo + pos + 1);
-        self.ids[lo + pos] = id;
-        if let Some(slots) = &mut self.slots {
-            // The first slack cell rotates to `pos`; it may still hold a
-            // removed pair's bits, so it starts empty.
-            slots[lo + pos..=lo + len].rotate_right(1);
-            slots[lo + pos].store(MEMO_EMPTY, Ordering::Relaxed);
-        }
-        self.spans[k].1 += 1;
-        self.live += 1;
-        self.maybe_compact();
-    }
-
-    /// Remove `id` from sorted row `k` (no-op if absent). In place: the
-    /// row's tail shifts left and the freed cell becomes slack.
-    fn remove_sorted(&mut self, k: usize, id: T) {
-        let (start, len, _) = self.spans[k];
-        let (lo, hi) = (start as usize, (start + len) as usize);
-        let Ok(pos) = self.ids[lo..hi].binary_search(&id) else {
-            return;
-        };
-        self.ids.copy_within(lo + pos + 1..hi, lo + pos);
-        if let Some(slots) = &mut self.slots {
-            // The removed pair's slot rotates into the slack.
-            slots[lo + pos..hi].rotate_left(1);
-        }
-        self.spans[k].1 -= 1;
-        self.live -= 1;
-        self.maybe_compact();
-    }
-
-    /// The arena bound that compaction restores after every update:
-    /// garbage (cells outside every run) at most the reserved size, and
-    /// slack (reserved cells past each row's length) at most the live
-    /// size, each give or take 64 cells. Together: at most 4 × live +
-    /// 192 ids. Insertions alone never break it, since a moved row's
-    /// capacity stays under twice its length and its old runs sum to
-    /// less than its capacity.
-    fn within_bound(&self) -> bool {
-        self.ids.len() <= 2 * self.reserved + 64 && self.reserved <= 2 * self.live + 64
-    }
-
-    /// Structural self-check, free unless `debug_assertions` are on:
-    /// every run stays inside the arena and holds its row, no two runs
-    /// overlap, `live` and `reserved` equal the span-length and capacity
-    /// sums, the arena is within its bound, and every row is strictly
-    /// ascending (the canonical order the rebuild-equivalence invariant
-    /// depends on).
-    fn debug_validate(&self, what: &str) {
-        if !cfg!(debug_assertions) {
-            return;
-        }
-        let (mut total, mut reserved) = (0usize, 0usize);
-        for (k, &(start, len, cap)) in self.spans.iter().enumerate() {
-            let end = start as usize + cap as usize;
-            assert!(len <= cap, "{what}: row {k} holds {len} ids in {cap} cells");
-            assert!(
-                end <= self.ids.len(),
-                "{what}: row {k} run [{start}, {end}) escapes the arena (len {})",
-                self.ids.len()
-            );
-            total += len as usize;
-            reserved += cap as usize;
-            assert!(
-                self.row(k).windows(2).all(|w| w[0] < w[1]),
-                "{what}: row {k} is not strictly ascending"
-            );
-        }
-        let mut runs: Vec<(u32, u32)> = self
-            .spans
-            .iter()
-            .filter(|&&(_, _, cap)| cap > 0)
-            .map(|&(start, _, cap)| (start, start + cap))
-            .collect();
-        runs.sort_unstable();
-        for w in runs.windows(2) {
-            assert!(
-                w[0].1 <= w[1].0,
-                "{what}: runs [{}, {}) and [{}, {}) overlap",
-                w[0].0,
-                w[0].1,
-                w[1].0,
-                w[1].1
-            );
-        }
-        assert_eq!(
-            self.live, total,
-            "{what}: live counter drifted from the span-length sum"
-        );
-        assert_eq!(
-            self.reserved, reserved,
-            "{what}: reserved counter drifted from the capacity sum"
-        );
-        assert!(
-            self.within_bound(),
-            "{what}: arena of {} ids past its bound (reserved {}, live {})",
-            self.ids.len(),
-            self.reserved,
-            self.live
-        );
-        if let Some(slots) = &self.slots {
-            assert_eq!(
-                slots.len(),
-                self.ids.len(),
-                "{what}: memo slots must pair one-to-one with arena ids"
-            );
-        }
-    }
-
-    /// Repack rows densely (cap = len) once the arena leaves its bound.
-    fn maybe_compact(&mut self) {
-        if self.within_bound() {
-            return;
-        }
-        let mut ids = Vec::with_capacity(self.live);
-        let mut slots = self.slots.as_ref().map(|_| Vec::with_capacity(self.live));
-        for span in &mut self.spans {
-            let (start, len, _) = *span;
-            let range = start as usize..(start + len) as usize;
-            *span = (ids.len() as u32, len, len);
-            ids.extend_from_slice(&self.ids[range.clone()]);
-            if let (Some(new), Some(old)) = (&mut slots, &self.slots) {
-                new.extend(
-                    old[range]
-                        .iter()
-                        .map(|s| AtomicU64::new(s.load(Ordering::Relaxed))),
-                );
-            }
-        }
-        self.ids = ids;
-        self.slots = slots;
-        self.reserved = self.live;
-    }
-
-    /// The memo slot of pair `(k, id)`, found by binary search in row
-    /// `k`: `None` when the memo is off or `id` is not in the row (an
-    /// ineligible pair).
-    #[inline]
-    fn slot(&self, k: usize, id: T) -> Option<&AtomicU64> {
-        let slots = self.slots.as_ref()?;
-        let pos = self.row(k).binary_search(&id).ok()?;
-        Some(&slots[self.spans[k].0 as usize + pos])
-    }
-
-    /// Allocate the memo cold, or drop it, so that it exists iff the
-    /// live pair count fits `cap_pairs`. A memo that still fits keeps
-    /// its values.
-    fn fit_slots(&mut self, cap_pairs: usize) {
-        let fits = 0 < cap_pairs && self.live <= cap_pairs;
-        if fits != self.slots.is_some() {
-            self.slots = fits.then(|| empty_slots(self.ids.len()).collect());
-        }
-    }
-}
-
 /// Bidirectional vendor ↔ customer eligibility adjacency: one [`CsrDir`]
 /// per direction, rows sorted ascending by id. The c2v direction also
 /// carries the pair-base memo.
@@ -505,11 +187,11 @@ impl EligibilityIndex {
         for &cid in scans.iter().flat_map(|(_, ids)| ids) {
             counts[cid.index()] += 1;
         }
-        let c2v = transpose(rows, counts.into_iter(), CustomerId::index, VendorId::from);
+        let c2v = CsrDir::transpose(rows, counts.into_iter(), CustomerId::index, VendorId::from);
         // A vendor's v2c row holds the customers its scan found.
         let lens = scans.iter().flat_map(|(lens, _)| lens.iter().copied());
-        let c2v_rows = (0..c2v.spans.len()).map(|i| c2v.row(i));
-        let v2c = transpose(c2v_rows, lens, VendorId::index, CustomerId::from);
+        let c2v_rows = (0..c2v.spans().len()).map(|i| c2v.row(i));
+        let v2c = CsrDir::transpose(c2v_rows, lens, VendorId::index, CustomerId::from);
         EligibilityIndex { v2c, c2v }
     }
 
@@ -651,7 +333,7 @@ impl<'a> SolverContext<'a> {
     pub fn without_pair_cache(mut self) -> Self {
         self.cache = None;
         self.pearson = None;
-        self.eligibility.c2v.slots = None;
+        self.eligibility.c2v.fit_slots(0);
         self
     }
 
@@ -672,7 +354,7 @@ impl<'a> SolverContext<'a> {
     pub fn with_pair_cache_cap(mut self, bytes: usize) -> Self {
         if let Some(cache) = &mut self.cache {
             cache.cap_pairs = bytes / std::mem::size_of::<AtomicU64>();
-            self.eligibility.c2v.slots = None;
+            self.eligibility.c2v.fit_slots(0);
             self.fit_memo();
         }
         self
@@ -689,14 +371,14 @@ impl<'a> SolverContext<'a> {
     /// Number of allocated memo slots (0 without a memo).
     #[cfg(test)]
     pub(crate) fn memo_slots(&self) -> usize {
-        self.eligibility.c2v.slots.as_ref().map_or(0, Vec::len)
+        self.eligibility.c2v.slots().map_or(0, <[_]>::len)
     }
 
     /// `true` iff the c2v arena holds some customer's non-empty row
     /// before a lower id's: deltas moved rows out of id order.
     #[cfg(test)]
     pub(crate) fn c2v_rows_out_of_id_order(&self) -> bool {
-        let starts: Vec<u32> = (self.eligibility.c2v.spans.iter())
+        let starts: Vec<u32> = (self.eligibility.c2v.spans().iter())
             .filter(|&&(_, len, _)| len > 0)
             .map(|&(start, _, _)| start)
             .collect();
@@ -772,12 +454,12 @@ impl<'a> SolverContext<'a> {
         let n_c = self.instance.customers().len();
         let n_v = self.instance.vendors().len();
         assert_eq!(
-            self.eligibility.v2c.spans.len(),
+            self.eligibility.v2c.spans().len(),
             n_v,
             "v2c must have one row per vendor"
         );
         assert_eq!(
-            self.eligibility.c2v.spans.len(),
+            self.eligibility.c2v.spans().len(),
             n_c,
             "c2v must have one row per customer"
         );
@@ -802,7 +484,8 @@ impl<'a> SolverContext<'a> {
             }
         }
         assert_eq!(
-            pairs, self.eligibility.c2v.live,
+            pairs,
+            self.eligibility.c2v.live(),
             "v2c and c2v disagree on the live pair count"
         );
         for c in 0..n_c {
@@ -820,7 +503,7 @@ impl<'a> SolverContext<'a> {
         // recompute catches a stale one.
         let c2v = &self.eligibility.c2v;
         let Some(cache) = &self.cache else {
-            assert!(c2v.slots.is_none(), "memo slots without a pair cache");
+            assert!(c2v.slots().is_none(), "memo slots without a pair cache");
             return;
         };
         assert_eq!(cache.customers(), n_c, "cache rows must track customers");
@@ -868,13 +551,13 @@ impl<'a> SolverContext<'a> {
             }
         }
         assert_eq!(
-            c2v.slots.is_some(),
-            0 < cache.cap_pairs && c2v.live <= cache.cap_pairs,
+            c2v.slots().is_some(),
+            0 < cache.cap_pairs && c2v.live() <= cache.cap_pairs,
             "memo must exist iff the live eligible pairs fit the cap"
         );
-        let Some(slots) = &c2v.slots else { return };
+        let Some(slots) = c2v.slots() else { return };
         for i in 0..n_c {
-            let start = c2v.spans[i].0 as usize;
+            let start = c2v.spans()[i].0 as usize;
             for (pos, &vid) in c2v.row(i).iter().enumerate() {
                 let bits = slots[start + pos].load(Ordering::Relaxed);
                 if bits == MEMO_EMPTY {
@@ -1009,7 +692,7 @@ impl<'a> SolverContext<'a> {
         start: impl Fn(std::ops::Range<usize>, usize) -> S + Sync,
         visit: impl Fn(&mut S, CustomerId, VendorId, f64) + Sync,
     ) -> Vec<S> {
-        let spans = &self.eligibility.c2v.spans;
+        let spans = self.eligibility.c2v.spans();
         let n = spans.len();
         let chunks = par::max_threads().min(n / FILL_MIN_CUSTOMERS).max(1);
         // One item per chunk, so `par_map` gives each its own; one
@@ -1041,7 +724,7 @@ impl<'a> SolverContext<'a> {
         mut visit: impl FnMut(VendorId, f64),
     ) {
         let c2v = &self.eligibility.c2v;
-        let vids = &c2v.ids[run.clone()];
+        let vids = &c2v.ids()[run.clone()];
         let Some(cache) = &self.cache else {
             // The model's own calls, which may allocate: outside the
             // zero-allocation region.
@@ -1051,7 +734,7 @@ impl<'a> SolverContext<'a> {
             return;
         };
         let _hot = muaa_core::sanitize::AllocGuard::strict("context.walk_pairs");
-        match &c2v.slots {
+        match c2v.slots() {
             Some(slots) => {
                 for (slot, &vid) in slots[run].iter().zip(vids) {
                     let mut bits = slot.load(Ordering::Relaxed);
@@ -1440,46 +1123,6 @@ impl<'a> SolverContext<'a> {
     }
 }
 
-/// The transpose of `rows`, densely packed, by counting sort: lay the
-/// columns out back to back from their entry `counts`, then scatter
-/// every row's index into the columns it names. Rows are visited in
-/// order, so each transposed row comes out ascending without a sort.
-fn transpose<'r, A: Copy + 'r, B: Copy + Default>(
-    rows: impl Iterator<Item = &'r [A]>,
-    counts: impl Iterator<Item = usize>,
-    col: impl Fn(A) -> usize,
-    id: impl Fn(usize) -> B,
-) -> CsrDir<B> {
-    // Each span's cap is its count; the scatter grows its len up to it.
-    let mut total = 0usize;
-    let mut spans: Vec<(u32, u32, u32)> = counts
-        .map(|n| {
-            let span = (total as u32, 0, n as u32);
-            total += n;
-            span
-        })
-        .collect();
-    assert!(
-        total <= u32::MAX as usize,
-        "eligibility index exceeds u32 offset range"
-    );
-    let mut ids = vec![B::default(); total];
-    for (k, row) in rows.enumerate() {
-        for &a in row {
-            let span = &mut spans[col(a)];
-            ids[(span.0 + span.1) as usize] = id(k);
-            span.1 += 1;
-        }
-    }
-    CsrDir {
-        spans,
-        ids,
-        live: total,
-        reserved: total,
-        slots: None,
-    }
-}
-
 /// Append vendor `vid`'s valid customers to `out`: the grid's range
 /// hits (written into `hits`) that pass the model's distance test, in
 /// grid order, or without a grid every customer that passes it, in id
@@ -1736,8 +1379,8 @@ mod tests {
                 SolverContext::indexed(&inst, &model),
                 SolverContext::brute_force(&inst, &model),
             ] {
-                assert_eq!(ctx.eligibility.c2v.spans.len(), inst.num_customers());
-                assert_eq!(ctx.eligibility.v2c.spans.len(), inst.num_vendors());
+                assert_eq!(ctx.eligibility.c2v.spans().len(), inst.num_customers());
+                assert_eq!(ctx.eligibility.v2c.spans().len(), inst.num_vendors());
                 // One buffer across customers: each scan clears it first.
                 let mut scan = Vec::new();
                 for (cid, _) in inst.customers_enumerated() {
@@ -1784,7 +1427,7 @@ mod tests {
         let inst = make_instance();
         let model = PearsonUtility::uniform(2);
         let fits = SolverContext::indexed(&inst, &model).with_pair_cache_cap(16);
-        assert_eq!(fits.eligibility.c2v.live, 2);
+        assert_eq!(fits.eligibility.c2v.live(), 2);
         assert_eq!(fits.memo_slots(), 2);
         let too_small = SolverContext::indexed(&inst, &model).with_pair_cache_cap(15);
         assert_eq!(too_small.memo_slots(), 0);
@@ -2056,7 +1699,7 @@ mod tests {
         let frac = |k: usize, m: f64| (k as f64 * m) % 1.0;
         let mut moves = 0;
         for k in 0..ARRIVALS {
-            let start = ctx.eligibility.v2c.spans[vid.index()].0;
+            let start = ctx.eligibility.v2c.spans()[vid.index()].0;
             let arrival = Customer {
                 location: Point::new(
                     0.5 + 0.3 * frac(k, 0.618_033_988),
@@ -2068,7 +1711,7 @@ mod tests {
                 arrival: Timestamp::MIDNIGHT,
             };
             ctx.apply(&Delta::AddCustomer(arrival)).unwrap();
-            moves += usize::from(ctx.eligibility.v2c.spans[vid.index()].0 != start);
+            moves += usize::from(ctx.eligibility.v2c.spans()[vid.index()].0 != start);
             let csr = &ctx.eligibility;
             assert!(
                 csr.v2c.within_bound() && csr.c2v.within_bound(),
@@ -2087,8 +1730,8 @@ mod tests {
 
     /// Row `k` of `dir` as `(id, memo bits)` pairs.
     fn row_bits(dir: &CsrDir<u32>, k: usize) -> Vec<(u32, u64)> {
-        let slots = dir.slots.as_ref().expect("memo on");
-        let start = dir.spans[k].0 as usize;
+        let slots = dir.slots().expect("memo on");
+        let start = dir.spans()[k].0 as usize;
         let bits = |p: usize| slots[start + p].load(Ordering::Relaxed);
         dir.row(k)
             .iter()
@@ -2107,7 +1750,9 @@ mod tests {
     /// removed pair's bits), and the other ids keep theirs.
     #[test]
     fn insert_sorted_appends_above_the_last_id_and_searches_below_it() {
-        let mut dir = CsrDir::from_lists(vec![Vec::new(), vec![2u32, 5, 9]]);
+        let mut dir = CsrDir::default();
+        dir.push_row(&[]);
+        dir.push_row(&[2u32, 5, 9]);
         dir.fit_slots(usize::MAX);
         let fill = |dir: &CsrDir<u32>, k: usize| {
             for &id in dir.row(k) {
@@ -2139,12 +1784,12 @@ mod tests {
         let settled = [(2, 2), (3, MEMO_EMPTY), (5, 5)];
         check(&dir, 1, &settled, "mid-row");
         // Duplicates at the tail, mid-row and head are no-ops.
-        let live = dir.live;
+        let live = dir.live();
         for id in [5, 3, 2] {
             dir.insert_sorted(1, id);
             check(&dir, 1, &settled, "duplicate");
         }
-        assert_eq!(dir.live, live);
+        assert_eq!(dir.live(), live);
         assert_eq!(row_bits(&dir, 0), [(4, 4), (6, MEMO_EMPTY)]);
     }
 
@@ -2229,12 +1874,12 @@ mod tests {
         // Out of every vendor's reach: 6 pairs, still 2 eligible.
         ctx.apply_delta(&DeltaBatch::new().add_customer(at(0.95, 0.05)))
             .unwrap();
-        assert_eq!(ctx.eligibility.c2v.live, 2);
+        assert_eq!(ctx.eligibility.c2v.live(), 2);
         assert!(ctx.memo_slots() > 0);
         // In reach of both vendors: 4 eligible pairs, over the cap.
         ctx.apply_delta(&DeltaBatch::new().add_customer(at(0.45, 0.5)))
             .unwrap();
-        assert_eq!(ctx.eligibility.c2v.live, 4);
+        assert_eq!(ctx.eligibility.c2v.live(), 4);
         assert_eq!(ctx.memo_slots(), 0);
         // Removing customer 0 (2 pairs) brings it back under the cap.
         ctx.apply_delta(&DeltaBatch::new().remove_customer(CustomerId::new(0)))
@@ -2258,9 +1903,9 @@ mod tests {
     /// `(customer, vendor, bits)` in c2v order.
     fn slot_bits(ctx: &SolverContext<'_>) -> Vec<(usize, usize, u64)> {
         let c2v = &ctx.eligibility.c2v;
-        let slots = c2v.slots.as_ref().expect("memoized context");
+        let slots = c2v.slots().expect("memoized context");
         let mut out = Vec::new();
-        for (i, &(start, ..)) in c2v.spans.iter().enumerate() {
+        for (i, &(start, ..)) in c2v.spans().iter().enumerate() {
             for (pos, vid) in c2v.row(i).iter().enumerate() {
                 let bits = slots[start as usize + pos].load(Ordering::Relaxed);
                 out.push((i, vid.index(), bits));
@@ -2462,7 +2107,7 @@ mod tests {
                     "renamed customer has slots"
                 );
             }
-            let runs: Vec<u32> = ctx.eligibility.c2v.spans.iter().map(|s| s.0).collect();
+            let runs: Vec<u32> = ctx.eligibility.c2v.spans().iter().map(|s| s.0).collect();
             for delta in deltas {
                 ctx.apply(delta).unwrap();
             }
@@ -2481,7 +2126,7 @@ mod tests {
                         && after.contains(&(i, 7))
                         && !after.contains(&(i, 6))
                         && !before.contains(&(i, 7))
-                        && ctx.eligibility.c2v.spans[i].0 == runs[i]
+                        && ctx.eligibility.c2v.spans()[i].0 == runs[i]
                 };
                 assert!(
                     (0..runs.len()).any(swapped),
@@ -2506,7 +2151,7 @@ mod tests {
         let inst = muaa_datagen::generate_synthetic(&cfg);
         let model = PearsonUtility::uniform(cfg.tags);
         let ctx = SolverContext::indexed(&inst, &model);
-        let arena = ctx.eligibility.c2v.ids.len();
+        let arena = ctx.eligibility.c2v.ids().len();
         assert!(arena > 0);
         assert_eq!(ctx.memo_slots(), arena);
         assert!(ctx.memo_slots() * std::mem::size_of::<AtomicU64>() < 1 << 20);

@@ -2,7 +2,7 @@
 //!
 //! `std`'s default SipHash-1-3 guards a table against keys chosen to
 //! collide. The tables that use [`IdHasher`] hash ids the process
-//! assigns itself (customer, vendor and grid-cell indexes), and they
+//! assigns itself (customer and vendor indexes), and they
 //! are only probed, never iterated into an output, so no result can
 //! depend on the hasher. [`IdHasher`] folds up to two `u32` words into
 //! one `u64` without loss and runs MurmurHash3's 64-bit finalizer over

@@ -47,6 +47,7 @@
 pub mod activity;
 pub mod assignment;
 pub mod clock;
+pub mod csr;
 pub mod delta;
 pub mod entities;
 pub mod error;

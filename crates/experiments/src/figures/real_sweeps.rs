@@ -128,7 +128,7 @@ mod tests {
 
     #[test]
     fn fig3_utility_grows_then_saturates() {
-        let (utility, time) = fig3_budget(&tiny(), CompetitorSet::fast(), 7);
+        let (utility, time) = fig3_budget(&tiny(), CompetitorSet::without_greedy(), 7);
         assert_eq!(utility.rows.len(), 6);
         assert_eq!(time.rows.len(), 6);
         // RECON utility at the largest budget must beat the smallest.
@@ -143,7 +143,7 @@ mod tests {
 
     #[test]
     fn fig4_radius_grows_utility_for_recon() {
-        let (utility, _) = fig4_radius(&tiny(), CompetitorSet::fast(), 7);
+        let (utility, _) = fig4_radius(&tiny(), CompetitorSet::without_greedy(), 7);
         let recon_col = utility.columns.iter().position(|c| c == "RECON").unwrap();
         let first = utility.rows.first().unwrap().1[recon_col];
         let last = utility.rows.last().unwrap().1[recon_col];
@@ -155,10 +155,10 @@ mod tests {
 
     #[test]
     fn fig5_and_fig6_produce_full_tables() {
-        let (u5, t5) = fig5_capacity(&tiny(), CompetitorSet::fast(), 7);
+        let (u5, t5) = fig5_capacity(&tiny(), CompetitorSet::without_greedy(), 7);
         assert_eq!(u5.rows.len(), 4);
         assert_eq!(t5.rows.len(), 4);
-        let (u6, _) = fig6_probability(&tiny(), CompetitorSet::fast(), 7);
+        let (u6, _) = fig6_probability(&tiny(), CompetitorSet::without_greedy(), 7);
         assert_eq!(u6.rows.len(), 4);
         // Higher view probabilities raise utility (Eq. 4 is linear in p).
         let recon_col = u6.columns.iter().position(|c| c == "RECON").unwrap();

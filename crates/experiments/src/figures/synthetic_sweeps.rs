@@ -75,7 +75,7 @@ mod tests {
 
     #[test]
     fn fig7_more_customers_more_utility() {
-        let (utility, time) = fig7_customers(&tiny(), CompetitorSet::fast(), 11);
+        let (utility, time) = fig7_customers(&tiny(), CompetitorSet::without_greedy(), 11);
         assert_eq!(utility.rows.len(), 5);
         assert_eq!(time.rows.len(), 5);
         let recon = utility.columns.iter().position(|c| c == "RECON").unwrap();
@@ -89,7 +89,7 @@ mod tests {
 
     #[test]
     fn fig8_more_vendors_more_utility() {
-        let (utility, _) = fig8_vendors(&tiny(), CompetitorSet::fast(), 11);
+        let (utility, _) = fig8_vendors(&tiny(), CompetitorSet::without_greedy(), 11);
         assert_eq!(utility.rows.len(), 5);
         let recon = utility.columns.iter().position(|c| c == "RECON").unwrap();
         let first = utility.rows.first().unwrap().1[recon];

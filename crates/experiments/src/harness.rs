@@ -49,9 +49,10 @@ impl CompetitorSet {
         }
     }
 
-    /// The fast subset (skips GREEDY's quadratic rescan) for very large
-    /// sweeps.
-    pub fn fast() -> Self {
+    /// Every competitor but GREEDY, whose per-iteration rescan is the
+    /// slow one: keeps the figure modules' unit tests quick.
+    #[cfg(test)]
+    pub(crate) fn without_greedy() -> Self {
         CompetitorSet {
             random: true,
             nearest: true,

@@ -2,7 +2,7 @@
 //! the paper's evaluation, the ratio studies and the ablations.
 //!
 //! ```text
-//! muaa-experiments <command> [--quick | --paper] [--fast-greedy] [--out DIR]
+//! muaa-experiments <command> [--quick | --paper] [--out DIR] [--seed N]
 //!
 //! commands:
 //!   fig3 fig4 fig5 fig6    real-sim sweeps (budget, radius, capacity, view prob)
@@ -28,7 +28,6 @@ use std::process::ExitCode;
 
 struct Options {
     scale: Scale,
-    set: CompetitorSet,
     out_dir: Option<PathBuf>,
     seed: u64,
 }
@@ -38,7 +37,6 @@ fn main() -> ExitCode {
     let mut command = None;
     let mut opts = Options {
         scale: Scale::default(),
-        set: CompetitorSet::all(),
         out_dir: None,
         seed: 2019,
     };
@@ -48,7 +46,6 @@ fn main() -> ExitCode {
         match arg.as_str() {
             "--quick" => opts.scale = Scale::quick(),
             "--paper" => opts.scale = Scale::paper(),
-            "--fast-greedy" => opts.set = CompetitorSet::fast(),
             "--out" => match iter.next() {
                 Some(dir) => opts.out_dir = Some(PathBuf::from(dir)),
                 None => return usage("--out needs a directory"),
@@ -76,7 +73,7 @@ fn main() -> ExitCode {
 fn usage(problem: &str) -> ExitCode {
     eprintln!("error: {problem}");
     eprintln!(
-        "usage: muaa-experiments <fig3|fig4|fig5|fig6|fig7|fig8|example1|ratios|latency|ablate-mckp|ablate-threshold|ablate-g|ablate-batching|ablate-adtypes|bounds|tagselect|tables|all> [--quick|--paper] [--fast-greedy] [--out DIR] [--seed N]"
+        "usage: muaa-experiments <fig3|fig4|fig5|fig6|fig7|fig8|example1|ratios|latency|ablate-mckp|ablate-threshold|ablate-g|ablate-batching|ablate-adtypes|bounds|tagselect|tables|all> [--quick|--paper] [--out DIR] [--seed N]"
     );
     ExitCode::from(2)
 }
@@ -84,27 +81,27 @@ fn usage(problem: &str) -> ExitCode {
 fn run_command(command: &str, opts: &Options) -> bool {
     match command {
         "fig3" => emit_pair(
-            real_sweeps::fig3_budget(&opts.scale, opts.set, opts.seed),
+            real_sweeps::fig3_budget(&opts.scale, CompetitorSet::all(), opts.seed),
             opts,
         ),
         "fig4" => emit_pair(
-            real_sweeps::fig4_radius(&opts.scale, opts.set, opts.seed),
+            real_sweeps::fig4_radius(&opts.scale, CompetitorSet::all(), opts.seed),
             opts,
         ),
         "fig5" => emit_pair(
-            real_sweeps::fig5_capacity(&opts.scale, opts.set, opts.seed),
+            real_sweeps::fig5_capacity(&opts.scale, CompetitorSet::all(), opts.seed),
             opts,
         ),
         "fig6" => emit_pair(
-            real_sweeps::fig6_probability(&opts.scale, opts.set, opts.seed),
+            real_sweeps::fig6_probability(&opts.scale, CompetitorSet::all(), opts.seed),
             opts,
         ),
         "fig7" => emit_pair(
-            synthetic_sweeps::fig7_customers(&opts.scale, opts.set, opts.seed),
+            synthetic_sweeps::fig7_customers(&opts.scale, CompetitorSet::all(), opts.seed),
             opts,
         ),
         "fig8" => emit_pair(
-            synthetic_sweeps::fig8_vendors(&opts.scale, opts.set, opts.seed),
+            synthetic_sweeps::fig8_vendors(&opts.scale, CompetitorSet::all(), opts.seed),
             opts,
         ),
         "example1" => {

@@ -73,12 +73,5 @@ fn empirical_ratio_csv_matches_committed_bytes() {
 
 #[test]
 fn tag_selection_csv_matches_committed_bytes() {
-    if cfg!(debug_assertions) {
-        // The outer selection loop at the default 600x30 scale re-solves
-        // O(vendors * k * pool) times; debug builds would take minutes.
-        // CI's `sanitize` job runs this test under --release.
-        eprintln!("skipping tag-selection golden diff in debug build (release-only)");
-        return;
-    }
     assert_matches_committed(&tag_select_study::run(600, 30, 2019));
 }

@@ -1,7 +1,7 @@
 //! # muaa-spatial
 //!
 //! Spatial substrate for MUAA: a uniform grid index over point sets
-//! with circular range queries and k-nearest-neighbour queries.
+//! with circular range queries.
 //!
 //! Every MUAA algorithm needs two spatial primitives:
 //!
@@ -12,7 +12,9 @@
 //!
 //! [`GridIndex`] serves the first; [`VendorIndex`] (a grid over vendor
 //! locations that accounts for each vendor's own radius) serves the
-//! second. NEAREST additionally uses [`GridIndex::k_nearest`].
+//! second. NEAREST orders a customer's covering vendors by distance
+//! itself (`SolverContext::vendors_by_distance`), so no nearest-neighbour
+//! query lives here.
 
 #![warn(missing_docs)]
 #![warn(clippy::all)]

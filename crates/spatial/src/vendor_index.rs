@@ -9,13 +9,13 @@
 //! then filtered by their exact radius.
 //!
 //! Per-class side tables (`r2`, `ids`) are indexed by the grid's *local
-//! id* (DESIGN.md §11–12), so a query is one dense scan per class with
-//! zero scratch allocation: the grid visits candidate entries, and the
+//! id* (DESIGN.md §11–12), so a query is one scan per class with zero
+//! scratch allocation: the grid visits candidate entries, and the
 //! exact-radius filter reads `r2[local]` from the parallel array. Local
-//! ids are also what the grid's swap-remove renames, which makes radius
-//! updates ([`set_radius`](VendorIndex::set_radius)) O(log n): a vendor
-//! whose radius crosses a class boundary migrates between class grids
-//! incrementally instead of forcing a rebuild.
+//! ids are also what the grid's swap-remove renames, so a vendor whose
+//! radius crosses a class boundary ([`set_radius`](VendorIndex::set_radius))
+//! migrates between class grids by patching a few cell rows instead of
+//! forcing a rebuild.
 
 use crate::grid::GridIndex;
 use muaa_core::{Point, Vendor, VendorId};
@@ -44,7 +44,7 @@ fn class_radius(c: usize) -> f64 {
 
 /// An index answering "which vendors cover point `p`" (the valid vendor
 /// set `V'` of paper Algorithm 2, line 2).
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct VendorIndex {
     /// One (grid, class max radius, member tables) per radius class,
     /// sorted by class key. Classes left empty by migrations are kept —
@@ -54,7 +54,7 @@ pub struct VendorIndex {
     membership: Vec<(usize, u32)>,
 }
 
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 struct RadiusClass {
     /// The power-of-two class key this bucket holds.
     key: usize,
@@ -124,9 +124,9 @@ impl VendorIndex {
 
     /// Update one vendor's radius. Within its radius class this is a
     /// table write; across classes the vendor migrates to the new
-    /// class's grid (created on demand), both O(log n). The set of
-    /// covering vendors any query reports afterwards is exactly what a
-    /// fresh build on the updated radii would report.
+    /// class's grid (created on demand, with one cell) by grid patches.
+    /// The set of covering vendors any query reports afterwards is
+    /// exactly what a fresh build on the updated radii would report.
     pub fn set_radius(&mut self, vid: VendorId, radius: f64) {
         let (old_key, old_local) = self.membership[vid.index()];
         let new_key = class_of(radius);

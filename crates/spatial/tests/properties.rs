@@ -1,9 +1,9 @@
 //! Property-based tests for the spatial substrate: grid range queries
-//! and k-NN vs brute force, vendor coverage vs per-vendor radii.
+//! vs brute force, vendor coverage vs per-vendor radii.
 
 use muaa_core::{Money, Point, TagVector, Vendor};
 use muaa_spatial::{GridIndex, VendorIndex};
-use muaa_testkit::{f64_in, for_all, usize_in, vec_of, DetRng};
+use muaa_testkit::{f64_in, for_all, vec_of, DetRng};
 
 /// Up to `max - 1` points in the unit square.
 fn gen_points(rng: &mut DetRng, max: usize) -> Vec<Point> {
@@ -55,32 +55,6 @@ fn range_query_equals_brute_force() {
 }
 
 #[test]
-fn k_nearest_equals_brute_force() {
-    let gen = |r: &mut DetRng| {
-        let points = gen_points(r, 120);
-        let q = gen_query(r, -0.5..1.5);
-        (points, q, usize_in(r, 0..15), f64_in(r, 0.001..0.5))
-    };
-    for_all(
-        "k_nearest_equals_brute_force",
-        CASES,
-        gen,
-        |&(ref points, q, k, cell)| {
-            let index = GridIndex::with_cell_size(points.clone(), cell);
-            let got = index.k_nearest(q, k);
-            let mut brute: Vec<(f64, u32)> = points
-                .iter()
-                .enumerate()
-                .map(|(i, p)| (p.distance_sq(&q), i as u32))
-                .collect();
-            brute.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-            let expect: Vec<u32> = brute.into_iter().take(k).map(|(_, i)| i).collect();
-            assert_eq!(got, expect);
-        },
-    );
-}
-
-#[test]
 fn vendor_coverage_equals_brute_force() {
     let gen = |r: &mut DetRng| (gen_vendors(r, 0..80), gen_query(r, 0.0..1.0));
     for_all(
@@ -124,7 +98,7 @@ fn growing_radius_grows_the_result_set() {
     );
 }
 
-/// The CSR / SoA grid layout (DESIGN.md §11) must reproduce the output
+/// The CSR-row grid layout (DESIGN.md §11) must reproduce the output
 /// *sequences* of the pre-CSR nested-`Vec` bucket layout — cells in
 /// row-major order, points in insertion order within a cell — not just
 /// the same sets. A reference implementation of the old layout lives in
@@ -133,7 +107,7 @@ mod csr_equivalence {
     use super::{gen_points, gen_query};
     use muaa_core::Point;
     use muaa_spatial::GridIndex;
-    use muaa_testkit::{f64_in, for_all, usize_in, DetRng};
+    use muaa_testkit::{f64_in, for_all, DetRng};
 
     /// The old nested-Vec bucket grid: one `Vec<u32>` per cell, filled
     /// sequentially in point order, queried row-major with the same
@@ -265,34 +239,6 @@ mod csr_equivalence {
             },
         );
     }
-
-    /// k-NN over the CSR layout stays correct (and identically
-    /// tie-broken) across arbitrary cell sizes: compare to a sorted
-    /// brute-force scan.
-    #[test]
-    fn csr_k_nearest_matches_brute_force_any_cell_size() {
-        let gen = |r: &mut DetRng| {
-            let points = gen_points(r, 150);
-            let q = gen_query(r, -0.5..1.5);
-            (points, q, usize_in(r, 0..15), f64_in(r, 0.001..0.5))
-        };
-        for_all(
-            "csr_k_nearest_matches_brute_force_any_cell_size",
-            CASES,
-            gen,
-            |&(ref points, q, k, cell)| {
-                let csr = GridIndex::with_cell_size(points.clone(), cell);
-                let mut brute: Vec<(f64, u32)> = points
-                    .iter()
-                    .enumerate()
-                    .map(|(i, p)| (p.distance_sq(&q), i as u32))
-                    .collect();
-                brute.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-                let expect: Vec<u32> = brute.into_iter().take(k).map(|(_, i)| i).collect();
-                assert_eq!(csr.k_nearest(q, k), expect);
-            },
-        );
-    }
 }
 
 /// Incremental maintenance (DESIGN.md §12): after an arbitrary
@@ -324,29 +270,22 @@ mod mutation_equivalence {
         }
     }
 
-    /// Range queries and k-NN on the mutated grid reproduce a
-    /// from-scratch build element for element, in order, after
-    /// every prefix of the op sequence.
+    /// Range queries on the mutated grid reproduce a from-scratch
+    /// build element for element, in order, after every prefix of the
+    /// op sequence.
     #[test]
     fn mutated_grid_matches_fresh_build_order() {
         let gen = |r: &mut DetRng| {
             let initial = gen_points(r, 60);
             let ops = vec_of(r, 0..40, gen_op);
             let q = gen_query(r, -0.2..1.2);
-            (
-                initial,
-                ops,
-                q,
-                f64_in(r, 0.0..0.6),
-                usize_in(r, 0..10),
-                f64_in(r, 0.01..0.4),
-            )
+            (initial, ops, q, f64_in(r, 0.0..0.6), f64_in(r, 0.01..0.4))
         };
         for_all(
             "mutated_grid_matches_fresh_build_order",
             96,
             gen,
-            |&(ref initial, ref ops, q, radius, k, cell)| {
+            |&(ref initial, ref ops, q, radius, cell)| {
                 let mut live = initial.clone();
                 let mut idx = GridIndex::with_cell_size(live.clone(), cell);
                 for op in ops {
@@ -381,11 +320,6 @@ mod mutation_equivalence {
                         idx.range_query(q, radius),
                         fresh.range_query(q, radius),
                         "range after {op:?}"
-                    );
-                    assert_eq!(
-                        idx.k_nearest(q, k),
-                        fresh.k_nearest(q, k),
-                        "knn after {op:?}"
                     );
                 }
             },
