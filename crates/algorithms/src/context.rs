@@ -697,7 +697,7 @@ impl<'a> SolverContext<'a> {
         let chunks = par::max_threads().min(n / FILL_MIN_CUSTOMERS).max(1);
         // One item per chunk, so `par_map` gives each its own; one
         // allocation per walk, outside the per-customer region.
-        // lint: allow(hot_call)
+        // lint: allow(hot_alloc)
         let chunk_ids: Vec<usize> = (0..chunks).collect();
         par::par_map(&chunk_ids, 1, |_, &c| {
             let customers = c * n / chunks..(c + 1) * n / chunks;

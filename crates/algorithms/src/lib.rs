@@ -35,6 +35,9 @@
 
 #![warn(missing_docs)]
 #![warn(clippy::all)]
+// Every match on a workspace enum names each variant, so a new `Delta`
+// cannot fall through a `_` arm of a delta engine unnoticed.
+#![cfg_attr(not(test), deny(clippy::wildcard_enum_match_arm))]
 
 mod bounds;
 mod context;

@@ -3,7 +3,7 @@
 
 use crate::context::SolverContext;
 use crate::offline::OfflineSolver;
-use muaa_core::{Assignment, AssignmentSet, CustomerId, DetRng};
+use muaa_core::{Assignment, AssignmentSet, DetRng};
 use std::cell::RefCell;
 
 /// RANDOM: for each customer (in arrival order), pick random valid
@@ -67,15 +67,6 @@ impl OfflineSolver for RandomAssign {
     fn name(&self) -> &'static str {
         "RANDOM"
     }
-}
-
-/// Expose the customer processing order for tests.
-#[allow(dead_code)]
-fn arrival_order(ctx: &SolverContext<'_>) -> Vec<CustomerId> {
-    ctx.instance()
-        .customers_enumerated()
-        .map(|(cid, _)| cid)
-        .collect()
 }
 
 #[cfg(test)]

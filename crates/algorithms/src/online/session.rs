@@ -245,7 +245,10 @@ impl<'a> BrokerSession<'a> {
                 self.ctx.apply(delta)?;
                 return Ok(true);
             }
-            _ => self.ctx.apply(delta)?,
+            Delta::MoveCustomer(..)
+            | Delta::VendorBudget(..)
+            | Delta::VendorRadius(..)
+            | Delta::AdType(..) => self.ctx.apply(delta)?,
         }
         Ok(false)
     }

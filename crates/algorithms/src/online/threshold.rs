@@ -105,7 +105,9 @@ impl ThresholdFn {
     pub fn competitive_ratio(&self, theta: f64) -> Option<f64> {
         match *self {
             ThresholdFn::Adaptive { g, .. } => Some((g.ln() + 1.0) / theta),
-            _ => None,
+            ThresholdFn::Static { .. } | ThresholdFn::Stepped { .. } | ThresholdFn::Disabled => {
+                None
+            }
         }
     }
 }

@@ -82,7 +82,7 @@ impl DeltaBatch {
     pub fn push(&mut self, delta: Delta) {
         // Batch construction runs between solves, never under a hot
         // kernel; the D13 edge is a hot caller's Vec push resolving to
-        // this same-named method. lint: allow(hot_call)
+        // this same-named method. lint: allow(hot_alloc)
         self.deltas.push(delta);
     }
 
@@ -126,7 +126,7 @@ impl DeltaBatch {
     pub fn ad_type(mut self, id: AdTypeId, t: AdType) -> Self {
         // Builder-side recorder; the solver context's read accessor
         // shares the `ad_type` name, which is where the D13 hot edge
-        // comes from. lint: allow(hot_call)
+        // comes from. lint: allow(hot_alloc)
         self.deltas.push(Delta::AdType(id, t));
         self
     }

@@ -12,8 +12,9 @@
 //!
 //! Declarations spell the hasher out, as in
 //! `HashSet<(u32, u32), BuildHasherDefault<IdHasher>>`, rather than
-//! hide it behind an alias: lint rule D2 finds hash tables by their
-//! declared `HashMap`/`HashSet` token.
+//! hide it behind an alias, so every declaration shows which hasher it
+//! uses. Tables on this hasher are probed, never iterated into an
+//! output.
 
 use std::collections::hash_map::RandomState;
 use std::hash::{BuildHasher, Hasher};

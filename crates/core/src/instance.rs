@@ -303,9 +303,6 @@ impl ProblemInstance {
         let mean_radius = if self.vendors.is_empty() {
             0.0
         } else {
-            // Diagnostic aggregate computed once on the serial context
-            // construction path, before any fan-out; vendor order is
-            // fixed by the instance. lint: allow(par_reduce)
             self.vendors.iter().map(|v| v.radius).sum::<f64>() / self.vendors.len() as f64
         };
         InstanceStats {

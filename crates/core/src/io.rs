@@ -119,9 +119,9 @@ pub fn write_instance(instance: &ProblemInstance, out: &mut dyn Write) -> io::Re
 /// Serialize to an in-memory string.
 pub fn to_string(instance: &ProblemInstance) -> String {
     let mut buf = Vec::new();
-    // Writing into a Vec is infallible. lint: allow(unwrap)
+    #[expect(clippy::expect_used, reason = "writing into a Vec is infallible")]
     write_instance(instance, &mut buf).expect("writing to a Vec cannot fail");
-    // The serializer emits ASCII only. lint: allow(unwrap)
+    #[expect(clippy::expect_used, reason = "the serializer emits ASCII only")]
     String::from_utf8(buf).expect("format is ASCII/UTF-8")
 }
 

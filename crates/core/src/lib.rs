@@ -43,6 +43,17 @@
 
 #![warn(missing_docs)]
 #![warn(clippy::all)]
+// Library code returns errors or states its invariant in an
+// `#[expect(.., reason = "..")]`; delta engines name every variant, so a
+// new one cannot fall through a `_` arm unnoticed.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::wildcard_enum_match_arm
+    )
+)]
 
 pub mod activity;
 pub mod assignment;

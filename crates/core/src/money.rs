@@ -96,8 +96,8 @@ impl Money {
 impl Add for Money {
     type Output = Money;
     #[inline]
+    #[expect(clippy::expect_used, reason = "overflow is a caller bug by contract")]
     fn add(self, rhs: Money) -> Money {
-        // Overflow is a caller bug by contract. lint: allow(unwrap)
         Money(self.0.checked_add(rhs.0).expect("money overflow"))
     }
 }
@@ -115,9 +115,11 @@ impl Sub for Money {
     /// budget is always a caller bug in this codebase (feasibility is
     /// checked before committing an assignment).
     #[inline]
+    #[expect(
+        clippy::expect_used,
+        reason = "a caller bug, per the doc above; saturating would hide budget-accounting errors"
+    )]
     fn sub(self, rhs: Money) -> Money {
-        // Deliberate panic on caller bug, per the doc above; a silent
-        // saturate would hide budget-accounting errors. lint: allow(unwrap)
         Money(self.0.checked_sub(rhs.0).expect("money underflow"))
     }
 }
@@ -132,8 +134,8 @@ impl SubAssign for Money {
 impl Mul<u64> for Money {
     type Output = Money;
     #[inline]
+    #[expect(clippy::expect_used, reason = "overflow is a caller bug by contract")]
     fn mul(self, rhs: u64) -> Money {
-        // Overflow is a caller bug by contract. lint: allow(unwrap)
         Money(self.0.checked_mul(rhs).expect("money overflow"))
     }
 }

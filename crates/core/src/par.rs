@@ -242,6 +242,10 @@ impl Pool {
     /// on woken workers, and return once every call has returned. The
     /// first chunk panic is re-raised here, after that.
     fn run(&self, chunks: usize, body: &(dyn Fn(usize) + Sync)) {
+        #[expect(
+            unsafe_code,
+            reason = "borrowed chunk bodies run on the pool's 'static workers"
+        )]
         // SAFETY: only the lifetime changes. `body` is called only in
         // `Job::run_chunks`, for a claimed index below `chunks`, and
         // each call is counted in `job.done` after it returns (a panic
@@ -410,9 +414,9 @@ pub const REDUCE_CHUNK: usize = 1024;
 
 /// Order-fixed sequential sum: left-to-right within each
 /// [`REDUCE_CHUNK`]-wide chunk, then left-to-right over the chunk
-/// partials. This is the *canonical* reduction order for the workspace,
-/// the spelling `muaa-lint` rules D14 and D17 sanction for float
-/// reductions that parallel code or hot fns reach.
+/// partials. This is the *canonical* reduction order for the workspace:
+/// its result does not depend on how the input was produced or on the
+/// thread count.
 pub fn sum_f64(xs: &[f64]) -> f64 {
     let mut total = 0.0;
     for chunk in xs.chunks(REDUCE_CHUNK) {

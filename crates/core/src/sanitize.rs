@@ -2,8 +2,8 @@
 //! claims (DESIGN.md §14).
 //!
 //! The solver hot loops are *documented* as allocation-free and
-//! NaN-free, and `muaa-lint` rule D6 enforces the allocation claim
-//! statically inside every `#[muaa::hot]`-annotated function. This
+//! NaN-free, and `muaa-lint` rule D13 enforces the allocation claim
+//! statically in and under every `#[muaa::hot]`-annotated function. This
 //! module is the dynamic half of that cross-check: built with the
 //! `muaa-sanitize` feature, `muaa-core` installs a counting
 //! [`std::alloc::GlobalAlloc`] with **thread-local** accounting and the
@@ -68,6 +68,7 @@ mod real {
         }
     }
 
+    #[expect(unsafe_code, reason = "a global allocator is an unsafe trait impl")]
     // SAFETY: every method forwards verbatim to `System`, which upholds
     // the GlobalAlloc contract; the counter bump has no effect on the
     // returned memory.

@@ -402,7 +402,7 @@ impl UtilityModel for PearsonUtility {
 ///
 /// Entries live in a `Vec` kept sorted by `(customer, vendor)` key with
 /// binary-search lookups — deterministic `Debug` output and iteration
-/// order by construction (D2-proof: there is no hash order to leak),
+/// order by construction (there is no hash order to leak),
 /// and cache-friendlier than a `HashMap` at Example-1 scale. Inserts
 /// are `O(n)`; the table is a test/exposition model, not a hot path.
 #[derive(Clone, Debug, Default)]

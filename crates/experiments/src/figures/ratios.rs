@@ -13,7 +13,7 @@ use muaa_algorithms::{
     estimate_gamma_bounds, ExactBnB, Greedy, OAfa, OfflineSolver, RandomAssign, Recon,
     SolverContext, ThresholdFn,
 };
-use muaa_core::{CustomerId, DetRng, Money, PearsonUtility, ProblemInstance, TagVector, Timestamp};
+use muaa_core::{DetRng, Money, PearsonUtility, ProblemInstance, TagVector, Timestamp};
 use muaa_datagen::dist::paper_range_sample;
 
 /// Per-solver ratio statistics across trials.
@@ -170,10 +170,6 @@ pub fn to_table(report: &RatioReport) -> Table {
     }
     t
 }
-
-/// Silence the unused-import lint for `CustomerId` used only in docs.
-#[allow(dead_code)]
-fn _doc_anchor(_: CustomerId) {}
 
 #[cfg(test)]
 mod tests {

@@ -1,13 +1,11 @@
 //! Layer 3 (DESIGN.md §18): a workspace-wide, function-level call
-//! graph over the item trees from [`crate::tree`], plus the three
-//! interprocedural rules that ride on it and the unsafe-reachability
-//! audit.
+//! graph over the item trees from [`crate::tree`], plus the two
+//! interprocedural rules that ride on it.
 //!
 //! | id  | guards | escape hatch |
 //! |-----|--------|--------------|
 //! | D12 | no nondeterminism source reachable from a solver entry point except through a sanctioned wrapper | `// lint: allow(nondet)` at the *source* |
-//! | D13 | nothing transitively callable from a `#[muaa::hot]` fn or an `AllocGuard` region allocates | `// lint: allow(hot_call)` at the allocation |
-//! | D14 | every float reduction reachable from a parallel region goes through the sanctioned reducers | `// lint: allow(par_reduce)` at the reduction |
+//! | D13 | nothing in or transitively callable from a `#[muaa::hot]` fn or an `AllocGuard` region allocates | `// lint: allow(hot_alloc)` at the allocation |
 //!
 //! ## Soundness stance
 //!
@@ -19,19 +17,19 @@
 //! resolves to *zero* workspace functions is external (std or a
 //! dependency); its effects are still seen, because every rule also
 //! scans each function body *textually* for its effect patterns
-//! (`Instant::now`, allocating constructs, float folds). Missing
+//! (`Instant::now`, allocating constructs). Missing
 //! edges can therefore only come from effects hidden behind external
 //! higher-order code, which the workspace does not use on solver
 //! paths. False-positive paths are the accepted cost; the escape
-//! hatch is a justified allow at the effect site, which D8 keeps
-//! honest.
+//! hatch is a justified allow at the effect site, which the allow
+//! hygiene pass keeps honest.
 //!
 //! Sanctioned wrappers *absorb* taint: a sanctioned node is never a
 //! source, and traversal never continues through it. That is what
 //! makes `muaa_core::clock::Stopwatch` usable from a solver while raw
 //! `Instant::now` is not.
 
-use crate::rules::{FileAnalysis, UnsafeSite, Violation};
+use crate::rules::{FileAnalysis, Violation};
 use crate::tree::ItemTree;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
@@ -72,21 +70,6 @@ const D12_ROOT_PATHS: &[&str] = &[
 /// themselves, and the par drivers allocate their fan-out scaffolding
 /// once per region by design.
 const D13_SANCTIONED_FILES: &[&str] = &["crates/core/src/sanitize.rs", "crates/core/src/par.rs"];
-
-/// Files sanctioned for D14: the fixed-chunk reducer and the moment
-/// kernels' lane schedule are the *sanctioned* ways to reduce floats.
-const D14_SANCTIONED_FILES: &[&str] = &["crates/core/src/par.rs", "crates/core/src/simd.rs"];
-
-/// Function names sanctioned for D14 wherever they live (re-exports,
-/// thin forwarding shims).
-const D14_SANCTIONED_FNS: &[&str] = &["sum_f64"];
-
-/// `par::` helpers whose call marks the calling fn as a parallel
-/// region seed for D14: the two that fan work out to other threads.
-/// (`join` is only counted when `par ::`-qualified, so `str::join`
-/// stays out.) `with_threads` is not one: it runs its closure on the
-/// calling thread, and any fan-out inside is a seed of its own.
-const PAR_DRIVERS: &[&str] = &["par_map", "join"];
 
 /// Control keywords that look like `name(…)` to a token scan.
 const CALL_KEYWORDS: &[&str] = &[
@@ -155,19 +138,14 @@ pub struct Node {
     pub name: String,
     /// `impl` self type, for associated fns.
     pub self_type: Option<String>,
-    /// Path segment after `crates/` (or `<root>`), for grouping.
-    pub crate_name: String,
     pub line: u32,
     pub col: u32,
     pub is_pub: bool,
     pub is_hot: bool,
-    pub is_unsafe: bool,
     /// Inside `#[cfg(test)]` / `tests/` collateral — rules skip these.
     pub in_test: bool,
     /// Code-token indices of the body braces.
     pub body: Option<(usize, usize)>,
-    /// Inclusive line span of the body.
-    pub body_lines: Option<(u32, u32)>,
 }
 
 /// One call site, kept with its position so region rules (D13's
@@ -179,9 +157,6 @@ pub struct CallSite {
     pub file: usize,
     /// Code-token index of the callee name.
     pub ci: usize,
-    pub line: u32,
-    /// Enclosing fn node, if the call is inside one.
-    pub caller: Option<usize>,
     /// Resolved workspace targets (empty = external call).
     pub targets: Vec<usize>,
 }
@@ -193,10 +168,6 @@ struct Effects {
     det: Vec<(u32, u32, &'static str)>,
     /// Allocating constructs: (line, col, description).
     alloc: Vec<(u32, u32, &'static str)>,
-    /// Order-sensitive float reductions: (line, col, description).
-    reduce: Vec<(u32, u32, &'static str)>,
-    /// Body calls a `par::` fan-out driver.
-    par_driver: bool,
 }
 
 /// The workspace call graph.
@@ -204,11 +175,8 @@ struct Effects {
 pub struct CallGraph {
     pub nodes: Vec<Node>,
     pub calls: Vec<CallSite>,
-    /// Deduplicated adjacency, both directions.
+    /// Deduplicated callee adjacency.
     callees: Vec<BTreeSet<usize>>,
-    callers: Vec<BTreeSet<usize>>,
-    /// Per-file node ids, for span attribution.
-    file_nodes: Vec<Vec<usize>>,
     effects: Vec<Effects>,
 }
 
@@ -224,15 +192,12 @@ impl CallGraph {
                     file: fi,
                     name: f.name.clone(),
                     self_type: f.self_type.clone(),
-                    crate_name: crate_of(&fa.rel_path),
                     line: f.line,
                     col: f.col,
                     is_pub: f.is_pub,
                     is_hot: f.is_hot,
-                    is_unsafe: f.is_unsafe,
                     in_test: fa.in_test(f.line),
                     body: f.body,
-                    body_lines: f.body_lines,
                 });
                 file_nodes[fi].push(id);
             }
@@ -255,16 +220,9 @@ impl CallGraph {
 
         let mut calls: Vec<CallSite> = Vec::new();
         let mut callees: Vec<BTreeSet<usize>> = vec![BTreeSet::new(); nodes.len()];
-        let mut callers: Vec<BTreeSet<usize>> = vec![BTreeSet::new(); nodes.len()];
-        let add_edge = |from: Option<usize>,
-                        to: &[usize],
-                        callees: &mut Vec<BTreeSet<usize>>,
-                        callers: &mut Vec<BTreeSet<usize>>| {
+        let add_edge = |from: Option<usize>, to: &[usize], callees: &mut Vec<BTreeSet<usize>>| {
             if let Some(c) = from {
-                for &t in to {
-                    callees[c].insert(t);
-                    callers[t].insert(c);
-                }
+                callees[c].extend(to);
             }
         };
 
@@ -352,12 +310,10 @@ impl CallGraph {
                     } else {
                         resolve_free(&nodes, &free_by_name, &t.text, fi)
                     };
-                    add_edge(caller, &targets, &mut callees, &mut callers);
+                    add_edge(caller, &targets, &mut callees);
                     calls.push(CallSite {
                         file: fi,
                         ci,
-                        line: t.line,
-                        caller,
                         targets,
                     });
                 } else if !prev_dot && !prev_colons {
@@ -381,9 +337,9 @@ impl CallGraph {
                             .copied()
                             .filter(|&id| nodes[id].name == t.text && Some(id) != caller)
                             .collect();
-                        add_edge(caller, &hits, &mut callees, &mut callers);
+                        add_edge(caller, &hits, &mut callees);
                         if let Some(captured) = static_refs.get(t.text.as_str()) {
-                            add_edge(caller, captured, &mut callees, &mut callers);
+                            add_edge(caller, captured, &mut callees);
                         }
                     }
                 }
@@ -399,8 +355,6 @@ impl CallGraph {
             nodes,
             calls,
             callees,
-            callers,
-            file_nodes,
             effects,
         }
     }
@@ -469,7 +423,7 @@ impl CallGraph {
     /// point except through a sanctioned wrapper. Anchored at the
     /// entry point; waived only at the *source* fn's site, so an allow
     /// suppresses taint introduced there but never taint merely
-    /// passing through (see the D8 interaction tests).
+    /// passing through (see the allow interaction tests).
     pub fn d12_determinism_taint(&self, files: &[(FileAnalysis, ItemTree)]) -> Vec<Violation> {
         let mut out = Vec::new();
         let mut reported: BTreeSet<(usize, u32, u32)> = BTreeSet::new();
@@ -526,24 +480,22 @@ impl CallGraph {
         named || (node.is_pub && path.starts_with("crates/experiments/src/"))
     }
 
-    /// D13: nothing transitively callable from a `#[muaa::hot]` fn or
-    /// an `AllocGuard` region may allocate. Hot bodies themselves are
-    /// D6's jurisdiction; this rule owns everything they call.
-    pub fn d13_transitive_hot_alloc(&self, files: &[(FileAnalysis, ItemTree)]) -> Vec<Violation> {
+    /// D13: nothing in or transitively callable from a `#[muaa::hot]`
+    /// fn or an `AllocGuard` region may allocate. A hot fn is a root of
+    /// itself, so its own body and everything it calls are checked.
+    pub fn d13_hot_alloc(&self, files: &[(FileAnalysis, ItemTree)]) -> Vec<Violation> {
         let mut out = Vec::new();
         let mut reported: BTreeSet<(usize, u32, u32)> = BTreeSet::new();
         let blocked = |id: usize| {
             let node = &self.nodes[id];
             node.in_test || d13_sanctioned(&files[node.file].0.rel_path)
         };
-        // Roots: callees of hot fns, and targets of calls placed
-        // inside an AllocGuard region.
+        // Roots: hot fns, and targets of calls placed inside an
+        // AllocGuard region.
         let mut roots: Vec<(usize, String)> = Vec::new();
         for (id, node) in self.nodes.iter().enumerate() {
             if node.is_hot && !node.in_test {
-                for &c in &self.callees[id] {
-                    roots.push((c, format!("#[muaa::hot] fn `{}`", self.label(id))));
-                }
+                roots.push((id, format!("#[muaa::hot] fn `{}`", self.label(id))));
             }
         }
         for (fi, (fa, _)) in files.iter().enumerate() {
@@ -563,17 +515,12 @@ impl CallGraph {
             let (order, parent) = self.reach(root, &blocked);
             for v in order {
                 let node = &self.nodes[v];
-                // D6 already patrols hot bodies; re-flagging them here
-                // would double-report every hot helper.
-                if node.is_hot {
-                    continue;
-                }
                 let vf = &files[node.file].0;
                 for &(line, col, what) in &self.effects[v].alloc {
                     if vf.in_test(line) || !reported.insert((node.file, line, col)) {
                         continue;
                     }
-                    if vf.allowed("hot_call", line) {
+                    if vf.allowed("hot_alloc", line) {
                         continue;
                     }
                     out.push(vf.violation(
@@ -581,9 +528,9 @@ impl CallGraph {
                         line,
                         col,
                         format!(
-                            "`{what}` allocates in `{}`, which is transitively callable from \
-                             {origin} (via {}); hoist the allocation out of the hot call tree \
-                             or justify with `// lint: allow(hot_call): <why>`",
+                            "`{what}` allocates in `{}`, reachable from {origin} (via {}); \
+                             hoist the allocation out of the hot call tree or justify with \
+                             `// lint: allow(hot_alloc): <why>`",
                             self.label(v),
                             self.witness(&parent, root, v),
                         ),
@@ -591,225 +538,6 @@ impl CallGraph {
                 }
             }
         }
-        out
-    }
-
-    /// D14: any fn reachable from a parallel region — a fn that calls
-    /// a `par::` fan-out — that performs an order-sensitive f64
-    /// accumulation must be one of the sanctioned reducers.
-    pub fn d14_reduction_taint(&self, files: &[(FileAnalysis, ItemTree)]) -> Vec<Violation> {
-        let mut out = Vec::new();
-        let mut reported: BTreeSet<(usize, u32, u32)> = BTreeSet::new();
-        let blocked = |id: usize| {
-            let node = &self.nodes[id];
-            node.in_test
-                || d14_sanctioned(&files[node.file].0.rel_path)
-                || D14_SANCTIONED_FNS.contains(&node.name.as_str())
-        };
-        for seed in 0..self.nodes.len() {
-            if !self.is_d14_seed(files, seed) {
-                continue;
-            }
-            let (order, parent) = self.reach(seed, &blocked);
-            for v in order {
-                let vf = &files[self.nodes[v].file].0;
-                for &(line, col, what) in &self.effects[v].reduce {
-                    if vf.in_test(line) || !reported.insert((self.nodes[v].file, line, col)) {
-                        continue;
-                    }
-                    if vf.allowed("par_reduce", line) {
-                        continue;
-                    }
-                    out.push(vf.violation(
-                        "D14",
-                        line,
-                        col,
-                        format!(
-                            "order-sensitive float reduction `{what}` in `{}` is reachable \
-                             from parallel region `{}` (via {}); route it through \
-                             `muaa_core::par::sum_f64` or justify with \
-                             `// lint: allow(par_reduce): <why>`",
-                            self.label(v),
-                            self.label(seed),
-                            self.witness(&parent, seed, v),
-                        ),
-                    ));
-                }
-            }
-        }
-        out
-    }
-
-    fn is_d14_seed(&self, files: &[(FileAnalysis, ItemTree)], id: usize) -> bool {
-        let node = &self.nodes[id];
-        !node.in_test
-            && !d14_sanctioned(&files[node.file].0.rel_path)
-            && self.effects[id].par_driver
-    }
-
-    /// Render the production subgraph as GraphViz DOT, clustered per
-    /// crate. Hot fns are filled, public fns double-bordered, unsafe
-    /// fns red — the same vocabulary the audit uses.
-    pub fn render_dot(&self, files: &[(FileAnalysis, ItemTree)]) -> String {
-        let mut s =
-            String::from("digraph muaa_calls {\n  rankdir=LR;\n  node [shape=box, fontsize=10];\n");
-        let keep: Vec<bool> = self.nodes.iter().map(|n| !n.in_test).collect();
-        let mut by_crate: BTreeMap<&str, Vec<usize>> = BTreeMap::new();
-        for (id, node) in self.nodes.iter().enumerate() {
-            if keep[id] {
-                by_crate.entry(&node.crate_name).or_default().push(id);
-            }
-        }
-        for (ki, (crate_name, ids)) in by_crate.iter().enumerate() {
-            s.push_str(&format!(
-                "  subgraph cluster_{ki} {{\n    label=\"{crate_name}\";\n"
-            ));
-            for &id in ids {
-                let node = &self.nodes[id];
-                let mut attrs = format!(
-                    "label=\"{}\\n{}:{}\"",
-                    self.label(id).replace('"', "'"),
-                    basename(&files[node.file].0.rel_path),
-                    node.line
-                );
-                if node.is_hot {
-                    attrs.push_str(", style=filled, fillcolor=\"#ffe0b2\"");
-                }
-                if node.is_pub {
-                    attrs.push_str(", peripheries=2");
-                }
-                if node.is_unsafe {
-                    attrs.push_str(", color=red");
-                }
-                s.push_str(&format!("    n{id} [{attrs}];\n"));
-            }
-            s.push_str("  }\n");
-        }
-        for (from, tos) in self.callees.iter().enumerate() {
-            if !keep[from] {
-                continue;
-            }
-            for &to in tos {
-                if keep[to] {
-                    s.push_str(&format!("  n{from} -> n{to};\n"));
-                }
-            }
-        }
-        s.push_str("}\n");
-        s
-    }
-
-    /// The unsafe-reachability audit: for every `unsafe` site, which
-    /// public entry points can reach the function containing it?
-    /// Grouped per crate; sites outside any fn report module scope.
-    pub fn render_audit(
-        &self,
-        files: &[(FileAnalysis, ItemTree)],
-        unsafe_sites: &[UnsafeSite],
-    ) -> String {
-        let file_idx: BTreeMap<&str, usize> = files
-            .iter()
-            .enumerate()
-            .map(|(i, (fa, _))| (fa.rel_path.as_str(), i))
-            .collect();
-        let mut by_crate: BTreeMap<String, Vec<String>> = BTreeMap::new();
-        let mut total = 0usize;
-        for site in unsafe_sites {
-            let Some(&fi) = file_idx.get(site.file.as_str()) else {
-                continue;
-            };
-            total += 1;
-            let crate_name = crate_of(&site.file);
-            let node = self.node_at(fi, site.line);
-            let safety = if site.has_safety {
-                "SAFETY ok"
-            } else {
-                "SAFETY MISSING"
-            };
-            let entry = match node {
-                None => format!(
-                    "  {}:{} at module scope [{safety}]\n    (not inside any fn)",
-                    site.file, site.line
-                ),
-                Some(id) => {
-                    let entries = self.pub_entries_reaching(id);
-                    let listed: Vec<String> =
-                        entries.iter().take(6).map(|&e| self.label(e)).collect();
-                    let more = entries.len().saturating_sub(6);
-                    let reach_line = if entries.is_empty() {
-                        "not reachable from any public entry point".to_string()
-                    } else if more > 0 {
-                        format!(
-                            "{} public entry points: {} (+{more} more)",
-                            entries.len(),
-                            listed.join(", ")
-                        )
-                    } else {
-                        format!(
-                            "{} public entry points: {}",
-                            entries.len(),
-                            listed.join(", ")
-                        )
-                    };
-                    format!(
-                        "  {}:{} in `{}` [{safety}]\n    {reach_line}",
-                        site.file,
-                        site.line,
-                        self.label(id)
-                    )
-                }
-            };
-            by_crate.entry(crate_name).or_default().push(entry);
-        }
-        let mut s = format!("unsafe-reachability audit: {total} site(s)\n");
-        for (crate_name, entries) in &by_crate {
-            s.push_str(&format!("crate {crate_name} ({} site(s))\n", entries.len()));
-            for e in entries {
-                s.push_str(e);
-                s.push('\n');
-            }
-        }
-        s
-    }
-
-    /// Innermost fn node of `file` whose span covers `line` (an
-    /// `unsafe fn`'s own signature line counts as inside it).
-    fn node_at(&self, file: usize, line: u32) -> Option<usize> {
-        self.file_nodes[file]
-            .iter()
-            .copied()
-            .filter(|&id| {
-                let node = &self.nodes[id];
-                node.line == line
-                    || node
-                        .body_lines
-                        .is_some_and(|(lo, hi)| lo <= line && line <= hi)
-            })
-            .min_by_key(|&id| {
-                let node = &self.nodes[id];
-                node.body_lines.map(|(lo, hi)| hi - lo).unwrap_or(0)
-            })
-    }
-
-    /// Public, non-test entry points that can reach `id` (including
-    /// `id` itself if public), sorted for stable output.
-    fn pub_entries_reaching(&self, id: usize) -> Vec<usize> {
-        let mut seen = BTreeSet::new();
-        let mut q = VecDeque::new();
-        seen.insert(id);
-        q.push_back(id);
-        while let Some(v) = q.pop_front() {
-            for &w in &self.callers[v] {
-                if seen.insert(w) {
-                    q.push_back(w);
-                }
-            }
-        }
-        let mut out: Vec<usize> = seen
-            .into_iter()
-            .filter(|&v| self.nodes[v].is_pub && !self.nodes[v].in_test)
-            .collect();
-        out.sort_by(|&a, &b| self.label(a).cmp(&self.label(b)).then(a.cmp(&b)));
         out
     }
 }
@@ -820,24 +548,6 @@ fn d12_sanctioned(path: &str) -> bool {
 
 fn d13_sanctioned(path: &str) -> bool {
     D13_SANCTIONED_FILES.contains(&path)
-}
-
-fn d14_sanctioned(path: &str) -> bool {
-    D14_SANCTIONED_FILES.contains(&path)
-}
-
-/// Crate name of a workspace-relative path: the segment after
-/// `crates/`, else `<root>`.
-fn crate_of(rel_path: &str) -> String {
-    rel_path
-        .strip_prefix("crates/")
-        .and_then(|r| r.split('/').next())
-        .unwrap_or("<root>")
-        .to_string()
-}
-
-fn basename(rel_path: &str) -> &str {
-    rel_path.rsplit('/').next().unwrap_or(rel_path)
 }
 
 /// Innermost fn of `ids` (one file's nodes) whose body span contains
@@ -1152,8 +862,7 @@ fn scan_effects(fa: &FileAnalysis, node: &Node) -> Effects {
             eff.det.push((t.line, t.col, what));
         }
 
-        // --- allocating constructs (D13; D6's table plus the String
-        // family, since arbitrary non-hot code reaches here) ---
+        // --- allocating constructs (D13) ---
         let bang = |k: usize| k + 1 < hi && fa.tok(k + 1).is_punct('!');
         let callp = |k: usize| k + 1 < hi && fa.tok(k + 1).is_punct('(');
         let alloc: Option<&'static str> =
@@ -1184,37 +893,6 @@ fn scan_effects(fa: &FileAnalysis, node: &Node) -> Effects {
             };
         if let Some(what) = alloc {
             eff.alloc.push((t.line, t.col, what));
-        }
-
-        // --- order-sensitive float reductions (D14) ---
-        if prev_dot && t.is_ident("sum") {
-            let turbofish_f64 = ci + 5 < hi
-                && fa.tok(ci + 1).is_punct(':')
-                && fa.tok(ci + 2).is_punct(':')
-                && fa.tok(ci + 3).is_punct('<')
-                && fa.tok(ci + 4).is_ident("f64")
-                && fa.tok(ci + 5).is_punct('>');
-            if turbofish_f64 {
-                eff.reduce.push((t.line, t.col, ".sum::<f64>()"));
-            }
-        } else if prev_dot && t.is_ident("fold") && callp(ci) && ci + 2 < hi {
-            // Only an *adding* fold over a float-literal accumulator
-            // init (`0.0`, `0f64`) counts: integer folds (Money cents,
-            // counts) are exact in any order, and max/min folds do not
-            // re-associate.
-            let init = fa.tok(ci + 2);
-            let is_float_lit = init.kind == TokenKind::Num
-                && (init.text.contains('.')
-                    || init.text.contains("f64")
-                    || init.text.contains("f32"));
-            if is_float_lit && crate::rules::fold_arg_has_binary_add(fa, ci + 1, hi) {
-                eff.reduce.push((t.line, t.col, ".fold(<float>, +)"));
-            }
-        }
-
-        // --- parallel-region seeding (D14) ---
-        if t.is_ident("par") && colons(ci) && PAR_DRIVERS.contains(&fa.tok(ci + 3).text.as_str()) {
-            eff.par_driver = true;
         }
     }
     eff
@@ -1430,19 +1108,22 @@ mod tests {
         let src = "#[muaa::hot]\nfn kernel(out: &mut Vec<f64>) { helper(out); }\n\
                    fn helper(out: &mut Vec<f64>) { out.push(1.0); }";
         let (files, g) = ws(&[("crates/core/src/a.rs", src)]);
-        let v = g.d13_transitive_hot_alloc(&files);
+        let v = g.d13_hot_alloc(&files);
         assert_eq!(v.len(), 1, "{v:?}");
         assert_eq!((v[0].rule, v[0].line), ("D13", 3));
         assert!(v[0].message.contains("kernel"), "{}", v[0].message);
     }
 
     #[test]
-    fn d13_leaves_hot_bodies_to_d6_and_sanctioned_files_alone() {
-        // A hot callee that allocates is D6's finding, not D13's.
+    fn d13_reports_hot_bodies_once_and_leaves_sanctioned_files_alone() {
+        // A hot fn is its own root: the allocation in `kernel2` is found
+        // from both hot fns but reported once.
         let hot_chain = "#[muaa::hot]\nfn kernel() { kernel2(); }\n\
                         #[muaa::hot]\nfn kernel2(out: &mut Vec<f64>) { out.push(1.0); }";
         let (files, g) = ws(&[("crates/core/src/a.rs", hot_chain)]);
-        assert!(g.d13_transitive_hot_alloc(&files).is_empty());
+        let v = g.d13_hot_alloc(&files);
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert_eq!((v[0].rule, v[0].line), ("D13", 4));
         // The par drivers allocate their scaffolding by design.
         let via_par = "#[muaa::hot]\nfn kernel() { scaffold(); }";
         let par = "pub fn scaffold() { let v = Vec::new(); drop(v); }";
@@ -1450,7 +1131,7 @@ mod tests {
             ("crates/core/src/a.rs", via_par),
             ("crates/core/src/par.rs", par),
         ]);
-        assert!(g.d13_transitive_hot_alloc(&files).is_empty());
+        assert!(g.d13_hot_alloc(&files).is_empty());
     }
 
     #[test]
@@ -1465,7 +1146,7 @@ mod tests {
                    fn pre() { let v = Vec::new(); drop(v); }\n\
                    fn post() { let v = Vec::new(); drop(v); }";
         let (files, g) = ws(&[("crates/core/src/a.rs", src)]);
-        let v = g.d13_transitive_hot_alloc(&files);
+        let v = g.d13_hot_alloc(&files);
         assert_eq!(v.len(), 1, "{v:?}");
         assert!(v[0].message.contains("`post`"), "{}", v[0].message);
         assert!(
@@ -1479,103 +1160,10 @@ mod tests {
     fn d13_allow_at_the_allocation_site_waives_it() {
         let src = "#[muaa::hot]\nfn kernel(out: &mut Vec<f64>) { helper(out); }\n\
                    fn helper(out: &mut Vec<f64>) {\n\
-                   \x20   // warm-up growth pinned by the counting guard. lint: allow(hot_call)\n\
+                   \x20   // warm-up growth pinned by the counting guard. lint: allow(hot_alloc)\n\
                    \x20   out.push(1.0);\n\
                    }";
         let (files, g) = ws(&[("crates/core/src/a.rs", src)]);
-        assert!(g.d13_transitive_hot_alloc(&files).is_empty());
-    }
-
-    // ---- D14 --------------------------------------------------------
-
-    #[test]
-    fn d14_follows_par_driver_calls_to_raw_reductions() {
-        let src = "fn fan(xs: &[f64]) -> f64 { par::par_map(xs, |x| *x); downstream(xs) }\n\
-                   fn downstream(xs: &[f64]) -> f64 { xs.iter().sum::<f64>() }";
-        let (files, g) = ws(&[("crates/algorithms/src/a.rs", src)]);
-        let v = g.d14_reduction_taint(&files);
-        assert_eq!(v.len(), 1, "{v:?}");
-        assert_eq!((v[0].rule, v[0].line), ("D14", 2));
-        assert!(v[0].message.contains("fan"), "{}", v[0].message);
-    }
-
-    #[test]
-    fn d14_ignores_sanctioned_reducers_max_folds_and_pinned_thread_counts() {
-        // Routed through the sanctioned reducer name: clean.
-        let routed = "fn fan(xs: &[f64]) -> f64 { par::par_map(xs, |x| *x); sum_f64(xs) }\n\
-                      fn sum_f64(xs: &[f64]) -> f64 { xs.iter().sum::<f64>() }";
-        let (files, g) = ws(&[("crates/algorithms/src/a.rs", routed)]);
-        assert!(g.d14_reduction_taint(&files).is_empty());
-        // Max folds do not re-associate: clean.
-        let maxed = "fn fan(xs: &[f64]) -> f64 { par::par_map(xs, |x| *x); peak(xs) }\n\
-                     fn peak(xs: &[f64]) -> f64 { xs.iter().copied().fold(0.0_f64, f64::max) }";
-        let (files, g) = ws(&[("crates/algorithms/src/a.rs", maxed)]);
-        assert!(g.d14_reduction_taint(&files).is_empty());
-        // `with_threads` runs its closure on the calling thread: pinning
-        // a thread count fans nothing out, so the caller's own float
-        // sums are not reachable from a parallel region.
-        let pinned = "fn main() {\n    let t = par::with_threads(1, || solve());\n    \
-                      let s = [t, 2.0].iter().sum::<f64>();\n    report(s);\n}";
-        let (files, g) = ws(&[("src/main.rs", pinned)]);
-        assert!(g.d14_reduction_taint(&files).is_empty());
-    }
-
-    #[test]
-    fn d14_flags_adding_float_folds_reached_from_regions() {
-        let src = "fn fan(xs: &[f64]) -> f64 { par::join(|| 1, || 2); acc(xs) }\n\
-                   fn acc(xs: &[f64]) -> f64 { xs.iter().fold(0.0, |a, x| a + x) }";
-        let (files, g) = ws(&[("crates/algorithms/src/a.rs", src)]);
-        let v = g.d14_reduction_taint(&files);
-        assert_eq!(v.len(), 1, "{v:?}");
-        assert!(v[0].message.contains(".fold"), "{}", v[0].message);
-    }
-
-    // ---- artifacts --------------------------------------------------
-
-    #[test]
-    fn dot_clusters_by_crate_and_skips_test_fns() {
-        let src = "pub fn entry() { helper(); }\nfn helper() {}\n\
-                   #[cfg(test)]\nmod tests {\n    #[test]\n    fn probe_fn() {}\n}";
-        let (files, g) = ws(&[("crates/core/src/a.rs", src)]);
-        let dot = g.render_dot(&files);
-        assert!(dot.contains("digraph muaa_calls"), "{dot}");
-        assert!(dot.contains("label=\"core\""), "{dot}");
-        assert!(dot.contains("entry"), "{dot}");
-        assert!(dot.contains("->"), "{dot}");
-        assert!(!dot.contains("probe_fn"), "test fns must be skipped: {dot}");
-    }
-
-    #[test]
-    fn audit_traces_unsafe_sites_to_public_entry_points() {
-        let src = "pub fn entry() { helper(); }\n\
-                   fn helper() { core_op(); }\n\
-                   unsafe fn core_op() {}";
-        let (files, g) = ws(&[("crates/core/src/a.rs", src)]);
-        let sites = vec![UnsafeSite {
-            file: "crates/core/src/a.rs".to_string(),
-            line: 3,
-            col: 1,
-            has_safety: true,
-        }];
-        let audit = g.render_audit(&files, &sites);
-        assert!(audit.contains("crate core"), "{audit}");
-        assert!(audit.contains("`core_op`"), "{audit}");
-        assert!(audit.contains("entry"), "{audit}");
-        assert!(audit.contains("SAFETY ok"), "{audit}");
-        // An unreachable unsafe fn reports that honestly.
-        let lone = "unsafe fn island() {}";
-        let (files, g) = ws(&[("crates/core/src/b.rs", lone)]);
-        let sites = vec![UnsafeSite {
-            file: "crates/core/src/b.rs".to_string(),
-            line: 1,
-            col: 1,
-            has_safety: false,
-        }];
-        let audit = g.render_audit(&files, &sites);
-        assert!(
-            audit.contains("not reachable from any public entry point"),
-            "{audit}"
-        );
-        assert!(audit.contains("SAFETY MISSING"), "{audit}");
+        assert!(g.d13_hot_alloc(&files).is_empty());
     }
 }

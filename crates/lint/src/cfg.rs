@@ -1,10 +1,10 @@
 //! Per-function control-flow graphs and a forward dataflow framework
 //! (DESIGN.md §19).
 //!
-//! The token rules (D1–D4), item rules (D6–D11) and call-graph rules
-//! (D12–D14) all reason about *which* constructs appear in a body,
-//! never about the *order they execute in*. The typestate rules
-//! (D15–D17) need exactly that order: a guard binding matters only
+//! The token rule (D1) and the call-graph rules (D12, D13) reason
+//! about *which* constructs appear in a body, never about the *order
+//! they execute in*. The typestate rules (D15, D16) need exactly that
+//! order: a guard binding matters only
 //! relative to the statements it outlives, an epoch bump only
 //! relative to the mutations it dominates. This module lowers one
 //! function body — the `(open, close)` code-token span recorded by
@@ -86,9 +86,6 @@ pub struct Cfg {
     pub entry: usize,
     /// Exit block id (always 1).
     pub exit: usize,
-    /// `(open, close)` code-token spans of loop-body braces, one per
-    /// `loop`/`while`/`for` encountered (labeled blocks excluded).
-    pub loop_bodies: Vec<(usize, usize)>,
 }
 
 impl Cfg {
@@ -182,7 +179,6 @@ pub fn build_fn(fa: &FileAnalysis, body: (usize, usize)) -> Cfg {
         blocks: vec![Vec::new(), Vec::new()],
         edges: Vec::new(),
         loops: Vec::new(),
-        loop_bodies: Vec::new(),
     };
     let close = close.min(fa.code_len());
     let last = b.lower(open + 1, close, 0);
@@ -192,7 +188,6 @@ pub fn build_fn(fa: &FileAnalysis, body: (usize, usize)) -> Cfg {
         edges: b.edges,
         entry: 0,
         exit: 1,
-        loop_bodies: b.loop_bodies,
     }
 }
 
@@ -238,7 +233,6 @@ struct Builder<'a> {
     blocks: Vec<Vec<Stmt>>,
     edges: Vec<(usize, usize, EdgeKind)>,
     loops: Vec<LoopCtx>,
-    loop_bodies: Vec<(usize, usize)>,
 }
 
 impl Builder<'_> {
@@ -585,7 +579,6 @@ impl Builder<'_> {
         }
         let body_b = self.new_block();
         self.edge(head, body_b, EdgeKind::Branch);
-        self.loop_bodies.push((open, close));
         self.loops.push(LoopCtx { label, head, after });
         let body_exit = self.lower(open + 1, close, body_b);
         self.loops.pop();
@@ -623,7 +616,7 @@ mod tests {
         let cfg = cfg_of("fn f() -> u32 {\n    let a = 1;\n    let b = a + 1;\n    a + b\n}\n");
         assert_eq!(cfg.blocks[cfg.entry].len(), 3);
         assert_eq!(cfg.edges, vec![(0, 1, EdgeKind::Seq)]);
-        assert!(cfg.loop_bodies.is_empty());
+        assert_eq!(kind_count(&cfg, EdgeKind::Back), 0);
     }
 
     #[test]
@@ -658,7 +651,6 @@ mod tests {
     fn while_loop_has_back_edge_and_zero_iteration_exit() {
         let cfg = cfg_of("fn f(n: u32) {\n    let mut i = 0;\n    while i < n {\n        i += 1;\n    }\n    done(i);\n}\n");
         assert_eq!(kind_count(&cfg, EdgeKind::Back), 1);
-        assert_eq!(cfg.loop_bodies.len(), 1);
         // The head both enters the body and skips it.
         let (_, back_to, _) = *cfg
             .edges
@@ -678,7 +670,6 @@ mod tests {
         let cfg = cfg_of(
             "fn f() {\n    'outer: for i in 0..10 {\n        for j in 0..10 {\n            if i + j == 7 {\n                break 'outer;\n            }\n            if j == 3 {\n                continue 'outer;\n            }\n        }\n    }\n    done();\n}\n",
         );
-        assert_eq!(cfg.loop_bodies.len(), 2);
         assert_eq!(kind_count(&cfg, EdgeKind::Back), 2);
         let backs: Vec<usize> = cfg
             .edges
@@ -817,7 +808,11 @@ mod tests {
             "fn f(c: bool) {\n    'scope: {\n        if c {\n            break 'scope;\n        }\n        slow();\n    }\n    done();\n}\n",
         );
         assert_eq!(kind_count(&cfg, EdgeKind::Break), 1);
-        assert!(cfg.loop_bodies.is_empty(), "a labeled block is not a loop");
+        assert_eq!(
+            kind_count(&cfg, EdgeKind::Back),
+            0,
+            "a labeled block is not a loop"
+        );
         assert!(cfg.reachable()[cfg.exit]);
     }
 
@@ -880,7 +875,7 @@ mod tests {
         let cfg =
             cfg_of("fn f() {\n    #[cfg(test)]\n    for i in 0..3 {\n        tick(i);\n    }\n}\n");
         assert_eq!(
-            cfg.loop_bodies.len(),
+            kind_count(&cfg, EdgeKind::Back),
             1,
             "the attribute must not swallow the loop"
         );

@@ -1,41 +1,38 @@
-//! The MUAA rule set (DESIGN.md §13–§14, §19): fourteen
-//! repo-specific determinism and safety rules, declared in [`RULES`]
-//! with per-path allowlists and applied over the token stream from
-//! [`crate::lexer`], the item view from [`crate::tree`], and — for
-//! the typestate rules — the per-function CFGs from [`crate::cfg`].
+//! The MUAA rule set (DESIGN.md §13–§14, §19): five repo-specific
+//! determinism and safety rules that rustc and clippy cannot express,
+//! declared in [`RULES`] with per-path scopes and applied over the
+//! token stream from [`crate::lexer`], the item view from
+//! [`crate::tree`], and — for the typestate rules — the per-function
+//! CFGs from [`crate::cfg`]. Each rule has a witness: a one-line
+//! mutation of live workspace code that is a real bug, that tier-1
+//! `cargo test` and clippy miss, and that the rule flags
+//! (`tests/workspace_gate.rs`).
 //!
 //! | id | guards | escape hatch |
 //! |----|--------|--------------|
 //! | D1 | no `partial_cmp`/`lt`-style comparators in sort/search/extrema call chains | `// lint: allow(partial_cmp)` |
-//! | D2 | no `HashMap`/`HashSet` iteration in solver-path crates | `// lint: allow(hash_iter)` |
-//! | D3 | every `unsafe` needs an immediately preceding `// SAFETY:` | (the comment itself) |
-//! | D4 | no `.unwrap()`/`.expect()` in core/spatial library code | `// lint: allow(unwrap)` |
-//! | D6 | no allocating constructs inside `#[muaa::hot]` functions | `// lint: allow(hot_alloc)` |
-//! | D8 | every allow annotation is justified and still suppresses something | (none — fix the annotation) |
-//! | D9 | every `debug_validate*` validator is reachable from at least one test | `// lint: allow(dead_validator)` |
-//! | D11 | every `apply`/`apply_delta` that names `Delta::` variants names them all | `// lint: allow(delta_parity)` |
 //! | D12 | no nondeterminism source reachable from a solver entry point (interprocedural; see [`crate::callgraph`]) | `// lint: allow(nondet)` |
-//! | D13 | nothing transitively callable from `#[muaa::hot]` / an `AllocGuard` region allocates | `// lint: allow(hot_call)` |
-//! | D14 | float reductions reachable from parallel regions use the sanctioned reducers | `// lint: allow(par_reduce)` |
+//! | D13 | nothing in or transitively callable from `#[muaa::hot]` / an `AllocGuard` region allocates | `// lint: allow(hot_alloc)` |
 //! | D15 | RAII guards (`AllocGuard`/`NanGuard`/`Stopwatch`) are never bound as `let _`, `mem::forget`-ed, or dropped while guarded statements remain on some path | `// lint: allow(guard_lifetime)` |
 //! | D16 | in `apply`/`apply_delta` bodies, every path to a derived-structure mutation is dominated by exactly one epoch bump, and no `Err` exit follows a mutation (valid-prefix) | `// lint: allow(epoch_protocol)` |
-//! | D17 | no manual `f64` compound-assign accumulation in loops inside hot fns outside the sanctioned reducers | `// lint: allow(manual_accum)` |
 //!
-//! D1/D2 exist because the repo's 0-ULP thread-count and
+//! D1 exists because the repo's 0-ULP thread-count and
 //! delta-vs-rebuild guarantees die silently when a float comparator is
-//! non-total (NaN makes `sort_by` order unspecified) or when a merge
-//! order depends on hash-table iteration. D6 is the static half of the
-//! zero-allocation claim the `muaa-sanitize` runtime guards check
-//! dynamically; D14 is the static half of the thread-count-invariance
-//! claim `tests/thread_determinism.rs` checks end-to-end. An annotation
-//! applies to its own line and the line directly below it; D8 keeps
-//! the annotation inventory honest (doc comments never register
-//! annotations, so rule tables like the one above are inert).
+//! non-total (NaN makes `sort_by` order unspecified). D13 is the static
+//! half of the zero-allocation claim the `muaa-sanitize` runtime guards
+//! check dynamically, which only the sanitized suite runs.
+//!
+//! An annotation applies to its own line and the line directly below
+//! it, and works like `#[expect(lint, reason = "..")]`: its comment
+//! block must say why, and it must suppress something, or the pass
+//! reports it under the rule that owns the key ([`allow_hygiene`]).
+//! Doc comments never register annotations, so rule tables like the
+//! one above are inert.
 
 use crate::lexer::{lex, Token, TokenKind};
 use crate::tree::ItemTree;
 use std::cell::Cell;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 /// Methods whose closure argument is an ordering decision: a
 /// `partial_cmp` inside any of these is a determinism hazard.
@@ -51,23 +48,8 @@ const COMPARATOR_METHODS: &[&str] = &[
 /// `PartialOrd::lt`-style methods — also non-total on floats.
 const PARTIAL_ORD_METHODS: &[&str] = &["lt", "le", "gt", "ge"];
 
-/// `HashMap`/`HashSet` methods whose visit order is nondeterministic.
-const HASH_ITER_METHODS: &[&str] = &[
-    "iter",
-    "iter_mut",
-    "keys",
-    "values",
-    "values_mut",
-    "drain",
-    "into_iter",
-    "into_keys",
-    "into_values",
-    "retain",
-    "extract_if",
-];
-
-/// One rule's declaration: scope (path prefixes/substrings) plus the
-/// annotation key that waives it.
+/// One rule's declaration: scope (path prefixes) plus the annotation
+/// key that waives it.
 #[derive(Debug)]
 pub struct RuleSpec {
     pub id: &'static str,
@@ -75,89 +57,21 @@ pub struct RuleSpec {
     /// `// lint: allow(<key>)` waives this rule on that line / the next.
     pub allow_key: &'static str,
     /// Workspace-relative path prefixes the rule applies to (empty =
-    /// every file).
+    /// every file). Every rule but D1 skips test code (`#[cfg(test)]` /
+    /// `#[test]` regions, `tests/` and `benches/` files).
     pub include: &'static [&'static str],
-    /// Path substrings that exempt a file.
-    pub exclude: &'static [&'static str],
-    /// Skip `#[cfg(test)]` / `#[test]` regions and `tests/`/`benches/`
-    /// files.
-    pub skip_test_code: bool,
 }
 
-/// The rule table. Scopes mirror the determinism contract: D2/D4 bind
-/// the crates on the solver path, D1/D3 bind the whole tree.
+/// The rule table.
 pub const RULES: &[RuleSpec] = &[
     RuleSpec {
         id: "D1",
         summary: "non-total float comparator (use f64::total_cmp)",
         allow_key: "partial_cmp",
         include: &[],
-        exclude: &[],
-        skip_test_code: false,
     },
-    RuleSpec {
-        id: "D2",
-        summary: "HashMap/HashSet iteration on the solver path (use BTreeMap or a sorted Vec)",
-        allow_key: "hash_iter",
-        include: &[
-            "crates/core/src/",
-            "crates/algorithms/src/",
-            "crates/spatial/src/",
-        ],
-        exclude: &[],
-        skip_test_code: true,
-    },
-    RuleSpec {
-        id: "D3",
-        summary: "unsafe without an immediately preceding // SAFETY: comment",
-        allow_key: "", // the SAFETY comment is the escape hatch
-        include: &[],
-        exclude: &[],
-        skip_test_code: false,
-    },
-    RuleSpec {
-        id: "D4",
-        summary: ".unwrap()/.expect() in library code (return an error or annotate)",
-        allow_key: "unwrap",
-        include: &["crates/core/src/", "crates/spatial/src/"],
-        exclude: &["/bin/", "main.rs"],
-        skip_test_code: true,
-    },
-    RuleSpec {
-        id: "D6",
-        summary: "allocating construct inside a #[muaa::hot] function",
-        allow_key: "hot_alloc",
-        include: &[],
-        exclude: &[],
-        skip_test_code: true,
-    },
-    RuleSpec {
-        id: "D8",
-        summary: "allow annotation without a justification, or stale (suppresses nothing)",
-        allow_key: "", // no escape hatch: fix or delete the annotation
-        include: &[],
-        exclude: &[],
-        skip_test_code: false,
-    },
-    RuleSpec {
-        id: "D9",
-        summary: "debug_validate* validator unreachable from any test",
-        allow_key: "dead_validator",
-        include: &["crates/", "src/"],
-        exclude: &[],
-        skip_test_code: false,
-    },
-    RuleSpec {
-        id: "D11",
-        summary: "apply/apply_delta names Delta:: variants but not all of them \
-                  (ProblemInstance::apply / SolverContext::apply arm parity)",
-        allow_key: "delta_parity",
-        include: &["crates/", "src/"],
-        exclude: &[],
-        skip_test_code: true,
-    },
-    // D12–D14 are interprocedural: their scoping (entry-point roots,
-    // sanctioned-wrapper tables) lives in `crate::callgraph`, so the
+    // D12 and D13 are interprocedural: their scoping (entry-point
+    // roots, sanctioned-file tables) lives in `crate::callgraph`, so the
     // path scope here is the whole tree.
     RuleSpec {
         id: "D12",
@@ -165,37 +79,22 @@ pub const RULES: &[RuleSpec] = &[
                   (route through muaa_core::clock / rng / par)",
         allow_key: "nondet",
         include: &[],
-        exclude: &[],
-        skip_test_code: true,
     },
     RuleSpec {
         id: "D13",
-        summary: "allocating construct transitively callable from a #[muaa::hot] fn \
+        summary: "allocating construct in or transitively callable from a #[muaa::hot] fn \
                   or an AllocGuard region",
-        allow_key: "hot_call",
+        allow_key: "hot_alloc",
         include: &[],
-        exclude: &[],
-        skip_test_code: true,
     },
-    RuleSpec {
-        id: "D14",
-        summary: "order-sensitive float reduction reachable from a parallel region \
-                  (use muaa_core::par::sum_f64)",
-        allow_key: "par_reduce",
-        include: &[],
-        exclude: &[],
-        skip_test_code: true,
-    },
-    // D15–D17 are the typestate rules: intra-procedural dataflow over
-    // the per-function CFGs from `crate::cfg` (DESIGN.md §19).
+    // D15 and D16 are the typestate rules: intra-procedural dataflow
+    // over the per-function CFGs from `crate::cfg` (DESIGN.md §19).
     RuleSpec {
         id: "D15",
         summary: "RAII guard bound as `let _` (drops immediately), mem::forget-ed, \
                   or dropped before the region's last guarded statement",
         allow_key: "guard_lifetime",
         include: &["crates/", "src/"],
-        exclude: &[],
-        skip_test_code: true,
     },
     RuleSpec {
         id: "D16",
@@ -204,17 +103,6 @@ pub const RULES: &[RuleSpec] = &[
                   (valid-prefix invariant)",
         allow_key: "epoch_protocol",
         include: &["crates/", "src/"],
-        exclude: &[],
-        skip_test_code: true,
-    },
-    RuleSpec {
-        id: "D17",
-        summary: "manual f64 compound-assign accumulation in a loop inside a \
-                  hot fn (route through the sanctioned reducers)",
-        allow_key: "manual_accum",
-        include: &["crates/", "src/"],
-        exclude: &[],
-        skip_test_code: true,
     },
 ];
 
@@ -227,10 +115,6 @@ pub struct Violation {
     pub col: u32,
     pub message: String,
     pub snippet: String,
-    /// The `lint: allow(<key>)` key that would waive this violation
-    /// (empty for rules with no escape hatch) — machine consumers of
-    /// `--format=json` use it to suggest the annotation.
-    pub allow_key: &'static str,
 }
 
 impl std::fmt::Display for Violation {
@@ -243,18 +127,9 @@ impl std::fmt::Display for Violation {
     }
 }
 
-/// One `unsafe` occurrence, for the D3 audit table.
-#[derive(Debug, Clone)]
-pub struct UnsafeSite {
-    pub file: String,
-    pub line: u32,
-    pub col: u32,
-    pub has_safety: bool,
-}
-
 /// One `lint: allow(<key>)` annotation occurrence, with the hygiene
-/// facts rule D8 audits: whether its comment block says *why*, and
-/// whether any rule actually consulted-and-used it this pass.
+/// facts [`allow_hygiene`] audits: whether its comment block says
+/// *why*, and whether any rule actually consulted-and-used it this pass.
 pub(crate) struct AllowSite {
     pub(crate) key: String,
     pub(crate) line: u32,
@@ -285,10 +160,6 @@ pub struct FileAnalysis {
     pub(crate) allow_sites: Vec<AllowSite>,
     /// line → indices into `allow_sites` registered there.
     allow: BTreeMap<u32, Vec<usize>>,
-    /// Lines touched by any comment.
-    comment_lines: BTreeSet<u32>,
-    /// Lines touched by a comment containing `SAFETY:`.
-    safety_lines: BTreeSet<u32>,
     /// Line ranges (inclusive) of `#[cfg(test)]` / `#[test]` items.
     test_ranges: Vec<(u32, u32)>,
     /// Whole file is test collateral (`tests/`, `benches/`).
@@ -305,8 +176,7 @@ impl std::fmt::Debug for FileAnalysis {
 }
 
 impl FileAnalysis {
-    /// Lex and pre-index `src` (annotations, SAFETY comments, test
-    /// regions). `rel_path` should be workspace-relative with `/`
+    /// Lex and pre-index `src` (annotations, test regions). `rel_path` should be workspace-relative with `/`
     /// separators — it drives every scope decision.
     pub fn new(rel_path: &str, src: &str) -> Self {
         let tokens = lex(src);
@@ -318,11 +188,9 @@ impl FileAnalysis {
             .collect();
         let mut allow: BTreeMap<u32, Vec<usize>> = BTreeMap::new();
         let mut allow_sites: Vec<AllowSite> = Vec::new();
-        let mut comment_lines = BTreeSet::new();
-        let mut safety_lines = BTreeSet::new();
         // Non-doc comments group into contiguous blocks; the block's
         // combined text is the justification context for every allow
-        // annotation inside it (D8). Doc comments are documentation —
+        // annotation inside it. Doc comments are documentation —
         // they describe annotations without registering them.
         let mut block_end = 0u32;
         let mut block_text = String::new();
@@ -332,14 +200,6 @@ impl FileAnalysis {
                 continue;
             }
             let span_end = t.line + t.text.matches('\n').count() as u32;
-            for l in t.line..=span_end {
-                comment_lines.insert(l);
-            }
-            if t.text.contains("SAFETY:") {
-                for l in t.line..=span_end {
-                    safety_lines.insert(l);
-                }
-            }
             if is_doc_comment(t) {
                 continue;
             }
@@ -392,8 +252,6 @@ impl FileAnalysis {
             code,
             allow_sites,
             allow,
-            comment_lines,
-            safety_lines,
             test_ranges: Vec::new(),
             path_is_test,
         };
@@ -412,7 +270,7 @@ impl FileAnalysis {
     }
 
     /// Is `key` waived on `line` (annotation there or on the line
-    /// above)? A `true` marks every matching site as used — D8's
+    /// above)? A `true` marks every matching site as used — the
     /// staleness audit is exactly the sites this never touched.
     pub(crate) fn allowed(&self, key: &str, line: u32) -> bool {
         let mut hit = false;
@@ -460,7 +318,6 @@ impl FileAnalysis {
             col,
             message,
             snippet,
-            allow_key: spec(rule).allow_key,
         }
     }
 
@@ -580,22 +437,6 @@ impl FileAnalysis {
         }
         self.code.len().saturating_sub(1)
     }
-
-    /// Is there a `// SAFETY:` comment on `line` or immediately above it
-    /// (walking up through a contiguous comment block)?
-    fn safety_before(&self, line: u32) -> bool {
-        if self.safety_lines.contains(&line) {
-            return true;
-        }
-        let mut l = line.saturating_sub(1);
-        while l >= 1 && self.comment_lines.contains(&l) {
-            if self.safety_lines.contains(&l) {
-                return true;
-            }
-            l -= 1;
-        }
-        false
-    }
 }
 
 /// Doc comments (`///`, `//!`, `/** */`, `/*! */`) are documentation:
@@ -635,7 +476,7 @@ fn seal_block(
 }
 
 /// Alphanumeric characters in `block` outside `lint: allow(…)`
-/// fragments — the "did you say why" measure for D8.
+/// fragments — the "did you say why" measure.
 fn justification_weight(block: &str) -> usize {
     let mut weight = 0usize;
     let mut rest = block;
@@ -679,38 +520,21 @@ fn is_test_attr(attr: &[Token]) -> bool {
 
 /// Does `spec` govern this file?
 fn applies(spec: &RuleSpec, rel_path: &str) -> bool {
-    let included = spec.include.is_empty() || spec.include.iter().any(|p| rel_path.starts_with(p));
-    included && !spec.exclude.iter().any(|p| rel_path.contains(p))
+    spec.include.is_empty() || spec.include.iter().any(|p| rel_path.starts_with(p))
 }
 
 fn spec(id: &str) -> &'static RuleSpec {
     RULES.iter().find(|r| r.id == id).expect("known rule id")
 }
 
-/// Run every applicable *per-file* rule over one analysed file. D8
-/// (allow hygiene) and D9 (dead validators) run afterwards from
-/// [`crate::run_sources`]: D9 needs the whole workspace, and D8's
-/// staleness audit must observe every other rule's allow consultations
-/// — including D9's.
-pub fn run_all(fa: &FileAnalysis, tree: &ItemTree) -> (Vec<Violation>, Vec<UnsafeSite>) {
+/// Run every applicable *per-file* rule over one analysed file. The
+/// interprocedural rules and [`allow_hygiene`] run afterwards from
+/// [`crate::run_sources`]: the former need the whole workspace, and the
+/// staleness audit must observe every rule's allow consultations.
+pub fn run_all(fa: &FileAnalysis, tree: &ItemTree) -> Vec<Violation> {
     let mut violations = Vec::new();
-    let mut unsafe_sites = Vec::new();
     if applies(spec("D1"), &fa.rel_path) {
         violations.extend(d1_float_comparators(fa));
-    }
-    if applies(spec("D2"), &fa.rel_path) {
-        violations.extend(d2_hash_iteration(fa));
-    }
-    if applies(spec("D3"), &fa.rel_path) {
-        let (v, sites) = d3_unsafe_safety(fa);
-        violations.extend(v);
-        unsafe_sites.extend(sites);
-    }
-    if applies(spec("D4"), &fa.rel_path) {
-        violations.extend(d4_unwrap(fa));
-    }
-    if applies(spec("D6"), &fa.rel_path) {
-        violations.extend(d6_hot_alloc(fa, tree));
     }
     if applies(spec("D15"), &fa.rel_path) {
         violations.extend(d15_guard_lifetime(fa, tree));
@@ -718,12 +542,9 @@ pub fn run_all(fa: &FileAnalysis, tree: &ItemTree) -> (Vec<Violation>, Vec<Unsaf
     if applies(spec("D16"), &fa.rel_path) {
         violations.extend(d16_epoch_protocol(fa, tree));
     }
-    if applies(spec("D17"), &fa.rel_path) {
-        violations.extend(d17_manual_accumulation(fa, tree));
-    }
     violations.sort_by_key(|v| (v.line, v.col, v.rule));
     violations.dedup_by_key(|v| (v.line, v.col, v.rule));
-    (violations, unsafe_sites)
+    violations
 }
 
 /// D1: `partial_cmp` (or `lt`/`le`/`gt`/`ge` calls) inside the closure
@@ -782,312 +603,20 @@ fn d1_float_comparators(fa: &FileAnalysis) -> Vec<Violation> {
     out
 }
 
-/// D2: iteration over names declared as `HashMap`/`HashSet` in this
-/// file (field types, `let` ascriptions, or `= HashMap::…` inits),
-/// either via order-nondeterministic methods or `for … in map`.
-fn d2_hash_iteration(fa: &FileAnalysis) -> Vec<Violation> {
-    let rule = spec("D2");
-    let n = fa.code.len();
-    // Pass A: names with hash-table types.
-    let mut hash_names: BTreeSet<String> = BTreeSet::new();
-    for ci in 0..n {
-        let t = fa.tok(ci);
-        if !(t.is_ident("HashMap") || t.is_ident("HashSet")) {
-            continue;
-        }
-        // `name = HashMap::new()` (incl. `let mut name = …`).
-        if ci >= 2 && fa.tok(ci - 1).is_punct('=') && fa.tok(ci - 2).kind == TokenKind::Ident {
-            hash_names.insert(fa.tok(ci - 2).text.clone());
-            continue;
-        }
-        // `name: [path::]HashMap<…>` — walk back over the path prefix.
-        let mut j = ci;
-        while j >= 3
-            && fa.tok(j - 1).is_punct(':')
-            && fa.tok(j - 2).is_punct(':')
-            && fa.tok(j - 3).kind == TokenKind::Ident
-        {
-            j -= 3;
-        }
-        if j >= 2
-            && fa.tok(j - 1).is_punct(':')
-            && !fa.tok(j - 2).is_punct(':')
-            && fa.tok(j - 2).kind == TokenKind::Ident
-        {
-            hash_names.insert(fa.tok(j - 2).text.clone());
-        }
-    }
-    if hash_names.is_empty() {
-        return Vec::new();
-    }
-    let mut out = Vec::new();
-    // Pass B1: `name.iter()`-style calls.
-    for ci in 0..n.saturating_sub(2) {
-        let recv = fa.tok(ci);
-        if recv.kind != TokenKind::Ident || !hash_names.contains(&recv.text) {
-            continue;
-        }
-        if !fa.tok(ci + 1).is_punct('.') {
-            continue;
-        }
-        let m = fa.tok(ci + 2);
-        if m.kind == TokenKind::Ident && HASH_ITER_METHODS.contains(&m.text.as_str()) {
-            if rule.skip_test_code && fa.in_test(m.line) {
-                continue;
-            }
-            if !fa.allowed(rule.allow_key, m.line) {
-                out.push(fa.violation(
-                    rule.id,
-                    m.line,
-                    m.col,
-                    format!(
-                        "iteration over hash table `{}` (`.{}`) has nondeterministic order; \
-                         use BTreeMap/BTreeSet or a sorted Vec",
-                        recv.text, m.text
-                    ),
-                ));
-            }
-        }
-    }
-    // Pass B2: `for … in [&[mut]] [path.]name {`.
-    for ci in 0..n {
-        if !fa.tok(ci).is_ident("for") {
-            continue;
-        }
-        // Find `in` at depth 0, bailing at `{`/`;` (not a for loop).
-        let mut depth = 0i32;
-        let mut j = ci + 1;
-        let header_start = loop {
-            if j >= n {
-                break None;
-            }
-            let u = fa.tok(j);
-            match u.kind {
-                TokenKind::Punct('(') | TokenKind::Punct('[') => depth += 1,
-                TokenKind::Punct(')') | TokenKind::Punct(']') => depth -= 1,
-                TokenKind::Punct('{') | TokenKind::Punct(';') if depth == 0 => break None,
-                TokenKind::Ident if depth == 0 && u.text == "in" => break Some(j + 1),
-                _ => {}
-            }
-            j += 1;
-        };
-        let Some(hs) = header_start else { continue };
-        // The iterated expression runs to the body `{` at depth 0.
-        depth = 0;
-        let mut k = hs;
-        while k < n {
-            let u = fa.tok(k);
-            match u.kind {
-                TokenKind::Punct('(') | TokenKind::Punct('[') => depth += 1,
-                TokenKind::Punct(')') | TokenKind::Punct(']') => depth -= 1,
-                TokenKind::Punct('{') if depth == 0 => break,
-                _ => {}
-            }
-            k += 1;
-        }
-        // Flag `for x in map` / `for x in &map`: the map name is the
-        // final header token (method chains are covered by pass B1).
-        if k > hs && k <= n {
-            let last = fa.tok(k - 1);
-            if last.kind == TokenKind::Ident && hash_names.contains(&last.text) {
-                if rule.skip_test_code && fa.in_test(last.line) {
-                    continue;
-                }
-                if !fa.allowed(rule.allow_key, last.line) {
-                    out.push(fa.violation(
-                        rule.id,
-                        last.line,
-                        last.col,
-                        format!(
-                            "`for … in {}` iterates a hash table in nondeterministic order; \
-                             use BTreeMap/BTreeSet or a sorted Vec",
-                            last.text
-                        ),
-                    ));
-                }
-            }
-        }
-    }
-    out
-}
-
-/// D3: every `unsafe` keyword needs a `// SAFETY:` comment on the same
-/// line or immediately above. All sites are returned for the audit
-/// table regardless of compliance.
-fn d3_unsafe_safety(fa: &FileAnalysis) -> (Vec<Violation>, Vec<UnsafeSite>) {
-    let rule = spec("D3");
-    let mut violations = Vec::new();
-    let mut sites = Vec::new();
-    for ci in 0..fa.code.len() {
-        let t = fa.tok(ci);
-        if !t.is_ident("unsafe") {
-            continue;
-        }
-        let has_safety = fa.safety_before(t.line);
-        sites.push(UnsafeSite {
-            file: fa.rel_path.clone(),
-            line: t.line,
-            col: t.col,
-            has_safety,
-        });
-        if !has_safety {
-            violations.push(fa.violation(
-                rule.id,
-                t.line,
-                t.col,
-                "`unsafe` without an immediately preceding `// SAFETY:` comment".to_string(),
-            ));
-        }
-    }
-    (violations, sites)
-}
-
-/// D4: `.unwrap()` / `.expect(…)` in library code.
-fn d4_unwrap(fa: &FileAnalysis) -> Vec<Violation> {
-    let rule = spec("D4");
-    let mut out = Vec::new();
-    let n = fa.code.len();
-    for ci in 1..n.saturating_sub(1) {
-        let t = fa.tok(ci);
-        if t.kind != TokenKind::Ident || (t.text != "unwrap" && t.text != "expect") {
-            continue;
-        }
-        if !fa.tok(ci - 1).is_punct('.') || !fa.tok(ci + 1).is_punct('(') {
-            continue;
-        }
-        if rule.skip_test_code && fa.in_test(t.line) {
-            continue;
-        }
-        if fa.allowed(rule.allow_key, t.line) {
-            continue;
-        }
-        out.push(fa.violation(
-            rule.id,
-            t.line,
-            t.col,
-            format!(
-                "`.{}()` in library code; return an error or annotate the invariant \
-                 with `// lint: allow(unwrap)`",
-                t.text
-            ),
-        ));
-    }
-    out
-}
-
-/// D6: allocating constructs inside `#[muaa::hot]` functions — the
-/// static half of the claim the `muaa-sanitize` `AllocGuard`s verify at
-/// runtime. Banned: `Vec::new`, `vec![…]`, `Box::new`, `format!`,
-/// `.push(…)`, `.collect…`, `.to_vec()`. Capacity-preserving calls
-/// (`Vec::with_capacity`, `.reserve`, `.extend` into reserved space,
-/// `.clear`) stay legal — hot loops reuse caller-owned scratch.
-fn d6_hot_alloc(fa: &FileAnalysis, tree: &ItemTree) -> Vec<Violation> {
-    let rule = spec("D6");
-    let mut out = Vec::new();
-    let n = fa.code_len();
-    for f in tree.fns.iter().filter(|f| f.is_hot) {
-        let Some((open, close)) = f.body else {
-            continue;
-        };
-        for ci in open + 1..close.min(n) {
-            let t = fa.tok(ci);
-            if t.kind != TokenKind::Ident {
-                continue;
-            }
-            let path_new = |ident: &str| {
-                t.is_ident(ident)
-                    && ci + 3 < n
-                    && fa.tok(ci + 1).is_punct(':')
-                    && fa.tok(ci + 2).is_punct(':')
-                    && fa.tok(ci + 3).is_ident("new")
-            };
-            let bang =
-                |ident: &str| t.is_ident(ident) && ci + 1 < n && fa.tok(ci + 1).is_punct('!');
-            let method = |ident: &str, needs_call: bool| {
-                t.is_ident(ident)
-                    && ci > 0
-                    && fa.tok(ci - 1).is_punct('.')
-                    && (!needs_call || (ci + 1 < n && fa.tok(ci + 1).is_punct('(')))
-            };
-            let what = if path_new("Vec") {
-                "Vec::new()"
-            } else if path_new("Box") {
-                "Box::new(…)"
-            } else if bang("vec") {
-                "vec![…]"
-            } else if bang("format") {
-                "format!(…)"
-            } else if method("push", true) {
-                ".push(…)"
-            } else if method("to_vec", true) {
-                ".to_vec()"
-            } else if method("collect", false) {
-                // `.collect()` and `.collect::<…>()` both match.
-                ".collect()"
-            } else {
-                continue;
-            };
-            if rule.skip_test_code && fa.in_test(t.line) {
-                continue;
-            }
-            if !fa.allowed(rule.allow_key, t.line) {
-                out.push(fa.violation(
-                    rule.id,
-                    t.line,
-                    t.col,
-                    format!(
-                        "`{what}` allocates inside `#[muaa::hot]` fn `{}`; hoist to \
-                         caller-owned scratch or justify with \
-                         `// lint: allow(hot_alloc): <why>`",
-                        f.name
-                    ),
-                ));
-            }
-        }
-    }
-    out
-}
-
-/// Does the argument list opened at code index `open` contain a binary
-/// `+` (an addition, not a unary sign or generic-bound `+`)?
-pub(crate) fn fold_arg_has_binary_add(fa: &FileAnalysis, open: usize, n: usize) -> bool {
-    let mut depth = 0i32;
-    for j in open..n {
-        let t = fa.tok(j);
-        match t.kind {
-            TokenKind::Punct('(') => depth += 1,
-            TokenKind::Punct(')') => {
-                depth -= 1;
-                if depth == 0 {
-                    return false;
-                }
-            }
-            TokenKind::Punct('+') if j > open => {
-                let prev = fa.tok(j - 1);
-                if matches!(prev.kind, TokenKind::Ident | TokenKind::Num)
-                    || prev.is_punct(')')
-                    || prev.is_punct(']')
-                {
-                    return true;
-                }
-            }
-            _ => {}
-        }
-    }
-    false
-}
-
-/// D8: allow-annotation hygiene. Runs after every other rule (see
-/// [`run_all`]) so the `used` flags are final: an annotation must carry
-/// a justification in its comment block, and must still suppress a real
-/// match — a stale allow is a papered-over fix that outlived its bug.
-pub fn d8_allow_hygiene(fa: &FileAnalysis) -> Vec<Violation> {
-    let rule = spec("D8");
-    if !applies(rule, &fa.rel_path) {
-        return Vec::new();
-    }
+/// Allow hygiene, the `#[expect(lint, reason = "..")]` contract for
+/// `lint: allow(<key>)` comments. Runs after every rule (see
+/// [`crate::run_sources`]) so the `used` flags are final: an
+/// annotation must carry a justification in its comment block, and
+/// must still suppress a real match — a stale allow outlived its
+/// finding and would silently waive the next one on its line. Each
+/// finding is reported under the rule that owns the key. A key no rule
+/// owns is no annotation: it can never waive anything.
+pub fn allow_hygiene(fa: &FileAnalysis) -> Vec<Violation> {
     let mut out = Vec::new();
     for site in &fa.allow_sites {
+        let Some(rule) = RULES.iter().find(|r| r.allow_key == site.key) else {
+            continue;
+        };
         if !site.justified {
             out.push(fa.violation(
                 rule.id,
@@ -1105,7 +634,7 @@ pub fn d8_allow_hygiene(fa: &FileAnalysis) -> Vec<Violation> {
                 site.line,
                 site.col,
                 format!(
-                    "stale `lint: allow({})`: no rule fires here any more — remove the \
+                    "stale `lint: allow({})`: no finding here any more — remove the \
                      annotation",
                     site.key
                 ),
@@ -1115,246 +644,8 @@ pub fn d8_allow_hygiene(fa: &FileAnalysis) -> Vec<Violation> {
     out
 }
 
-/// D9: every `debug_validate*`-prefixed definition must be reachable
-/// from at least one test — a validator nothing runs is false
-/// confidence. The prefix form covers split validators (e.g. a
-/// `debug_validate_columns` that audits one index family) alongside the
-/// canonical `debug_validate`.
-///
-/// Reachability is a fixpoint over the whole workspace: a
-/// `.debug_validate*(…)` call *activates* when it sits in test code, or
-/// inside the body of an already-live validator (validators delegate to
-/// sub-validators); a definition `T::debug_validate*` is live when an
-/// activating call of the same name exists in a file that mentions `T`.
-/// The type-mention check is a heuristic (no type inference here), but
-/// a false "live" only weakens the rule — it never flags working code.
-pub fn d9_dead_validators(analyzed: &[(FileAnalysis, ItemTree)]) -> Vec<Violation> {
-    let rule = spec("D9");
-    struct Def<'a> {
-        fa: &'a FileAnalysis,
-        file: usize,
-        line: u32,
-        col: u32,
-        ty: String,
-        name: String,
-        body_lines: Option<(u32, u32)>,
-    }
-    let mut defs: Vec<Def<'_>> = Vec::new();
-    for (fi, (fa, tree)) in analyzed.iter().enumerate() {
-        if !applies(rule, &fa.rel_path) {
-            continue;
-        }
-        for f in &tree.fns {
-            if !f.name.starts_with("debug_validate") || fa.in_test(f.line) {
-                continue;
-            }
-            let Some(ty) = f.self_type.clone() else {
-                continue;
-            };
-            defs.push(Def {
-                fa,
-                file: fi,
-                line: f.line,
-                col: f.col,
-                ty,
-                name: f.name.clone(),
-                body_lines: f.body_lines,
-            });
-        }
-    }
-    if defs.is_empty() {
-        return Vec::new();
-    }
-    // Every `.debug_validate*(` call site, with its activation state.
-    let mut calls: Vec<(usize, u32, bool, String)> = Vec::new();
-    for (fi, (fa, _)) in analyzed.iter().enumerate() {
-        let n = fa.code_len();
-        for ci in 1..n {
-            let t = fa.tok(ci);
-            if t.kind == TokenKind::Ident
-                && t.text.starts_with("debug_validate")
-                && fa.tok(ci - 1).is_punct('.')
-                && ci + 1 < n
-                && fa.tok(ci + 1).is_punct('(')
-            {
-                calls.push((fi, t.line, fa.in_test(t.line), t.text.clone()));
-            }
-        }
-    }
-    // Which type names each file mentions (as real code idents).
-    let mentions: Vec<BTreeSet<&str>> = analyzed
-        .iter()
-        .map(|(fa, _)| {
-            (0..fa.code_len())
-                .map(|ci| fa.tok(ci))
-                .filter(|t| t.kind == TokenKind::Ident)
-                .map(|t| t.text.as_str())
-                .collect()
-        })
-        .collect();
-    let mut live = vec![false; defs.len()];
-    loop {
-        let mut changed = false;
-        for (di, d) in defs.iter().enumerate() {
-            if !live[di]
-                && calls.iter().any(|(fi, _, act, name)| {
-                    *act && *name == d.name && mentions[*fi].contains(d.ty.as_str())
-                })
-            {
-                live[di] = true;
-                changed = true;
-            }
-        }
-        for c in calls.iter_mut() {
-            if !c.2
-                && defs.iter().enumerate().any(|(di, d)| {
-                    live[di]
-                        && d.file == c.0
-                        && d.body_lines.is_some_and(|(lo, hi)| lo <= c.1 && c.1 <= hi)
-                })
-            {
-                c.2 = true;
-                changed = true;
-            }
-        }
-        if !changed {
-            break;
-        }
-    }
-    defs.iter()
-        .zip(&live)
-        .filter(|&(d, &alive)| !alive && !d.fa.allowed(rule.allow_key, d.line))
-        .map(|(d, _)| {
-            d.fa.violation(
-                rule.id,
-                d.line,
-                d.col,
-                format!(
-                    "`{}::{}` is unreachable from any test — call it from a \
-                     test or justify with `// lint: allow(dead_validator): <why>`",
-                    d.ty, d.name
-                ),
-            )
-        })
-        .collect()
-}
-
-/// D11: `Delta` match-arm parity. Every `apply`/`apply_delta` whose
-/// body names at least one `Delta::` variant must name them all —
-/// these are the delta engines (`ProblemInstance::apply` and
-/// `SolverContext::apply`), and a variant added to the vocabulary but
-/// missing from one engine's arm set is exactly the bug class that
-/// breaks rebuild-equivalence silently. Exhaustiveness via the
-/// compiler doesn't cover it: a `_ => {}` arm compiles while dropping
-/// the new variant's maintenance on the floor.
-///
-/// The variant inventory comes from the workspace's `enum Delta`
-/// definition; the rule stays quiet when no such enum is in view.
-pub fn d11_delta_parity(analyzed: &[(FileAnalysis, ItemTree)]) -> Vec<Violation> {
-    let rule = spec("D11");
-    // Pass 1: the enum's variant names, from its definition.
-    let mut variants: Vec<String> = Vec::new();
-    for (fa, _) in analyzed {
-        let n = fa.code_len();
-        for ci in 0..n.saturating_sub(2) {
-            if !(fa.tok(ci).is_ident("enum")
-                && fa.tok(ci + 1).is_ident("Delta")
-                && fa.tok(ci + 2).is_punct('{'))
-            {
-                continue;
-            }
-            // Variants are the depth-1 idents directly after `{`, `,`,
-            // or the `]` that closes a variant attribute.
-            let mut depth = 0i32;
-            let mut k = ci + 2;
-            while k < n {
-                let t = fa.tok(k);
-                match t.kind {
-                    TokenKind::Punct('{') | TokenKind::Punct('(') | TokenKind::Punct('[') => {
-                        depth += 1;
-                    }
-                    TokenKind::Punct('}') | TokenKind::Punct(')') | TokenKind::Punct(']') => {
-                        depth -= 1;
-                        if depth == 0 {
-                            break;
-                        }
-                    }
-                    TokenKind::Ident if depth == 1 => {
-                        let prev = fa.tok(k - 1);
-                        if prev.is_punct('{') || prev.is_punct(',') || prev.is_punct(']') {
-                            variants.push(t.text.clone());
-                        }
-                    }
-                    _ => {}
-                }
-                k += 1;
-            }
-        }
-    }
-    if variants.is_empty() {
-        return Vec::new();
-    }
-    // Pass 2: audit each apply fn's arm set.
-    let mut out = Vec::new();
-    for (fa, tree) in analyzed {
-        if !applies(rule, &fa.rel_path) {
-            continue;
-        }
-        let n = fa.code_len();
-        for f in &tree.fns {
-            if f.name != "apply" && f.name != "apply_delta" {
-                continue;
-            }
-            let Some((open, close)) = f.body else {
-                continue;
-            };
-            if rule.skip_test_code && fa.in_test(f.line) {
-                continue;
-            }
-            let mut seen: BTreeSet<&str> = BTreeSet::new();
-            for ci in open..close.min(n) {
-                if fa.tok(ci).is_ident("Delta")
-                    && ci + 3 < n
-                    && fa.tok(ci + 1).is_punct(':')
-                    && fa.tok(ci + 2).is_punct(':')
-                    && fa.tok(ci + 3).kind == TokenKind::Ident
-                {
-                    seen.insert(fa.tok(ci + 3).text.as_str());
-                }
-            }
-            if seen.is_empty() {
-                // Delegating wrappers (`for d in batch { self.apply(d)?; }`)
-                // never name variants and are not delta engines.
-                continue;
-            }
-            let missing: Vec<String> = variants
-                .iter()
-                .filter(|v| !seen.contains(v.as_str()))
-                .map(|v| format!("`{v}`"))
-                .collect();
-            if !missing.is_empty() && !fa.allowed(rule.allow_key, f.line) {
-                out.push(fa.violation(
-                    rule.id,
-                    f.line,
-                    f.col,
-                    format!(
-                        "`{}` matches on `Delta` but never names {} — every delta \
-                         engine's arm set must cover the whole vocabulary \
-                         (ProblemInstance::apply / SolverContext::apply parity), \
-                         or justify with \
-                         `// lint: allow(delta_parity): <why>`",
-                        f.name,
-                        missing.join(", ")
-                    ),
-                ));
-            }
-        }
-    }
-    out
-}
-
 // ---------------------------------------------------------------------
-// D15–D17: typestate rules over the per-function CFGs (DESIGN.md §19).
+// D15 and D16: typestate rules over the per-function CFGs (DESIGN.md §19).
 // ---------------------------------------------------------------------
 
 /// RAII guard constructors D15 tracks: `(type, constructor)` pairs.
@@ -1392,14 +683,6 @@ const D16_MUTATION_METHODS: &[&str] = &[
 const D16_GRID_RECEIVERS: &[&str] = &["grid", "customer_grid"];
 const D16_GRID_METHODS: &[&str] = &["insert", "swap_remove"];
 
-/// Files D17 sanctions wholesale: the reducer/kernels that *implement*
-/// the canonical accumulation schedules are made of compound-assign
-/// loops by definition.
-const D17_SANCTIONED_FILES: &[&str] = &["crates/core/src/par.rs", "crates/core/src/simd.rs"];
-
-/// Fn names D17 sanctions anywhere: the reducer D14 routes to.
-const D17_SANCTIONED_FNS: &[&str] = &["sum_f64"];
-
 /// D15: guard lifetime. A `let _ = <Guard>::<ctor>(…)` drops the
 /// guard on the same statement — the region it should protect is
 /// never armed. A `mem::forget` disarms the drop-time check outright.
@@ -1426,7 +709,7 @@ fn d15_guard_lifetime(fa: &FileAnalysis, tree: &ItemTree) -> Vec<Violation> {
         let Some((open, close)) = f.body else {
             continue;
         };
-        if rule.skip_test_code && fa.in_test(f.line) {
+        if fa.in_test(f.line) {
             continue;
         }
         let mut cfg = None;
@@ -1446,15 +729,28 @@ fn d15_guard_lifetime(fa: &FileAnalysis, tree: &ItemTree) -> Vec<Violation> {
             if !is_ctor {
                 continue;
             }
-            // Only `let <pat> = <Guard>::<ctor>(…)` bindings are in
-            // scope; a guard passed straight into a call or struct
+            // Only `let <pat> = [path::]<Guard>::<ctor>(…)` bindings are
+            // in scope; a guard passed straight into a call or struct
             // literal has whatever lifetime the callee gives it.
-            if ci < 3 || !fa.tok(ci - 1).is_punct('=') || fa.tok(ci - 2).kind != TokenKind::Ident {
+            let mut head = ci;
+            while head >= 3
+                && fa.tok(head - 1).is_punct(':')
+                && fa.tok(head - 2).is_punct(':')
+                && fa.tok(head - 3).kind == TokenKind::Ident
+            {
+                head -= 3;
+            }
+            if head < 3
+                || !fa.tok(head - 1).is_punct('=')
+                || fa.tok(head - 2).kind != TokenKind::Ident
+            {
                 continue;
             }
-            let name = fa.tok(ci - 2).text.clone();
-            let is_let = fa.tok(ci - 3).is_ident("let")
-                || (ci >= 4 && fa.tok(ci - 3).is_ident("mut") && fa.tok(ci - 4).is_ident("let"));
+            let name = fa.tok(head - 2).text.clone();
+            let is_let = fa.tok(head - 3).is_ident("let")
+                || (head >= 4
+                    && fa.tok(head - 3).is_ident("mut")
+                    && fa.tok(head - 4).is_ident("let"));
             if !is_let {
                 continue;
             }
@@ -1604,7 +900,7 @@ fn d16_epoch_protocol(fa: &FileAnalysis, tree: &ItemTree) -> Vec<Violation> {
             continue;
         }
         let Some(body) = f.body else { continue };
-        if rule.skip_test_code && fa.in_test(f.line) {
+        if fa.in_test(f.line) {
             continue;
         }
         let g = crate::cfg::build_fn(fa, body);
@@ -1731,132 +1027,6 @@ fn d16_epoch_protocol(fa: &FileAnalysis, tree: &ItemTree) -> Vec<Violation> {
                     mask = d16_bump_shift(mask);
                 }
                 mutated = mutated || c.mutation.is_some();
-            }
-        }
-    }
-    out
-}
-
-/// D17: manual accumulation. A loop-carried `f64` binding fed by
-/// `+=`/`-=`/`*=` inside a loop replays the bug class D14 catches for
-/// `.sum()`/`.fold(`: the addition order becomes an implementation
-/// detail of the loop, so the same data reduced in another schedule
-/// (threads, SIMD lanes, delta replay) drifts by ULPs. Inside hot
-/// fns such loops must live in the sanctioned reducer files/fns.
-fn d17_manual_accumulation(fa: &FileAnalysis, tree: &ItemTree) -> Vec<Violation> {
-    let rule = spec("D17");
-    if D17_SANCTIONED_FILES.contains(&fa.rel_path.as_str()) {
-        return Vec::new();
-    }
-    let mut out = Vec::new();
-    let n = fa.code_len();
-    let partner = crate::cfg::bracket_partners(fa);
-    for f in &tree.fns {
-        let Some((open, close)) = f.body else {
-            continue;
-        };
-        if !f.is_hot || D17_SANCTIONED_FNS.contains(&f.name.as_str()) {
-            continue;
-        }
-        if rule.skip_test_code && fa.in_test(f.line) {
-            continue;
-        }
-        let g = crate::cfg::build_fn(fa, (open, close));
-        if g.loop_bodies.is_empty() {
-            continue;
-        }
-        // Float bindings declared in this body: `let [mut] name` whose
-        // initialiser carries a float literal or an f64/f32 spelling.
-        let mut floats: Vec<(String, usize)> = Vec::new();
-        let mut ci = open + 1;
-        while ci < close.min(n) {
-            if !fa.tok(ci).is_ident("let") {
-                ci += 1;
-                continue;
-            }
-            let mut j = ci + 1;
-            if j < close && fa.tok(j).is_ident("mut") {
-                j += 1;
-            }
-            if j >= close || fa.tok(j).kind != TokenKind::Ident {
-                ci = j;
-                continue;
-            }
-            let name = fa.tok(j).text.clone();
-            let mut depth = 0i32;
-            let mut is_float = false;
-            let mut k = j + 1;
-            while k < close.min(n) {
-                let t = fa.tok(k);
-                match t.kind {
-                    TokenKind::Punct('(' | '[' | '{') => depth += 1,
-                    TokenKind::Punct(')' | ']' | '}') => depth -= 1,
-                    TokenKind::Punct(';') if depth <= 0 => break,
-                    TokenKind::Num
-                        if t.text.contains('.')
-                            || t.text.ends_with("f64")
-                            || t.text.ends_with("f32") =>
-                    {
-                        is_float = true
-                    }
-                    TokenKind::Ident if t.text == "f64" || t.text == "f32" => is_float = true,
-                    _ => {}
-                }
-                k += 1;
-            }
-            if is_float {
-                floats.push((name, ci));
-            }
-            ci = k + 1;
-        }
-        if floats.is_empty() {
-            continue;
-        }
-        for &(blo, bhi) in &g.loop_bodies {
-            for p in blo + 1..bhi.min(n) {
-                let t = fa.tok(p);
-                if t.kind != TokenKind::Ident {
-                    continue;
-                }
-                let Some(&(_, decl)) = floats.iter().find(|(fname, _)| *fname == t.text) else {
-                    continue;
-                };
-                if decl >= blo {
-                    // Declared inside this loop: reset every iteration,
-                    // not loop-carried.
-                    continue;
-                }
-                if fa.tok(p.saturating_sub(1)).is_punct('.')
-                    || fa.tok(p.saturating_sub(1)).is_punct(':')
-                {
-                    continue;
-                }
-                // Optional index projection: `acc[i] += …`.
-                let mut q = p + 1;
-                if q < n && fa.tok(q).is_punct('[') {
-                    let pr = partner[q];
-                    if pr == usize::MAX {
-                        continue;
-                    }
-                    q = pr + 1;
-                }
-                let compound = q + 1 < n
-                    && matches!(fa.tok(q).kind, TokenKind::Punct('+' | '-' | '*'))
-                    && fa.tok(q + 1).is_punct('=');
-                if compound && !fa.allowed(rule.allow_key, t.line) {
-                    out.push(fa.violation(
-                        "D17",
-                        t.line,
-                        t.col,
-                        format!(
-                            "loop-carried f64 accumulation into `{}` inside a #[muaa::hot] \
-                             fn — the addition order is schedule-dependent; route through \
-                             muaa_core::par::sum_f64 or a sanctioned kernel, or justify \
-                             with `// lint: allow(manual_accum): <why>`",
-                            t.text
-                        ),
-                    ));
-                }
             }
         }
     }

@@ -2,8 +2,8 @@
 //! delimiters, and `fn` items with their outer attributes and enclosing
 //! `impl` type.
 //!
-//! The original rule set (D1–D4) got away with peephole token scans;
-//! the semantic rules need to answer *"which function am I in, and how
+//! The token rule (D1) gets away with a peephole token scan; the
+//! semantic rules need to answer *"which function am I in, and how
 //! is it annotated?"*. This module answers that without a full parser:
 //! one brace-matching pass plus one forward scan that tracks attribute
 //! runs and an `impl` scope stack. It is deliberately tolerant — on
@@ -13,7 +13,7 @@
 use crate::lexer::{Token, TokenKind};
 use crate::rules::FileAnalysis;
 
-/// One `fn` item (free or associated), with the facts rules D6/D9 need.
+/// One `fn` item (free or associated), with the facts the rules need.
 #[derive(Debug)]
 pub struct FnItem {
     /// The function's name.
@@ -25,8 +25,6 @@ pub struct FnItem {
     /// `#[cfg_attr(any(), muaa::hot)]` spelling the workspace uses so
     /// the marker compiles away on stable.
     pub is_hot: bool,
-    /// Declared `unsafe fn` (any modifier order).
-    pub is_unsafe: bool,
     /// Declared `pub` (any visibility restriction counts: `pub(crate)`
     /// etc.) — the call-graph layer's notion of an entry point.
     pub is_pub: bool,
@@ -36,11 +34,9 @@ pub struct FnItem {
     /// Code-token indices of the body's `{` and `}` (absent for trait
     /// method declarations).
     pub body: Option<(usize, usize)>,
-    /// Inclusive line span of the body.
-    pub body_lines: Option<(u32, u32)>,
 }
 
-/// The per-file item view consumed by rules D6/D9 and the call graph.
+/// The per-file item view consumed by the rules and the call graph.
 #[derive(Debug, Default)]
 pub struct ItemTree {
     /// Every `fn` item in the file, in source order (nested fns too).
@@ -146,17 +142,12 @@ pub fn build(fa: &FileAnalysis) -> ItemTree {
             let body_open = find_body_open(fa, ci + 2, n);
             let body =
                 body_open.and_then(|o| (partner[o] != usize::MAX).then_some((o, partner[o])));
-            let body_lines = body.map(|(o, c)| (fa.tok(o).line, fa.tok(c).line));
             // Walk back over the modifier run (`pub(crate) const unsafe
-            // extern "C" …`) to see whether this fn is `unsafe`/`pub`.
-            let mut is_unsafe = false;
+            // extern "C" …`) to see whether this fn is `pub`.
             let mut is_pub = false;
             let mut back = ci;
             while back > 0 && is_item_modifier(fa.tok(back - 1)) {
                 back -= 1;
-                if fa.tok(back).is_ident("unsafe") {
-                    is_unsafe = true;
-                }
                 if fa.tok(back).is_ident("pub") {
                     is_pub = true;
                 }
@@ -165,12 +156,10 @@ pub fn build(fa: &FileAnalysis) -> ItemTree {
                 name,
                 self_type: impl_stack.last().and_then(|(_, ty)| ty.clone()),
                 is_hot: pending.iter().any(|a| attr_is_hot(a)),
-                is_unsafe,
                 is_pub,
                 line: t.line,
                 col: t.col,
                 body,
-                body_lines,
             });
             pending.clear();
             // Keep scanning *inside* the signature and body so nested
@@ -329,7 +318,6 @@ mod tests {
         let src = "#[muaa::hot]\npub(crate) const unsafe fn f() {}";
         let t = tree_of(src);
         assert!(t.fns[0].is_hot);
-        assert!(t.fns[0].is_unsafe);
         assert!(t.fns[0].is_pub);
     }
 
@@ -342,22 +330,12 @@ mod tests {
     }
 
     #[test]
-    fn unsafe_is_detected_per_fn() {
-        let src = "#[inline]\nunsafe fn k() {}\n\
-                   pub unsafe extern \"C\" fn raw() {}\n\
-                   fn plain() { let _ = unsafe { 1 }; }";
-        let t = tree_of(src);
-        assert!(t.fns[0].is_unsafe);
-        assert!(t.fns[1].is_unsafe);
-        // An unsafe *block* in the body does not make the fn unsafe.
-        assert!(!t.fns[2].is_unsafe);
-    }
-
-    #[test]
     fn body_spans_cover_multi_line_fns() {
         let src = "fn f() {\n    let x = 1;\n    x\n}\nfn g();";
-        let t = tree_of(src);
-        assert_eq!(t.fns[0].body_lines, Some((1, 4)));
+        let fa = FileAnalysis::new("crates/x/src/a.rs", src);
+        let t = build(&fa);
+        let (open, close) = t.fns[0].body.expect("f has a body");
+        assert_eq!((fa.tok(open).line, fa.tok(close).line), (1, 4));
         assert_eq!(t.fns[1].body, None);
     }
 

@@ -6,7 +6,7 @@
 //! fixpoint on a diamond-with-back-edge — against real on-disk
 //! sources. The typestate fixtures are deliberately broken in exactly
 //! one way each and run through the full pipeline (`check_source`),
-//! so they also prove D15–D17 produce *only* the intended findings
+//! so they also prove D15 and D16 produce *only* the intended findings
 //! and stay quiet on the clean twins sharing the file.
 
 use muaa_lint::cfg::{self, Cfg, EdgeKind};
@@ -44,8 +44,7 @@ fn line_of(src: &str, needle: &str) -> u32 {
 fn nested_loops_resolve_labeled_and_bare_jumps() {
     let src = include_str!("fixtures/cfg/nested_loops.rs");
     let g = cfg_of(src, "scan");
-    assert_eq!(g.loop_bodies.len(), 2, "{g:?}");
-    assert_eq!(kind_count(&g, EdgeKind::Back), 2);
+    assert_eq!(kind_count(&g, EdgeKind::Back), 2, "{g:?}");
     assert_eq!(kind_count(&g, EdgeKind::Break), 2);
     assert_eq!(kind_count(&g, EdgeKind::Continue), 2);
     // The outer head is the target of the outer back edge (created
@@ -95,7 +94,7 @@ fn breakless_loop_escapes_only_through_the_labeled_break() {
     let src = include_str!("fixtures/cfg/labeled_flow.rs");
     let g = cfg_of(src, "drain");
     // Two real loops (the labeled block is not one), three breaks.
-    assert_eq!(g.loop_bodies.len(), 2, "{g:?}");
+    assert_eq!(kind_count(&g, EdgeKind::Back), 2, "{g:?}");
     assert_eq!(kind_count(&g, EdgeKind::Break), 3);
     let reach = g.reachable();
     assert!(
@@ -205,7 +204,7 @@ fn dataflow_fixpoint_converges_around_the_back_edge() {
 #[test]
 fn guard_lifetime_fixture_trips_d15_three_ways() {
     let src = include_str!("fixtures/cfg/guard_lifetime.rs");
-    let (violations, _) = muaa_lint::check_source("crates/algorithms/src/guard_fixture.rs", src);
+    let violations = muaa_lint::check_source("crates/algorithms/src/guard_fixture.rs", src);
     let report: Vec<String> = violations.iter().map(ToString::to_string).collect();
     assert_eq!(violations.len(), 3, "{report:?}");
     assert!(violations.iter().all(|v| v.rule == "D15"), "{report:?}");
@@ -224,7 +223,7 @@ fn guard_lifetime_fixture_trips_d15_three_ways() {
 #[test]
 fn epoch_protocol_fixture_trips_d16_three_ways() {
     let src = include_str!("fixtures/cfg/epoch_protocol.rs");
-    let (violations, _) = muaa_lint::check_source("crates/algorithms/src/epoch_fixture.rs", src);
+    let violations = muaa_lint::check_source("crates/algorithms/src/epoch_fixture.rs", src);
     let report: Vec<String> = violations.iter().map(ToString::to_string).collect();
     assert_eq!(violations.len(), 3, "{report:?}");
     assert!(violations.iter().all(|v| v.rule == "D16"), "{report:?}");
@@ -246,21 +245,6 @@ fn epoch_protocol_fixture_trips_d16_three_ways() {
         .find(|v| v.line == line_of(src, "self.rows.push_row(0);"))
         .unwrap_or_else(|| panic!("double-bump finding missing: {report:?}"));
     assert!(double.message.contains("more than one"), "{report:?}");
-}
-
-#[test]
-fn hot_accum_fixture_trips_d17_twice() {
-    let src = include_str!("fixtures/cfg/hot_accum.rs");
-    let (violations, _) = muaa_lint::check_source("crates/core/src/accum_fixture.rs", src);
-    let report: Vec<String> = violations.iter().map(ToString::to_string).collect();
-    assert_eq!(violations.len(), 2, "{report:?}");
-    assert!(violations.iter().all(|v| v.rule == "D17"), "{report:?}");
-    let lines: Vec<u32> = violations.iter().map(|v| v.line).collect();
-    assert!(lines.contains(&line_of(src, "total += *x;")), "{report:?}");
-    assert!(
-        lines.contains(&line_of(src, "lanes[i % 4] += xs[i];")),
-        "{report:?}"
-    );
 }
 
 #[test]
@@ -287,7 +271,7 @@ fn shape_fixtures_stay_clean_under_the_full_rule_set() {
             include_str!("fixtures/cfg/diamond_back_edge.rs"),
         ),
     ] {
-        let (violations, _) = muaa_lint::check_source(path, src);
+        let violations = muaa_lint::check_source(path, src);
         let report: Vec<String> = violations.iter().map(ToString::to_string).collect();
         assert!(violations.is_empty(), "{path} must stay clean: {report:?}");
     }

@@ -1,9 +1,9 @@
-//! Fixture (D8 × D12 interplay): an `allow(nondet)` on a fn waives
+//! Fixture (allow hygiene × D12 interplay): an `allow(nondet)` on a fn waives
 //! the taint *introduced* on that line, but taint flowing *through*
 //! the same fn from deeper in the chain is untouched. Exactly one
 //! D12 must fire here — the environment read in `deep`, witnessed
 //! through `mid` — while the annotated `Instant::now` stays quiet and
-//! the annotation itself counts as used (no D8).
+//! the annotation itself counts as used (not stale).
 
 pub fn solve() -> u64 {
     mid()

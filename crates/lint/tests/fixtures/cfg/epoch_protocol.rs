@@ -2,8 +2,7 @@
 //! mutation tables treat `invalidate_customer`/`push_customer`/
 //! `push_row` as derived-structure writes and any
 //! `…instance….apply(…)` / `…to_mut().apply(…)` statement as the
-//! epoch bump. `Op` deliberately avoids the `Delta::` vocabulary so
-//! the arm-parity rule (D11) stays out of the picture.
+//! epoch bump.
 
 pub enum Op {
     Move { id: usize },

@@ -1,7 +1,7 @@
 //! Regression fixtures for lexer edge cases that once desynchronized
 //! the token stream. Each case pins the exact token shape so a future
 //! lexer refactor cannot silently regress rule accuracy: a desynced
-//! lexer makes every downstream rule (D1–D9) report phantom idents or
+//! lexer makes every downstream rule report phantom idents or
 //! miss real ones.
 
 use muaa_lint::lexer::{lex, TokenKind};
@@ -64,7 +64,7 @@ fn raw_c_strings_lex_as_single_tokens() {
 
 /// Line/column bookkeeping survives multi-line comments and strings —
 /// rule diagnostics point at real coordinates after an edge case, and
-/// allow-annotation adjacency (D8) depends on exact line numbers.
+/// allow-annotation adjacency depends on exact line numbers.
 #[test]
 fn positions_stay_exact_after_multiline_tokens() {
     let src = "/* a\nb */ x\nr#\"l1\nl2\"# y";

@@ -18,6 +18,9 @@
 
 #![warn(missing_docs)]
 #![warn(clippy::all)]
+// Library code returns errors or states its invariant in an
+// `#[expect(.., reason = "..")]`.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 mod grid;
 mod vendor_index;

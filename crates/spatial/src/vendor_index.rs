@@ -131,7 +131,10 @@ impl VendorIndex {
         let (old_key, old_local) = self.membership[vid.index()];
         let new_key = class_of(radius);
         if new_key == old_key {
-            // membership[] guarantees the class exists. lint: allow(unwrap)
+            #[expect(
+                clippy::expect_used,
+                reason = "membership[] guarantees the class exists"
+            )]
             let pos = self.class_pos(old_key).expect("member class missing");
             self.classes[pos].r2[old_local as usize] = radius * radius;
             return;
@@ -139,7 +142,10 @@ impl VendorIndex {
         // Detach from the old class: the grid renames its last local id
         // to `old_local`, so the side tables swap-remove in lockstep and
         // the renamed member's membership is rewritten.
-        // membership[] guarantees the class exists. lint: allow(unwrap)
+        #[expect(
+            clippy::expect_used,
+            reason = "membership[] guarantees the class exists"
+        )]
         let pos = self.class_pos(old_key).expect("member class missing");
         let class = &mut self.classes[pos];
         let location = class.grid.point(old_local as usize);

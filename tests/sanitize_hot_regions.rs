@@ -1,5 +1,5 @@
 //! Sanitizer acceptance test (DESIGN.md §14): the `#[muaa::hot]`
-//! regions that lint rule D6 checks statically must also be
+//! regions that lint rule D13 checks statically must also be
 //! allocation-free *at runtime* in their steady state, and the solver
 //! pipeline must produce only finite utilities.
 //!
