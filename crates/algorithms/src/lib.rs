@@ -14,6 +14,9 @@
 //!   the paper reports for GREEDY).
 //! * [`RandomAssign`] — the RANDOM baseline.
 //! * [`NearestAssign`] — the NEAREST baseline (nearest vendors first).
+//!   Both baselines visit customers in arrival order and never revisit
+//!   a decision, so the same implementation serves as the online
+//!   competitor of the paper's figures.
 //! * [`ExactBnB`] — branch-and-bound exact solver for small instances;
 //!   used to measure empirical approximation/competitive ratios.
 //!
@@ -26,7 +29,10 @@
 //!   static/disabled variants are the paper's §IV discussion ablation).
 //! * [`estimate_gamma_bounds`] — the §IV-C parameter-estimation step:
 //!   sample candidate instances to estimate `γ_min`/`γ_max` and pick a
-//!   valid `g > e`.
+//!   valid `g > e`. [`ThresholdFn::estimated`] turns it into O-AFA's
+//!   default policy.
+//! * [`run_online`] — stream a whole instance through O-AFA;
+//!   [`BrokerSession`](online::session::BrokerSession) serves a live one.
 //!
 //! All solvers speak [`SolverContext`], which bundles the instance, the
 //! utility model and the spatial indexes, and they return
@@ -59,6 +65,6 @@ pub use offline::tag_select::{
 pub use offline::OfflineSolver;
 pub use online::estimate::{estimate_gamma_bounds, GammaBounds};
 pub use online::oafa::OAfa;
+pub use online::run_online;
 pub use online::threshold::ThresholdFn;
-pub use online::{run_online, OnlineSolver};
 pub use stats::SolveOutcome;

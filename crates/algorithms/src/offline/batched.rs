@@ -11,16 +11,18 @@
 //! reconciliation) restricted to that window's customers and the
 //! remaining budgets.
 //!
-//! With `windows = 1` this *is* RECON; as `windows → m` it approaches a
-//! per-arrival policy (still without O-AFA's threshold). The
-//! `ablate-batching` experiment quantifies the value of lookahead along
-//! this axis.
+//! With `windows = 1` each vendor solves RECON's MCKP (over the
+//! customers with capacity), but phase 2 is not RECON's: a window sheds
+//! each overload without the refill of Alg. 1 line 11, so the freed
+//! budget waits for a later window, and with one window it stays
+//! unspent. As `windows → m` it approaches a per-arrival policy (still
+//! without O-AFA's threshold). The `ablate-batching` experiment
+//! quantifies the value of lookahead along this axis.
 
 use crate::context::SolverContext;
-use crate::offline::recon::{ad_type_items, MckpBackend};
+use crate::offline::recon::{vendor_picks, MckpBackend};
 use crate::offline::OfflineSolver;
 use muaa_core::{AdTypeId, Assignment, AssignmentSet, CustomerId, DetRng, VendorId};
-use muaa_knapsack::MckpProblem;
 
 /// Semi-online RECON over arrival-order windows.
 #[derive(Clone, Debug)]
@@ -147,25 +149,10 @@ fn batched_assign(
                 if candidates.is_empty() {
                     return Vec::new();
                 }
-                let mut problem = MckpProblem::new(remaining.as_cents());
                 BASES.with(|scratch| {
                     let bases = &mut *scratch.borrow_mut();
                     ctx.pair_base_block(vid, &candidates, bases);
-                    for &base in bases.iter() {
-                        problem.add_class(ad_type_items(inst, base));
-                    }
-                    let solution = backend.solve(&problem);
-                    let mut out = Vec::new();
-                    for (class, item) in solution.picks() {
-                        let cid = candidates[class];
-                        let lambda =
-                            bases[class] * inst.ad_type(AdTypeId::from(item)).effectiveness;
-                        if lambda <= 0.0 {
-                            continue;
-                        }
-                        out.push((cid, AdTypeId::from(item), lambda));
-                    }
-                    out
+                    vendor_picks(inst, backend, remaining, &candidates, bases)
                 })
             });
         let mut window_load = vec![0u32; hi - lo];

@@ -17,36 +17,23 @@ use crate::context::SolverContext;
 use crate::offline::OfflineSolver;
 use muaa_core::{AdTypeId, Assignment, AssignmentSet, CustomerId, Money, VendorId};
 
+/// Search nodes [`ExactBnB`] visits at most (10⁸) — far more than the
+/// intended instance sizes need.
+const NODE_LIMIT: u64 = 100_000_000;
+
 /// The branch-and-bound exact solver.
 ///
-/// `node_limit` caps the search; when it is exhausted the best-found
-/// solution is returned (debug builds assert the limit was not hit).
-/// Size your instances so the limit holds — ≲ 30 valid pairs with 2–3
-/// ad types is instantaneous.
-#[derive(Clone, Copy, Debug)]
-pub struct ExactBnB {
-    node_limit: u64,
-}
+/// The search visits at most 10⁸ nodes; when that is exhausted the
+/// best-found solution is returned (debug builds assert the limit was
+/// not hit). Size your instances so the limit holds — ≲ 30 valid pairs
+/// with 2–3 ad types is instantaneous.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct ExactBnB;
 
 impl ExactBnB {
-    /// Default node limit (10⁸) — far more than the intended instance
-    /// sizes need.
+    /// The exact solver.
     pub fn new() -> Self {
-        ExactBnB {
-            node_limit: 100_000_000,
-        }
-    }
-
-    /// Override the node limit.
-    pub fn with_node_limit(mut self, limit: u64) -> Self {
-        self.node_limit = limit;
-        self
-    }
-}
-
-impl Default for ExactBnB {
-    fn default() -> Self {
-        Self::new()
+        ExactBnB
     }
 }
 
@@ -74,7 +61,6 @@ struct Search<'c, 'a> {
     best_choice: Vec<Option<(AdTypeId, Money, f64)>>,
     current_choice: Vec<Option<(AdTypeId, Money, f64)>>,
     nodes: u64,
-    node_limit: u64,
     truncated: bool,
     /// `suffix_sets[i][c]`: utilities (descending) of customer c's pairs
     /// at positions ≥ i. Precomputed once; memory O(pairs²) worst case
@@ -107,7 +93,7 @@ impl<'c, 'a> Search<'c, 'a> {
 
     fn dfs(&mut self, i: usize, value: f64) {
         self.nodes += 1;
-        if self.nodes > self.node_limit {
+        if self.nodes > NODE_LIMIT {
             self.truncated = true;
             return;
         }
@@ -213,7 +199,6 @@ impl OfflineSolver for ExactBnB {
             best_choice: vec![None; n_pairs],
             current_choice: vec![None; n_pairs],
             nodes: 0,
-            node_limit: self.node_limit,
             truncated: false,
             suffix_tops,
         };

@@ -4,25 +4,23 @@
 use crate::context::SolverContext;
 use crate::offline::OfflineSolver;
 use muaa_core::{Assignment, AssignmentSet, DetRng};
-use std::cell::RefCell;
 
 /// RANDOM: for each customer (in arrival order), pick random valid
 /// vendors up to the customer's capacity and a random affordable ad
 /// type per pick. No utility information is consulted — exactly the
 /// paper's strawman. Draws come from [`DetRng`], so the baseline's
 /// stream (and the golden experiment CSVs it feeds) is identical in
-/// every build environment.
-#[derive(Clone, Debug)]
+/// every build environment. Each [`assign`](OfflineSolver::assign)
+/// draws a fresh stream from the seed, so one value returns one plan.
+#[derive(Clone, Copy, Debug)]
 pub struct RandomAssign {
-    rng: RefCell<DetRng>,
+    seed: u64,
 }
 
 impl RandomAssign {
     /// Deterministic baseline from a seed.
     pub fn seeded(seed: u64) -> Self {
-        RandomAssign {
-            rng: RefCell::new(DetRng::seed_from_u64(seed)),
-        }
+        RandomAssign { seed }
     }
 }
 
@@ -35,7 +33,7 @@ impl Default for RandomAssign {
 impl OfflineSolver for RandomAssign {
     fn assign(&self, ctx: &SolverContext<'_>) -> AssignmentSet {
         let inst = ctx.instance();
-        let mut rng = self.rng.borrow_mut();
+        let mut rng = DetRng::seed_from_u64(self.seed);
         let mut set = AssignmentSet::new(inst);
         for (cid, customer) in inst.customers_enumerated() {
             let mut vendors = ctx.valid_vendors(cid);
@@ -120,6 +118,17 @@ mod tests {
         let ctx = SolverContext::indexed(&inst, &model);
         let a = RandomAssign::seeded(7).assign(&ctx);
         let b = RandomAssign::seeded(7).assign(&ctx);
+        assert_eq!(a.assignments(), b.assignments());
+    }
+
+    #[test]
+    fn one_value_assigns_the_same_plan_twice() {
+        let inst = instance();
+        let model = PearsonUtility::uniform(2);
+        let ctx = SolverContext::indexed(&inst, &model);
+        let solver = RandomAssign::seeded(7);
+        let a = solver.assign(&ctx);
+        let b = solver.assign(&ctx);
         assert_eq!(a.assignments(), b.assignments());
     }
 

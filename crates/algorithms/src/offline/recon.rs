@@ -16,7 +16,7 @@ use crate::offline::OfflineSolver;
 use muaa_core::{
     AdTypeId, Assignment, AssignmentSet, CustomerId, DetRng, Money, ProblemInstance, VendorId,
 };
-use muaa_knapsack::{MckpExactDp, MckpFptas, MckpItem, MckpLpGreedy, MckpProblem, MckpSolver};
+use muaa_knapsack::{MckpExactDp, MckpFptas, MckpItem, MckpLpGreedy, MckpProblem};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Which single-vendor MCKP solver RECON uses (DESIGN.md §9's backend
@@ -32,7 +32,7 @@ pub enum MckpBackend {
 }
 
 impl MckpBackend {
-    pub(crate) fn solve(&self, problem: &MckpProblem) -> muaa_knapsack::MckpSolution {
+    fn solve(&self, problem: &MckpProblem) -> muaa_knapsack::MckpSolution {
         match *self {
             MckpBackend::LpGreedy => MckpLpGreedy.solve(problem),
             MckpBackend::ExactDp => MckpExactDp.solve(problem),
@@ -51,6 +51,37 @@ pub(crate) fn ad_type_items(
     inst.ad_types()
         .iter()
         .map(move |t| MckpItem::new(t.cost.as_cents(), (base * t.effectiveness).max(0.0)))
+}
+
+/// One vendor's phase 1 (Alg. 1 lines 2–5): solve the MCKP with one
+/// class per customer of `customers`, whose pair bases are `bases`,
+/// under `budget`, and return the picks as `(customer, ad type, λ)`,
+/// dropping those with `λ ≤ 0`. RECON passes the vendor's whole budget
+/// and class list; BATCHED-RECON its remaining budget and one window's
+/// candidates.
+pub(crate) fn vendor_picks(
+    inst: &ProblemInstance,
+    backend: MckpBackend,
+    budget: Money,
+    customers: &[CustomerId],
+    bases: &[f64],
+) -> Vec<(CustomerId, AdTypeId, f64)> {
+    let mut problem = MckpProblem::new(budget.as_cents());
+    // Class order ↔ customer order.
+    for &base in bases {
+        problem.add_class(ad_type_items(inst, base));
+    }
+    let solution = backend.solve(&problem);
+    let mut picked = Vec::new();
+    for (class, item) in solution.picks() {
+        let tid = AdTypeId::from(item);
+        let lambda = bases[class] * inst.ad_type(tid).effectiveness;
+        if lambda <= 0.0 {
+            continue;
+        }
+        picked.push((customers[class], tid, lambda));
+    }
+    picked
 }
 
 /// The RECON solver. Randomness only affects the order violated
@@ -287,23 +318,7 @@ fn recon_assign(ctx: &SolverContext<'_>, backend: MckpBackend, seed: u64) -> Ass
     let phase1 = muaa_core::par::par_map(inst.vendors(), 1, |j, vendor| {
         let valid = ctx.eligible_customers(VendorId::from(j));
         let bases = &bases[offsets[j]..offsets[j + 1]];
-        let mut problem = MckpProblem::new(vendor.budget.as_cents());
-        // Class order ↔ valid-customer order.
-        for &base in bases {
-            problem.add_class(ad_type_items(inst, base));
-        }
-        let solution = backend.solve(&problem);
-        let mut picked = Vec::new();
-        for (class, item) in solution.picks() {
-            let cid = valid[class];
-            let tid = AdTypeId::from(item);
-            let lambda = bases[class] * inst.ad_type(tid).effectiveness;
-            if lambda <= 0.0 {
-                continue;
-            }
-            picked.push((cid, tid, lambda));
-        }
-        picked
+        vendor_picks(inst, backend, vendor.budget, valid, bases)
     });
     for (j, picked) in phase1.into_iter().enumerate() {
         for &(cid, tid, lambda) in &picked {

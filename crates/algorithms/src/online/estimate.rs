@@ -138,6 +138,9 @@ mod tests {
         // φ(1) = γ_min/e · g ≤ γ_max must hold by construction
         // (up to the tiny g floor).
         assert!(b.gamma_min / E * b.g <= b.gamma_max * 1.001 + 1e-12);
+        // O-AFA's default policy is the adaptive threshold at the estimate.
+        let policy = crate::ThresholdFn::estimated(&ctx, 500, 1);
+        assert_eq!(policy, crate::ThresholdFn::adaptive(b.gamma_min, b.g));
     }
 
     #[test]
@@ -160,6 +163,8 @@ mod tests {
         let model = PearsonUtility::uniform(0);
         let ctx = SolverContext::indexed(&inst, &model);
         assert!(estimate_gamma_bounds(&ctx, 100, 0).is_none());
+        let policy = crate::ThresholdFn::estimated(&ctx, 100, 0);
+        assert_eq!(policy, crate::ThresholdFn::Disabled);
     }
 
     #[test]

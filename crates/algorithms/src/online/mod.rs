@@ -1,42 +1,22 @@
-//! Online MUAA solvers: customers arrive one at a time (in the
+//! Online MUAA solving: customers arrive one at a time (in the
 //! instance's arrival order) and decisions are irrevocable.
 
-pub mod baselines;
 pub mod estimate;
 pub mod oafa;
 pub mod session;
 pub mod threshold;
 
 use crate::context::SolverContext;
+use crate::online::oafa::OAfa;
 use crate::stats::SolveOutcome;
 use muaa_core::clock::Stopwatch;
-use muaa_core::{Assignment, AssignmentSet, CustomerId};
+use muaa_core::AssignmentSet;
 
-/// An online MUAA solver: processes one arriving customer at a time,
-/// mutating its internal budget/assignment state.
-pub trait OnlineSolver {
-    /// Reset internal state for a fresh run over `ctx`.
-    fn reset(&mut self, ctx: &SolverContext<'_>);
-
-    /// Decide the ads pushed to the arriving `customer` and commit them
-    /// to `state`. Returns the assignments made for this customer.
-    fn process(
-        &mut self,
-        ctx: &SolverContext<'_>,
-        state: &mut AssignmentSet,
-        customer: CustomerId,
-    ) -> Vec<Assignment>;
-
-    /// Display name.
-    fn name(&self) -> &'static str;
-}
-
-/// Stream every customer of the instance through `solver` in arrival
+/// Stream every customer of the instance through O-AFA in arrival
 /// order, measuring total wall-clock time.
-pub fn run_online(solver: &mut dyn OnlineSolver, ctx: &SolverContext<'_>) -> SolveOutcome {
+pub fn run_online(solver: &mut OAfa, ctx: &SolverContext<'_>) -> SolveOutcome {
     let inst = ctx.instance();
     let sw = Stopwatch::start();
-    solver.reset(ctx);
     let mut state = AssignmentSet::new(inst);
     for (cid, _) in inst.customers_enumerated() {
         solver.process(ctx, &mut state, cid);
@@ -44,8 +24,7 @@ pub fn run_online(solver: &mut dyn OnlineSolver, ctx: &SolverContext<'_>) -> Sol
     let elapsed = sw.elapsed();
     debug_assert!(
         state.check_feasibility(inst, ctx.model()).is_feasible(),
-        "{} produced an infeasible assignment set",
-        solver.name()
+        "ONLINE produced an infeasible assignment set"
     );
-    SolveOutcome::measure(solver.name(), ctx, state, elapsed)
+    SolveOutcome::measure("ONLINE", ctx, state, elapsed)
 }

@@ -14,7 +14,6 @@
 
 use crate::context::SolverContext;
 use crate::online::threshold::ThresholdFn;
-use crate::online::OnlineSolver;
 use muaa_core::{AdTypeId, Assignment, AssignmentSet, CustomerId, VendorId};
 
 /// The O-AFA online solver ("ONLINE" in the paper's experiments).
@@ -49,7 +48,7 @@ use muaa_core::{AdTypeId, Assignment, AssignmentSet, CustomerId, VendorId};
 /// ```
 ///
 /// The solver keeps its candidate buffer across arrivals (emptied after
-/// each one, capacity kept), so [`process`](OnlineSolver::process)
+/// each one, capacity kept), so [`process`](Self::process)
 /// allocates only the `Vec` it returns, and only when a candidate
 /// survives; on a customer's first serve every survivor commits.
 #[derive(Clone, Debug)]
@@ -57,6 +56,14 @@ pub struct OAfa {
     threshold: ThresholdFn,
     /// Scratch for one arrival's threshold-passing candidates.
     candidates: Vec<Candidate>,
+}
+
+/// A surviving candidate for the current customer.
+#[derive(Clone, Copy, Debug)]
+struct Candidate {
+    vendor: VendorId,
+    ad_type: AdTypeId,
+    gamma: f64,
 }
 
 impl OAfa {
@@ -82,20 +89,10 @@ impl OAfa {
     pub fn set_threshold(&mut self, threshold: ThresholdFn) {
         self.threshold = threshold;
     }
-}
 
-/// A surviving candidate for the current customer.
-#[derive(Clone, Copy, Debug)]
-struct Candidate {
-    vendor: VendorId,
-    ad_type: AdTypeId,
-    gamma: f64,
-}
-
-impl OnlineSolver for OAfa {
-    fn reset(&mut self, _ctx: &SolverContext<'_>) {}
-
-    fn process(
+    /// Decide the ads pushed to the arriving `customer` and commit them
+    /// to `state`. Returns the assignments made for this customer.
+    pub fn process(
         &mut self,
         ctx: &SolverContext<'_>,
         state: &mut AssignmentSet,
@@ -142,10 +139,6 @@ impl OnlineSolver for OAfa {
             }
         }
         made
-    }
-
-    fn name(&self) -> &'static str {
-        "ONLINE"
     }
 }
 

@@ -20,10 +20,8 @@
 //! serve, never an index rebuild.
 
 use crate::context::SolverContext;
-use crate::online::estimate::estimate_gamma_bounds;
 use crate::online::oafa::OAfa;
 use crate::online::threshold::ThresholdFn;
-use crate::online::OnlineSolver;
 use muaa_core::clock::Stopwatch;
 use muaa_core::{
     Assignment, AssignmentSet, CoreError, Customer, CustomerId, Delta, DeltaBatch, Money,
@@ -136,7 +134,7 @@ impl<'a> BrokerSession<'a> {
     /// policy on degenerate snapshots.
     pub fn start(instance: &'a ProblemInstance, model: &'a dyn UtilityModel) -> Self {
         let ctx = Self::memo_free_context(instance, model);
-        let threshold = Self::estimated_threshold(&ctx);
+        let threshold = ThresholdFn::estimated(&ctx, GAMMA_SAMPLES, GAMMA_SEED);
         let mut session = Self::from_context(ctx, threshold);
         session.auto_threshold = true;
         session
@@ -152,15 +150,6 @@ impl<'a> BrokerSession<'a> {
         SolverContext::indexed(instance, model).with_pair_cache_cap(0)
     }
 
-    /// The γ-estimated policy for a context: adaptive when a positive
-    /// efficiency sample exists, unfiltered otherwise.
-    fn estimated_threshold(ctx: &SolverContext<'_>) -> ThresholdFn {
-        match estimate_gamma_bounds(ctx, GAMMA_SAMPLES, GAMMA_SEED) {
-            Some(b) => ThresholdFn::adaptive(b.gamma_min, b.g),
-            None => ThresholdFn::Disabled,
-        }
-    }
-
     /// Start a session with an explicit threshold policy.
     pub fn with_threshold(
         instance: &'a ProblemInstance,
@@ -171,8 +160,7 @@ impl<'a> BrokerSession<'a> {
     }
 
     fn from_context(ctx: SolverContext<'a>, threshold: ThresholdFn) -> Self {
-        let mut solver = OAfa::new(threshold);
-        solver.reset(&ctx);
+        let solver = OAfa::new(threshold);
         let state = AssignmentSet::new(ctx.instance());
         let served = vec![false; ctx.instance().num_customers()];
         BrokerSession {
@@ -208,7 +196,7 @@ impl<'a> BrokerSession<'a> {
         // applied, so a tag change inside it already invalidated the
         // estimate.
         if tags_changed && self.auto_threshold {
-            let threshold = Self::estimated_threshold(&self.ctx);
+            let threshold = ThresholdFn::estimated(&self.ctx, GAMMA_SAMPLES, GAMMA_SEED);
             self.solver.set_threshold(threshold);
         }
         result

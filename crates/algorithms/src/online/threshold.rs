@@ -8,6 +8,9 @@
 //! discussion ("an adaptive threshold will perform better than a
 //! static threshold") and the threshold ablation.
 
+use crate::context::SolverContext;
+use crate::online::estimate::estimate_gamma_bounds;
+
 /// A threshold policy `φ(δ)` on the used-budget ratio `δ ∈ [0, 1]`.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum ThresholdFn {
@@ -52,6 +55,18 @@ impl ThresholdFn {
         );
         assert!(g > std::f64::consts::E, "g must exceed e (Corollary IV.1)");
         ThresholdFn::Adaptive { gamma_min, g }
+    }
+
+    /// O-AFA's default policy: the adaptive threshold at the `γ_min`
+    /// and `g` that [`estimate_gamma_bounds`] reads from `samples`
+    /// sampled candidates of `ctx` (paper §IV-C), or
+    /// [`Disabled`](Self::Disabled) when no positive-efficiency
+    /// candidate exists.
+    pub fn estimated(ctx: &SolverContext<'_>, samples: usize, seed: u64) -> Self {
+        match estimate_gamma_bounds(ctx, samples, seed) {
+            Some(b) => ThresholdFn::adaptive(b.gamma_min, b.g),
+            None => ThresholdFn::Disabled,
+        }
     }
 
     /// A stepped staircase threshold; panics unless `g > e`,

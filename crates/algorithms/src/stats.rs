@@ -35,16 +35,6 @@ impl SolveOutcome {
             elapsed,
         }
     }
-
-    /// Average time per customer, in seconds — the paper's CPU-time
-    /// metric is "the average time cost of performing MUAA assignment
-    /// for a single customer".
-    pub fn time_per_customer(&self, num_customers: usize) -> f64 {
-        if num_customers == 0 {
-            return 0.0;
-        }
-        self.elapsed.as_secs_f64() / num_customers as f64
-    }
 }
 
 #[cfg(test)]
@@ -73,7 +63,5 @@ mod tests {
         let out = SolveOutcome::measure("TEST", &ctx, set, Duration::from_millis(10));
         assert_eq!(out.total_utility, 0.0);
         assert_eq!(out.solver, "TEST");
-        assert!((out.time_per_customer(10) - 0.001).abs() < 1e-9);
-        assert_eq!(out.time_per_customer(0), 0.0);
     }
 }

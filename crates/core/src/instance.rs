@@ -2,7 +2,6 @@
 //! plus the epoch-counted mutation API ([`ProblemInstance::apply_delta`])
 //! that lets the snapshot evolve in place between solver runs.
 
-use crate::activity::ActivityProfile;
 use crate::delta::{Delta, DeltaBatch};
 use crate::entities::{AdType, Customer, Vendor};
 use crate::error::CoreError;
@@ -364,7 +363,6 @@ pub struct InstanceBuilder {
     customers: Vec<Customer>,
     vendors: Vec<Vendor>,
     ad_types: Vec<AdType>,
-    activity: Option<ActivityProfile>,
 }
 
 impl InstanceBuilder {
@@ -407,22 +405,6 @@ impl InstanceBuilder {
     pub fn ad_types(mut self, ts: impl IntoIterator<Item = AdType>) -> Self {
         self.ad_types.extend(ts);
         self
-    }
-
-    /// Attach an activity profile to be retrieved with the instance
-    /// (builders that also produce utility models use it).
-    pub fn activity(mut self, profile: ActivityProfile) -> Self {
-        self.activity = Some(profile);
-        self
-    }
-
-    /// Validate and build the instance; also returns the activity
-    /// profile if one was attached.
-    pub fn build_with_activity(
-        self,
-    ) -> Result<(ProblemInstance, Option<ActivityProfile>), CoreError> {
-        let inst = ProblemInstance::new(self.customers, self.vendors, self.ad_types)?;
-        Ok((inst, self.activity))
     }
 
     /// Validate and build the instance.

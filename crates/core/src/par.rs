@@ -407,28 +407,6 @@ where
     (a, b)
 }
 
-/// Chunk width of the fixed-chunk float reducer [`sum_f64`]. Fixed so
-/// the reduction tree — and therefore the floating-point rounding — is
-/// a function of the input alone, never of the thread count.
-pub const REDUCE_CHUNK: usize = 1024;
-
-/// Order-fixed sequential sum: left-to-right within each
-/// [`REDUCE_CHUNK`]-wide chunk, then left-to-right over the chunk
-/// partials. This is the *canonical* reduction order for the workspace:
-/// its result does not depend on how the input was produced or on the
-/// thread count.
-pub fn sum_f64(xs: &[f64]) -> f64 {
-    let mut total = 0.0;
-    for chunk in xs.chunks(REDUCE_CHUNK) {
-        let mut partial = 0.0;
-        for &x in chunk {
-            partial += x;
-        }
-        total += partial;
-    }
-    total
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -493,34 +471,6 @@ mod tests {
                 assert_eq!(a.to_bits(), b.to_bits(), "thread count {threads} drifted");
             }
         }
-    }
-
-    #[test]
-    fn fixed_chunk_sum_is_thread_count_invariant() {
-        // Terms fanned out by `par_map` and reduced by `sum_f64`: the
-        // sanctioned shape. Values chosen so naive reassociation
-        // visibly changes rounding.
-        let idx: Vec<usize> = (0..REDUCE_CHUNK * 5 + 311).collect();
-        let term = |_, &i: &usize| ((i as f64) * 1e-3).sin() * 10f64.powi((i % 7) as i32 - 3);
-        let seq = with_threads(1, || sum_f64(&par_map(&idx, 64, term)));
-        for threads in [2usize, 4, 8] {
-            let par = with_threads(threads, || sum_f64(&par_map(&idx, 64, term)));
-            assert_eq!(
-                par.to_bits(),
-                seq.to_bits(),
-                "sum_f64 drifted at {threads} threads"
-            );
-        }
-        // Sanity: the value itself is a plausible sum.
-        let naive: f64 = idx.iter().map(|i| term(0, i)).sum();
-        assert!((seq - naive).abs() <= 1e-9 * naive.abs().max(1.0));
-    }
-
-    #[test]
-    fn fixed_chunk_sum_small_inputs() {
-        assert_eq!(sum_f64(&[]), 0.0);
-        assert_eq!(sum_f64(&[1.5]), 1.5);
-        assert_eq!(sum_f64(&[1.5, 2.5]), 4.0);
     }
 
     #[test]

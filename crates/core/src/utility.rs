@@ -116,13 +116,6 @@ impl PearsonUtility {
         PearsonUtility::new(ActivityProfile::uniform(tags))
     }
 
-    /// Override the distance floor.
-    pub fn with_min_distance(mut self, min_distance: f64) -> Self {
-        assert!(min_distance > 0.0, "distance floor must be positive");
-        self.min_distance = min_distance;
-        self
-    }
-
     /// The activity profile in use.
     pub fn activity(&self) -> &ActivityProfile {
         &self.activity

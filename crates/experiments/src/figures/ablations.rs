@@ -211,23 +211,18 @@ pub fn ablate_adtypes(customers: usize, vendors: usize, seed: u64) -> Table {
         let ctx = SolverContext::indexed(&inst, &model);
         let recon = Recon::new().with_seed(seed).run(&ctx).total_utility;
         let greedy = muaa_algorithms::Greedy.run(&ctx).total_utility;
-        let online = {
-            let threshold = match estimate_gamma_bounds(&ctx, 1_000, seed) {
-                Some(b) => ThresholdFn::adaptive(b.gamma_min, b.g),
-                None => ThresholdFn::Disabled,
-            };
-            let mut solver = OAfa::new(threshold);
-            muaa_algorithms::run_online(&mut solver, &ctx).total_utility
-        };
+        let mut oafa = OAfa::new(ThresholdFn::estimated(&ctx, 1_000, seed));
+        let online = muaa_algorithms::run_online(&mut oafa, &ctx).total_utility;
         t.push_row(q.to_string(), vec![recon, greedy, online]);
     }
     t
 }
 
 /// Batching ablation (beyond the paper): how much utility does
-/// lookahead buy? `BatchedRecon` over 1 window is offline RECON; over
-/// many windows it approaches a per-arrival policy. Also runs the true
-/// O-AFA for reference.
+/// lookahead buy? `BatchedRecon` over 1 window solves RECON's MCKPs
+/// but reconciles without RECON's refill; over many windows it
+/// approaches a per-arrival policy. Also runs RECON and the true O-AFA
+/// for reference.
 pub fn ablate_batching(customers: usize, vendors: usize, seed: u64) -> Table {
     let (inst, model) = workload(customers, vendors, 6.0, seed);
     let ctx = SolverContext::indexed(&inst, &model);
@@ -249,11 +244,7 @@ pub fn ablate_batching(customers: usize, vendors: usize, seed: u64) -> Table {
         "RECON",
         vec![recon.total_utility, recon.elapsed.as_secs_f64()],
     );
-    let threshold = match estimate_gamma_bounds(&ctx, 1_000, seed) {
-        Some(b) => ThresholdFn::adaptive(b.gamma_min, b.g),
-        None => ThresholdFn::Disabled,
-    };
-    let mut oafa = OAfa::new(threshold);
+    let mut oafa = OAfa::new(ThresholdFn::estimated(&ctx, 1_000, seed));
     let out = muaa_algorithms::run_online(&mut oafa, &ctx);
     t.push_row("O-AFA", vec![out.total_utility, out.elapsed.as_secs_f64()]);
     t

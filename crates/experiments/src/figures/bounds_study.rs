@@ -7,9 +7,8 @@
 //! 0.8, the solver is provably within 20% of optimal on that instance.
 
 use crate::report::Table;
-use muaa_algorithms::online::baselines::OnlineNearest;
 use muaa_algorithms::{
-    estimate_gamma_bounds, upper_bounds, Greedy, OAfa, OfflineSolver, RandomAssign, Recon,
+    run_online, upper_bounds, Greedy, NearestAssign, OAfa, OfflineSolver, RandomAssign, Recon,
     SolverContext, ThresholdFn,
 };
 use muaa_core::PearsonUtility;
@@ -47,31 +46,21 @@ pub fn run(customers: usize, vendors: usize, seed: u64) -> Table {
     let syn_bound = upper_bounds(&syn_ctx).best();
     let fsq_bound = upper_bounds(&fsq_ctx).best();
 
-    let quality = |ctx: &SolverContext<'_>, bound: f64, which: usize| -> Vec<f64> {
+    let quality = |ctx: &SolverContext<'_>, bound: f64| -> Vec<f64> {
         let recon = Recon::new().with_seed(seed).run(ctx).total_utility;
         let greedy = Greedy.run(ctx).total_utility;
-        let online = {
-            let threshold = match estimate_gamma_bounds(ctx, 1_000, seed) {
-                Some(b) => ThresholdFn::adaptive(b.gamma_min, b.g),
-                None => ThresholdFn::Disabled,
-            };
-            let mut solver = OAfa::new(threshold);
-            muaa_algorithms::run_online(&mut solver, ctx).total_utility
-        };
-        let nearest = {
-            let mut solver = OnlineNearest;
-            muaa_algorithms::run_online(&mut solver, ctx).total_utility
-        };
+        let mut oafa = OAfa::new(ThresholdFn::estimated(ctx, 1_000, seed));
+        let online = run_online(&mut oafa, ctx).total_utility;
+        let nearest = NearestAssign.run(ctx).total_utility;
         let random = RandomAssign::seeded(seed).run(ctx).total_utility;
-        let _ = which;
         [recon, greedy, online, nearest, random]
             .into_iter()
             .map(|u| if bound > 0.0 { u / bound } else { 0.0 })
             .collect()
     };
 
-    let syn_q = quality(&syn_ctx, syn_bound, 0);
-    let fsq_q = quality(&fsq_ctx, fsq_bound, 1);
+    let syn_q = quality(&syn_ctx, syn_bound);
+    let fsq_q = quality(&fsq_ctx, fsq_bound);
     for (i, name) in ["RECON", "GREEDY", "ONLINE", "NEAREST", "RANDOM"]
         .iter()
         .enumerate()

@@ -11,7 +11,7 @@ pub mod settings;
 pub mod synthetic_sweeps;
 pub mod tag_select_study;
 
-use crate::harness::{run_competitors, CompetitorSet, RunResult};
+use crate::harness::{run_competitors, COMPETITORS};
 use crate::report::Table;
 use muaa_core::{ProblemInstance, UtilityModel};
 
@@ -21,11 +21,10 @@ pub(crate) fn sweep_tables(
     figure: &str,
     param: &str,
     dataset: &str,
-    set: CompetitorSet,
     seed: u64,
     points: impl IntoIterator<Item = (String, ProblemInstance, Box<dyn UtilityModel>)>,
 ) -> (Table, Table) {
-    let labels = set.labels();
+    let labels: Vec<String> = COMPETITORS.map(String::from).to_vec();
     let mut utility = Table::new(
         format!("Fig {figure}(a): total utility vs {param} ({dataset})"),
         param,
@@ -37,9 +36,11 @@ pub(crate) fn sweep_tables(
         labels,
     );
     for (label, instance, model) in points {
-        let results: Vec<RunResult> = run_competitors(&instance, model.as_ref(), set, seed);
-        utility.push_row(label.clone(), results.iter().map(|r| r.utility).collect());
-        time.push_row(label, results.iter().map(|r| r.seconds).collect());
+        let results = run_competitors(&instance, model.as_ref(), seed);
+        let utilities = results.iter().map(|r| r.total_utility).collect();
+        let seconds = results.iter().map(|r| r.elapsed.as_secs_f64()).collect();
+        utility.push_row(label.clone(), utilities);
+        time.push_row(label, seconds);
     }
     (utility, time)
 }

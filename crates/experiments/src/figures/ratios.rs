@@ -10,8 +10,8 @@
 
 use crate::report::Table;
 use muaa_algorithms::{
-    estimate_gamma_bounds, ExactBnB, Greedy, OAfa, OfflineSolver, RandomAssign, Recon,
-    SolverContext, ThresholdFn,
+    run_online, ExactBnB, Greedy, OAfa, OfflineSolver, RandomAssign, Recon, SolverContext,
+    ThresholdFn,
 };
 use muaa_core::{DetRng, Money, PearsonUtility, ProblemInstance, TagVector, Timestamp};
 use muaa_datagen::dist::paper_range_sample;
@@ -113,14 +113,8 @@ pub fn run(trials: usize, seed: u64) -> RatioReport {
             .run(&ctx)
             .total_utility;
         let greedy = Greedy.run(&ctx).total_utility;
-        let online = {
-            let threshold = match estimate_gamma_bounds(&ctx, 200, seed + done as u64) {
-                Some(b) => ThresholdFn::adaptive(b.gamma_min, b.g),
-                None => ThresholdFn::Disabled,
-            };
-            let mut solver = OAfa::new(threshold);
-            muaa_algorithms::run_online(&mut solver, &ctx).total_utility
-        };
+        let mut oafa = OAfa::new(ThresholdFn::estimated(&ctx, 200, seed + done as u64));
+        let online = run_online(&mut oafa, &ctx).total_utility;
         let random = RandomAssign::seeded(seed + done as u64)
             .run(&ctx)
             .total_utility;

@@ -8,7 +8,6 @@
 //! * Fig. 6 — view-probability range `[p⁻, p⁺]`
 
 use crate::figures::sweep_tables;
-use crate::harness::CompetitorSet;
 use crate::report::Table;
 use crate::scale::Scale;
 use muaa_core::UtilityModel;
@@ -29,7 +28,7 @@ fn generate(config: FoursquareConfig) -> (muaa_core::ProblemInstance, Box<dyn Ut
 }
 
 /// Fig. 3: effect of the range `[B⁻, B⁺]` of vendor budgets.
-pub fn fig3_budget(scale: &Scale, set: CompetitorSet, seed: u64) -> (Table, Table) {
+pub fn fig3_budget(scale: &Scale, seed: u64) -> (Table, Table) {
     let sweep: &[(f64, f64)] = &[
         (1.0, 5.0),
         (5.0, 10.0),
@@ -42,7 +41,6 @@ pub fn fig3_budget(scale: &Scale, set: CompetitorSet, seed: u64) -> (Table, Tabl
         "3",
         "[B-,B+]",
         "real-sim",
-        set,
         seed,
         sweep.iter().map(|&(lo, hi)| {
             let mut cfg = base_config(scale);
@@ -54,13 +52,12 @@ pub fn fig3_budget(scale: &Scale, set: CompetitorSet, seed: u64) -> (Table, Tabl
 }
 
 /// Fig. 4: effect of the range `[r⁻, r⁺]` of vendor radii.
-pub fn fig4_radius(scale: &Scale, set: CompetitorSet, seed: u64) -> (Table, Table) {
+pub fn fig4_radius(scale: &Scale, seed: u64) -> (Table, Table) {
     let sweep: &[(f64, f64)] = &[(0.01, 0.02), (0.02, 0.03), (0.03, 0.04), (0.04, 0.05)];
     sweep_tables(
         "4",
         "[r-,r+]",
         "real-sim",
-        set,
         seed,
         sweep.iter().map(|&(lo, hi)| {
             let mut cfg = base_config(scale);
@@ -74,13 +71,12 @@ pub fn fig4_radius(scale: &Scale, set: CompetitorSet, seed: u64) -> (Table, Tabl
 /// Fig. 5: effect of the range `[a⁻, a⁺]` of customer capacities.
 /// The paper runs this with 500 customers and 5,000 vendors so that
 /// capacities actually bind.
-pub fn fig5_capacity(scale: &Scale, set: CompetitorSet, seed: u64) -> (Table, Table) {
+pub fn fig5_capacity(scale: &Scale, seed: u64) -> (Table, Table) {
     let sweep: &[(f64, f64)] = &[(1.0, 4.0), (1.0, 6.0), (1.0, 8.0), (1.0, 10.0)];
     sweep_tables(
         "5",
         "[a-,a+]",
         "real-sim",
-        set,
         seed,
         sweep.iter().map(|&(lo, hi)| {
             let mut cfg = base_config(scale);
@@ -95,13 +91,12 @@ pub fn fig5_capacity(scale: &Scale, set: CompetitorSet, seed: u64) -> (Table, Ta
 }
 
 /// Fig. 6: effect of the range `[p⁻, p⁺]` of view probabilities.
-pub fn fig6_probability(scale: &Scale, set: CompetitorSet, seed: u64) -> (Table, Table) {
+pub fn fig6_probability(scale: &Scale, seed: u64) -> (Table, Table) {
     let sweep: &[(f64, f64)] = &[(0.1, 0.2), (0.1, 0.4), (0.1, 0.6), (0.1, 0.8)];
     sweep_tables(
         "6",
         "[p-,p+]",
         "real-sim",
-        set,
         seed,
         sweep.iter().map(|&(lo, hi)| {
             let mut cfg = base_config(scale);
@@ -128,7 +123,7 @@ mod tests {
 
     #[test]
     fn fig3_utility_grows_then_saturates() {
-        let (utility, time) = fig3_budget(&tiny(), CompetitorSet::without_greedy(), 7);
+        let (utility, time) = fig3_budget(&tiny(), 7);
         assert_eq!(utility.rows.len(), 6);
         assert_eq!(time.rows.len(), 6);
         // RECON utility at the largest budget must beat the smallest.
@@ -143,7 +138,7 @@ mod tests {
 
     #[test]
     fn fig4_radius_grows_utility_for_recon() {
-        let (utility, _) = fig4_radius(&tiny(), CompetitorSet::without_greedy(), 7);
+        let (utility, _) = fig4_radius(&tiny(), 7);
         let recon_col = utility.columns.iter().position(|c| c == "RECON").unwrap();
         let first = utility.rows.first().unwrap().1[recon_col];
         let last = utility.rows.last().unwrap().1[recon_col];
@@ -155,10 +150,10 @@ mod tests {
 
     #[test]
     fn fig5_and_fig6_produce_full_tables() {
-        let (u5, t5) = fig5_capacity(&tiny(), CompetitorSet::without_greedy(), 7);
+        let (u5, t5) = fig5_capacity(&tiny(), 7);
         assert_eq!(u5.rows.len(), 4);
         assert_eq!(t5.rows.len(), 4);
-        let (u6, _) = fig6_probability(&tiny(), CompetitorSet::without_greedy(), 7);
+        let (u6, _) = fig6_probability(&tiny(), 7);
         assert_eq!(u6.rows.len(), 4);
         // Higher view probabilities raise utility (Eq. 4 is linear in p).
         let recon_col = u6.columns.iter().position(|c| c == "RECON").unwrap();

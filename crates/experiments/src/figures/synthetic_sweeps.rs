@@ -4,7 +4,6 @@
 //! * Fig. 8 — number of vendors `n`
 
 use crate::figures::sweep_tables;
-use crate::harness::CompetitorSet;
 use crate::report::Table;
 use crate::scale::Scale;
 use muaa_core::{PearsonUtility, UtilityModel};
@@ -19,12 +18,11 @@ fn generate(cfg: SyntheticConfig) -> (muaa_core::ProblemInstance, Box<dyn Utilit
 }
 
 /// Fig. 7: effect of the number `m` of customers.
-pub fn fig7_customers(scale: &Scale, set: CompetitorSet, seed: u64) -> (Table, Table) {
+pub fn fig7_customers(scale: &Scale, seed: u64) -> (Table, Table) {
     sweep_tables(
         "7",
         "m",
         "synthetic",
-        set,
         seed,
         scale.fig7_customers.iter().map(|&m| {
             let cfg = SyntheticConfig {
@@ -40,12 +38,11 @@ pub fn fig7_customers(scale: &Scale, set: CompetitorSet, seed: u64) -> (Table, T
 }
 
 /// Fig. 8: effect of the number `n` of vendors.
-pub fn fig8_vendors(scale: &Scale, set: CompetitorSet, seed: u64) -> (Table, Table) {
+pub fn fig8_vendors(scale: &Scale, seed: u64) -> (Table, Table) {
     sweep_tables(
         "8",
         "n",
         "synthetic",
-        set,
         seed,
         scale.fig8_vendors.iter().map(|&n| {
             let cfg = SyntheticConfig {
@@ -75,7 +72,7 @@ mod tests {
 
     #[test]
     fn fig7_more_customers_more_utility() {
-        let (utility, time) = fig7_customers(&tiny(), CompetitorSet::without_greedy(), 11);
+        let (utility, time) = fig7_customers(&tiny(), 11);
         assert_eq!(utility.rows.len(), 5);
         assert_eq!(time.rows.len(), 5);
         let recon = utility.columns.iter().position(|c| c == "RECON").unwrap();
@@ -89,7 +86,7 @@ mod tests {
 
     #[test]
     fn fig8_more_vendors_more_utility() {
-        let (utility, _) = fig8_vendors(&tiny(), CompetitorSet::without_greedy(), 11);
+        let (utility, _) = fig8_vendors(&tiny(), 11);
         assert_eq!(utility.rows.len(), 5);
         let recon = utility.columns.iter().position(|c| c == "RECON").unwrap();
         let first = utility.rows.first().unwrap().1[recon];

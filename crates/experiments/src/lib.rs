@@ -5,9 +5,10 @@
 //! described in `DESIGN.md` §4 and §9.
 //!
 //! Each figure runner sweeps one parameter while holding the others at
-//! the reconstructed Table IV defaults, runs the competitor set
-//! (RANDOM, NEAREST, GREEDY, RECON, ONLINE) and reports the paper's two
-//! metrics — total utility and CPU time — as printable/CSV tables.
+//! the reconstructed Table IV defaults, runs the five competitors
+//! ([`COMPETITORS`]: RANDOM, NEAREST, GREEDY, RECON, ONLINE) through
+//! [`run_competitors`] and reports the paper's two metrics — total
+//! utility and CPU time — as printable/CSV tables.
 //!
 //! Entry points live in [`figures`]; the `muaa-experiments` binary
 //! dispatches to them.
@@ -20,6 +21,6 @@ pub mod harness;
 pub mod report;
 pub mod scale;
 
-pub use harness::{run_competitors, CompetitorSet, RunResult};
+pub use harness::{run_competitors, COMPETITORS};
 pub use report::Table;
 pub use scale::Scale;

@@ -13,6 +13,9 @@
 //!   ablate-mckp            RECON backend ablation
 //!   ablate-threshold       O-AFA threshold-policy ablation
 //!   ablate-g               O-AFA g-sensitivity ablation
+//!   ablate-batching        BATCHED-RECON window-count ablation
+//!   ablate-adtypes         ad-type-count ablation
+//!   bounds                 certified quality against upper bounds
 //!   tagselect              vendor-side broadcast tag selection study
 //!   tables                 Tables I and IV
 //!   all                    everything above
@@ -22,7 +25,7 @@ use muaa_experiments::figures::{
     ablations, bounds_study, example1, latency, ratios, real_sweeps, settings, synthetic_sweeps,
     tag_select_study,
 };
-use muaa_experiments::{CompetitorSet, Scale, Table};
+use muaa_experiments::{Scale, Table};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
@@ -80,30 +83,15 @@ fn usage(problem: &str) -> ExitCode {
 
 fn run_command(command: &str, opts: &Options) -> bool {
     match command {
-        "fig3" => emit_pair(
-            real_sweeps::fig3_budget(&opts.scale, CompetitorSet::all(), opts.seed),
-            opts,
-        ),
-        "fig4" => emit_pair(
-            real_sweeps::fig4_radius(&opts.scale, CompetitorSet::all(), opts.seed),
-            opts,
-        ),
-        "fig5" => emit_pair(
-            real_sweeps::fig5_capacity(&opts.scale, CompetitorSet::all(), opts.seed),
-            opts,
-        ),
-        "fig6" => emit_pair(
-            real_sweeps::fig6_probability(&opts.scale, CompetitorSet::all(), opts.seed),
-            opts,
-        ),
+        "fig3" => emit_pair(real_sweeps::fig3_budget(&opts.scale, opts.seed), opts),
+        "fig4" => emit_pair(real_sweeps::fig4_radius(&opts.scale, opts.seed), opts),
+        "fig5" => emit_pair(real_sweeps::fig5_capacity(&opts.scale, opts.seed), opts),
+        "fig6" => emit_pair(real_sweeps::fig6_probability(&opts.scale, opts.seed), opts),
         "fig7" => emit_pair(
-            synthetic_sweeps::fig7_customers(&opts.scale, CompetitorSet::all(), opts.seed),
+            synthetic_sweeps::fig7_customers(&opts.scale, opts.seed),
             opts,
         ),
-        "fig8" => emit_pair(
-            synthetic_sweeps::fig8_vendors(&opts.scale, CompetitorSet::all(), opts.seed),
-            opts,
-        ),
+        "fig8" => emit_pair(synthetic_sweeps::fig8_vendors(&opts.scale, opts.seed), opts),
         "example1" => {
             let report = example1::run();
             println!("# Example 1 (paper Fig. 1 / Tables I-II)");
@@ -181,7 +169,8 @@ fn run_command(command: &str, opts: &Options) -> bool {
                 "latency",
             ] {
                 eprintln!(">>> {cmd}");
-                run_command(cmd, opts);
+                // A misspelt entry is a bug in this list, not user input.
+                assert!(run_command(cmd, opts), "`all` lists unknown command {cmd}");
             }
         }
         _ => return false,

@@ -1,6 +1,6 @@
 //! Exact MCKP dynamic program over the integral budget axis.
 
-use crate::problem::{MckpProblem, MckpSolution, MckpSolver};
+use crate::problem::{MckpProblem, MckpSolution};
 
 /// Exact MCKP solver: `dp[b]` = best profit achievable with cost
 /// exactly ≤ `b`, processed class by class with full choice tracking.
@@ -17,8 +17,9 @@ pub struct MckpExactDp;
 /// Sentinel meaning "no item chosen for this class at this budget".
 const NO_CHOICE: u8 = u8::MAX;
 
-impl MckpSolver for MckpExactDp {
-    fn solve(&self, problem: &MckpProblem) -> MckpSolution {
+impl MckpExactDp {
+    /// Solve the problem exactly.
+    pub fn solve(&self, problem: &MckpProblem) -> MckpSolution {
         let cap = problem.capacity() as usize;
         assert!(
             problem.classes().all(|c| c.len() < NO_CHOICE as usize),
@@ -74,10 +75,6 @@ impl MckpSolver for MckpExactDp {
             "exact DP produced an invalid solution"
         );
         sol
-    }
-
-    fn name(&self) -> &'static str {
-        "mckp-exact-dp"
     }
 }
 

@@ -8,7 +8,7 @@
 //! returned profit is at least `(1 − ε) · OPT` — the guarantee assumed
 //! by the paper's Theorem III.1.
 
-use crate::problem::{MckpProblem, MckpSolution, MckpSolver};
+use crate::problem::{MckpProblem, MckpSolution};
 
 /// The profit-scaling FPTAS. `epsilon` trades accuracy for time:
 /// runtime is `O(classes² · items / ε)`.
@@ -38,8 +38,9 @@ impl Default for MckpFptas {
 
 const INFINITE_COST: u64 = u64::MAX;
 
-impl MckpSolver for MckpFptas {
-    fn solve(&self, problem: &MckpProblem) -> MckpSolution {
+impl MckpFptas {
+    /// Solve the problem to within `(1 − ε)` of the optimum.
+    pub fn solve(&self, problem: &MckpProblem) -> MckpSolution {
         let n = problem.num_classes();
         let max_profit = problem
             .classes()
@@ -137,10 +138,6 @@ impl MckpSolver for MckpFptas {
         }
         debug_assert!(sol.validate(problem), "fptas produced an invalid solution");
         sol
-    }
-
-    fn name(&self) -> &'static str {
-        "mckp-fptas"
     }
 }
 

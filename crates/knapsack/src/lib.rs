@@ -6,8 +6,9 @@
 //! knapsack problem** (MCKP): each valid customer is a *class* whose
 //! *items* are the ad types (cost `c_k`, profit `λ_ijk`); at most one
 //! item may be chosen per class and the total cost must not exceed the
-//! vendor's budget `B_j`. This crate provides three interchangeable
-//! solvers behind the [`MckpSolver`] trait:
+//! vendor's budget `B_j`. This crate provides three solvers, each with
+//! an inherent `solve(&MckpProblem) -> MckpSolution` (RECON's
+//! `MckpBackend` chooses among them):
 //!
 //! * [`MckpExactDp`] — exact dynamic program over the (integer-cent)
 //!   budget axis; ground truth for tests and a viable production
@@ -41,4 +42,4 @@ pub use dominance::hull_indices;
 pub use exact::MckpExactDp;
 pub use fptas::MckpFptas;
 pub use lp_greedy::{MckpLpGreedy, MckpLpResult};
-pub use problem::{MckpItem, MckpProblem, MckpSolution, MckpSolver};
+pub use problem::{MckpItem, MckpProblem, MckpSolution};

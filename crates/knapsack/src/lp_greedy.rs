@@ -21,12 +21,12 @@
 //! sort by efficiency would give.
 
 use crate::dominance::{hull_into, HullScratch};
-use crate::problem::{MckpProblem, MckpSolution, MckpSolver};
+use crate::problem::{MckpProblem, MckpSolution};
 
 /// The LP-relaxation greedy solver. See the module docs.
 ///
 /// ```
-/// use muaa_knapsack::{MckpItem, MckpLpGreedy, MckpProblem, MckpSolver};
+/// use muaa_knapsack::{MckpItem, MckpLpGreedy, MckpProblem};
 ///
 /// let mut problem = MckpProblem::new(300); // budget: 300 cents
 /// problem.add_class(vec![MckpItem::new(100, 1.0), MckpItem::new(200, 1.8)]);
@@ -60,6 +60,12 @@ struct Increment {
 }
 
 impl MckpLpGreedy {
+    /// Solve the problem: the integral solution of
+    /// [`solve_detailed`](Self::solve_detailed).
+    pub fn solve(&self, problem: &MckpProblem) -> MckpSolution {
+        self.solve_detailed(problem).solution
+    }
+
     /// Solve and also report the LP bound.
     pub fn solve_detailed(&self, problem: &MckpProblem) -> MckpLpResult {
         let mut increments: Vec<Increment> = Vec::new();
@@ -207,16 +213,6 @@ fn eff(inc: &Increment) -> f64 {
         f64::INFINITY
     } else {
         inc.delta_profit / inc.delta_cost as f64
-    }
-}
-
-impl MckpSolver for MckpLpGreedy {
-    fn solve(&self, problem: &MckpProblem) -> MckpSolution {
-        self.solve_detailed(problem).solution
-    }
-
-    fn name(&self) -> &'static str {
-        "mckp-lp-greedy"
     }
 }
 

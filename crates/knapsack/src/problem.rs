@@ -162,15 +162,6 @@ impl MckpSolution {
     }
 }
 
-/// A solver for [`MckpProblem`]s.
-pub trait MckpSolver {
-    /// Solve the problem, returning a feasible solution.
-    fn solve(&self, problem: &MckpProblem) -> MckpSolution;
-
-    /// Human-readable solver name, for reports.
-    fn name(&self) -> &'static str;
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -3,7 +3,7 @@
 
 use muaa_knapsack::{
     hull_indices, zero_one, MckpExactDp, MckpFptas, MckpItem, MckpLpGreedy, MckpProblem,
-    MckpSolution, MckpSolver,
+    MckpSolution,
 };
 use muaa_testkit::{f64_in, for_all, pick, u64_in, vec_of, DetRng};
 

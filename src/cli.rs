@@ -5,7 +5,7 @@
 //! muaa generate --kind synthetic --customers 1000 --vendors 50 --out city.tsv
 //! muaa info city.tsv
 //! muaa solve city.tsv --solver recon
-//! muaa solve city.tsv --solver online --g 7.4
+//! muaa solve city.tsv --solver online
 //! muaa bound city.tsv
 //! ```
 //!
@@ -97,6 +97,12 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
         }
         i += 1;
     }
+    // A flag the command does not take is an error, not a no-op: a
+    // misspelt `--solver` must not silently run the default solver.
+    let only = |allowed: &[&str]| match flags.iter().find(|(n, _)| !allowed.contains(&n.as_str())) {
+        Some((name, _)) => Err(CliError::Usage(format!("{cmd} does not take --{name}"))),
+        None => Ok(()),
+    };
     let flag = |name: &str| {
         flags
             .iter()
@@ -121,33 +127,45 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
     };
 
     match cmd.as_str() {
-        "generate" => Ok(Command::Generate {
-            kind: flag("kind").unwrap_or_else(|| "synthetic".into()),
-            customers: parse_num("customers", 1_000)?,
-            vendors: parse_num("vendors", 50)?,
-            seed: parse_seed()?,
-            out: flag("out").unwrap_or_else(|| "-".into()),
-        }),
-        "info" => Ok(Command::Info {
-            path: positional
-                .first()
-                .cloned()
-                .ok_or_else(|| CliError::Usage("info <instance.tsv>".into()))?,
-        }),
-        "solve" => Ok(Command::Solve {
-            path: positional
-                .first()
-                .cloned()
-                .ok_or_else(|| CliError::Usage("solve <instance.tsv>".into()))?,
-            solver: flag("solver").unwrap_or_else(|| "recon".into()),
-            seed: parse_seed()?,
-        }),
-        "bound" => Ok(Command::Bound {
-            path: positional
-                .first()
-                .cloned()
-                .ok_or_else(|| CliError::Usage("bound <instance.tsv>".into()))?,
-        }),
+        "generate" => {
+            only(&["kind", "customers", "vendors", "seed", "out"])?;
+            Ok(Command::Generate {
+                kind: flag("kind").unwrap_or_else(|| "synthetic".into()),
+                customers: parse_num("customers", 1_000)?,
+                vendors: parse_num("vendors", 50)?,
+                seed: parse_seed()?,
+                out: flag("out").unwrap_or_else(|| "-".into()),
+            })
+        }
+        "info" => {
+            only(&[])?;
+            Ok(Command::Info {
+                path: positional
+                    .first()
+                    .cloned()
+                    .ok_or_else(|| CliError::Usage("info <instance.tsv>".into()))?,
+            })
+        }
+        "solve" => {
+            only(&["solver", "seed"])?;
+            Ok(Command::Solve {
+                path: positional
+                    .first()
+                    .cloned()
+                    .ok_or_else(|| CliError::Usage("solve <instance.tsv>".into()))?,
+                solver: flag("solver").unwrap_or_else(|| "recon".into()),
+                seed: parse_seed()?,
+            })
+        }
+        "bound" => {
+            only(&[])?;
+            Ok(Command::Bound {
+                path: positional
+                    .first()
+                    .cloned()
+                    .ok_or_else(|| CliError::Usage("bound <instance.tsv>".into()))?,
+            })
+        }
         other => Err(CliError::Usage(format!(
             "unknown command {other:?}\n{USAGE}"
         ))),
@@ -258,14 +276,10 @@ fn run_solver(ctx: &SolverContext<'_>, solver: &str, seed: u64) -> Result<SolveO
         "random" => RandomAssign::seeded(seed).run(ctx),
         "nearest" => NearestAssign.run(ctx),
         "exact" => ExactBnB::new().run(ctx),
-        "online" => {
-            let threshold = match estimate_gamma_bounds(ctx, 1_000, seed) {
-                Some(b) => ThresholdFn::adaptive(b.gamma_min, b.g),
-                None => ThresholdFn::Disabled,
-            };
-            let mut s = OAfa::new(threshold);
-            run_online(&mut s, ctx)
-        }
+        "online" => run_online(
+            &mut OAfa::new(ThresholdFn::estimated(ctx, 1_000, seed)),
+            ctx,
+        ),
         other => {
             if let Some(k) = other.strip_prefix("batched:") {
                 let windows: usize = k.parse().map_err(|_| {
@@ -333,6 +347,42 @@ mod tests {
             parse(&argv("generate --customers nope")),
             Err(CliError::Usage(_))
         ));
+    }
+
+    #[test]
+    fn parse_rejects_flags_the_command_does_not_take() {
+        // `solve` takes no `--g`: O-AFA's g comes from the γ estimate.
+        let err = parse(&argv("solve city.tsv --solver online --g 7.4")).unwrap_err();
+        assert!(
+            matches!(&err, CliError::Usage(m) if m.contains("--g")),
+            "{err}"
+        );
+        // A misspelt flag must not fall back to the default solver.
+        let err = parse(&argv("solve city.tsv --solvr greedy")).unwrap_err();
+        assert!(
+            matches!(&err, CliError::Usage(m) if m.contains("--solvr")),
+            "{err}"
+        );
+        let err = parse(&argv("info city.tsv --seed 3")).unwrap_err();
+        assert!(
+            matches!(&err, CliError::Usage(m) if m.contains("--seed")),
+            "{err}"
+        );
+        // Every flag of the module doc's `generate` line is `generate`'s.
+        let cmd = parse(&argv(
+            "generate --kind synthetic --customers 1000 --vendors 50 --out city.tsv",
+        ))
+        .unwrap();
+        assert_eq!(
+            cmd,
+            Command::Generate {
+                kind: "synthetic".into(),
+                customers: 1_000,
+                vendors: 50,
+                seed: 42,
+                out: "city.tsv".into()
+            }
+        );
     }
 
     #[test]

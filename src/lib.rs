@@ -59,8 +59,8 @@ pub mod prelude {
     pub use muaa_algorithms::online::session::{BrokerSession, LatencyStats};
     pub use muaa_algorithms::{
         estimate_gamma_bounds, run_online, ExactBnB, Greedy, MckpBackend, NaiveGreedy,
-        NearestAssign, OAfa, OfflineSolver, OnlineSolver, RandomAssign, Recon, SolveOutcome,
-        SolverContext, ThresholdFn,
+        NearestAssign, OAfa, OfflineSolver, RandomAssign, Recon, SolveOutcome, SolverContext,
+        ThresholdFn,
     };
     pub use muaa_core::{
         ActivityProfile, AdType, AdTypeId, Assignment, AssignmentSet, Customer, CustomerId,

@@ -142,10 +142,7 @@ fn foursquare_pipeline_end_to_end() {
         .is_feasible());
     assert!(recon.total_utility > 0.0);
 
-    let mut online = OAfa::new(match estimate_gamma_bounds(&ctx, 500, 3) {
-        Some(b) => ThresholdFn::adaptive(b.gamma_min, b.g),
-        None => ThresholdFn::Disabled,
-    });
+    let mut online = OAfa::new(ThresholdFn::estimated(&ctx, 500, 3));
     let out = run_online(&mut online, &ctx);
     assert!(out
         .assignments
